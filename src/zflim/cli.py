@@ -135,15 +135,6 @@ def atomic_write(path: str, text: str):
         raise
 
 
-def thread_cap() -> int:
-    """Parallelism cap from ZFLIM_THREADS (execution is serial when 1)."""
-    raw = os.environ.get("ZFLIM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _resolve_plant(args) -> PlantRecord:
     if getattr(args, "example", None):
         name = args.example
@@ -307,24 +298,11 @@ def cmd_analyze(args) -> int:
     exit_code = EXIT_OK
 
     t0 = time.perf_counter()
-    if thread_cap() > 1:
-        # the two opening stages are independent; ZFLIM_THREADS > 1 overlaps them
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut_n = pool.submit(nyquist_value, tf)
-            fut_s = pool.submit(scan_upper_bound, tf, args.class_tag, args.beta_max)
-            report.k_nyquist = fut_n.result()
-            scan = fut_s.result()
-        report.wall_times["nyquist"] = report.wall_times["scan_upper"] = (
-            time.perf_counter() - t0
-        )
-    else:
-        report.k_nyquist = nyquist_value(tf)
-        report.wall_times["nyquist"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        scan = scan_upper_bound(tf, args.class_tag, args.beta_max)
-        report.wall_times["scan_upper"] = time.perf_counter() - t0
+    report.k_nyquist = nyquist_value(tf)
+    report.wall_times["nyquist"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    scan = scan_upper_bound(tf, args.class_tag, args.beta_max)
+    report.wall_times["scan_upper"] = time.perf_counter() - t0
     report.k_upper_single = scan.k_upper
     if scan.witness_freq is not None:
         report.witness_alpha = scan.witness_freq.alpha

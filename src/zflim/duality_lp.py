@@ -11,14 +11,13 @@ accepted.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import BracketInvalid, LpNumericalFailure, NotStable
-from .lti_core import TransferFunction, frequency_response, is_stable
+from .lti_core import TransferFunction, frequency_response, is_stable, shift_by_inverse_gain
 from .rational_core import CLASS_TAGS, MONOTONE
 from .simplex import simplex_max_leq
 
@@ -94,16 +93,16 @@ def lp_certificate(
         raise ValueError(f"unknown class tag {class_tag!r}")
     vectors = build_vectors(G_tilde, beta)
     W = _constraint_matrix(vectors, class_tag)
-    rows = [r for r in range(W.shape[0]) if r != 0]  # drop the all-zero row
-    W_lp = W[rows]
+    W_lp = W[1:]  # drop the all-zero i = 0 row
     shift = 1.0 - float(W_lp.min())
     sol = simplex_max_leq(np.ones(W_lp.shape[1]), W_lp + shift, np.ones(W_lp.shape[0]))
     if sol.status != "optimal":
         raise LpNumericalFailure(f"certificate LP ended with status {sol.status}")
-    total = float(np.sum(sol.x))
+    x = np.maximum(sol.x, 0.0)
+    total = float(np.sum(x))
     if not (total > 0.0):
         raise LpNumericalFailure("certificate LP returned a zero weight vector")
-    lambdas = np.maximum(sol.x, 0.0) / np.sum(np.maximum(sol.x, 0.0))
+    lambdas = x / total
 
     # independent re-verification on all rows, including i = 0
     residual = float(np.max(W @ lambdas))
@@ -125,8 +124,6 @@ def lp_certificate(
 
 
 def _has_certificate(G, beta, class_tag, k, tol_lp):
-    from .lti_core import shift_by_inverse_gain
-
     return lp_certificate(shift_by_inverse_gain(G, k), beta, class_tag, tol_lp) is not None
 
 
@@ -138,14 +135,15 @@ def bisect_upper_bound(
     k_hi: float,
     tol_k: float,
     tol_lp: float = DEFAULT_TOL_LP,
-    monotonicity_probes: int = 5,
 ) -> float:
     """Smallest gain (within tol_k) at which a certificate is found.
 
     The caller establishes the bracket: a certificate must exist at k_hi and
-    must not at k_lo.  Bisection assumes certificate existence is monotone
-    in k; a few gains above the returned value are spot-checked afterwards
-    and a warning is emitted if that assumption looks violated.
+    must not at k_lo.  Certificate existence is monotone in k, so bisection
+    is exact up to tol_k: the constraint rows at slope k are
+    Re{(1 -+ e^{-j*omega_r*i}) G} + (1 -+ cos(omega_r*i))/k, whose added term
+    is non-negative and falls as k grows, so weights that keep every row
+    non-positive at k keep them non-positive at every k' > k.
     """
     if not (0.0 < k_lo < k_hi):
         raise BracketInvalid("need 0 < k_lo < k_hi")
@@ -153,21 +151,10 @@ def bisect_upper_bound(
         raise BracketInvalid(f"no certificate at k_hi={k_hi}")
     if _has_certificate(G, beta, class_tag, k_lo, tol_lp):
         raise BracketInvalid(f"certificate already exists at k_lo={k_lo}")
-    hi0 = k_hi
     while k_hi - k_lo > tol_k:
         mid = 0.5 * (k_lo + k_hi)
         if _has_certificate(G, beta, class_tag, mid, tol_lp):
             k_hi = mid
         else:
             k_lo = mid
-    for j in range(1, monotonicity_probes + 1):
-        probe = k_hi + j * (hi0 - k_hi) / (monotonicity_probes + 1)
-        if probe <= k_hi:
-            break
-        if not _has_certificate(G, beta, class_tag, probe, tol_lp):
-            warnings.warn(
-                f"certificate existence non-monotone: none found at k={probe} > {k_hi}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     return k_hi

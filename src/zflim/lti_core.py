@@ -17,7 +17,10 @@ from .errors import InvalidGain, NotStable, PoleOnUnitCircle, RootFindingFailed
 STABILITY_MARGIN = 1e-9
 POLE_RESIDUAL_TOL = 1e-10
 UNIT_CIRCLE_TOL = 1e-12
-NYQUIST_SCAN_POINTS = 20001
+# a root of the crossing polynomial counts as on the unit circle when its
+# modulus is within this of 1; double roots (tangential crossings) split by
+# about sqrt(machine epsilon) ~ 1e-8 under the eigenvalue solve
+CROSSING_MODULUS_TOL = 1e-6
 
 
 class Polynomial:
@@ -130,6 +133,18 @@ def sample(tf: TransferFunction, omega: float) -> FrequencySample:
     return FrequencySample(omega, evaluate(tf, omega))
 
 
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of the polynomial with ascending, trimmed coefficients as the
+    eigenvalues of its companion matrix (none for a constant)."""
+    n = coeffs.size - 1
+    if n == 0:
+        return np.zeros(0, dtype=complex)
+    comp = np.zeros((n, n))
+    comp[1:, :-1] = np.eye(n - 1)
+    comp[:, -1] = -coeffs[:-1] / coeffs[-1]
+    return np.linalg.eigvals(comp).astype(complex)
+
+
 def poles(tf: TransferFunction, newton_steps: int = 12) -> list[complex]:
     """All denominator roots with multiplicity.
 
@@ -138,15 +153,7 @@ def poles(tf: TransferFunction, newton_steps: int = 12) -> list[complex]:
     cannot be pushed onto each other.
     """
     c = tf.den.coeffs
-    n = c.size - 1
-    if n == 0:
-        return []
-    monic = c / c[-1]
-    comp = np.zeros((n, n))
-    comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -monic[:-1]
-    roots = np.linalg.eigvals(comp).astype(complex)
-
+    roots = _companion_roots(c)
     scale = float(np.max(np.abs(c)))
     dden = tf.den.derivative()
     polished = []
@@ -204,49 +211,30 @@ def affine_combine(terms) -> TransferFunction:
     return TransferFunction(num, den)
 
 
-def _refine_imag_zero(tf: TransferFunction, a: float, b: float, fa: float) -> float:
-    """Bisect Im{G} to a sign change within 1e-12 of frequency."""
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        fm = evaluate(tf, m).imag
-        if fa * fm <= 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-        if b - a <= 1e-12:
-            break
-    return 0.5 * (a + b)
-
-
-def nyquist_value(tf: TransferFunction, n_scan: int = NYQUIST_SCAN_POINTS) -> float:
+def nyquist_value(tf: TransferFunction) -> float:
     """Largest gain before the linear loop loses stability.
 
-    Locates real-axis crossings of G on [0, pi] by scanning the sign of the
-    imaginary part, refines them by bisection, and returns the minimum of
-    -1/Re{G} over crossings with negative real part (math.inf if none).
-    Endpoints 0 and pi, where G is always real, are always candidates, and
-    near-tangential crossings are caught by a local minimum screen on |Im|.
+    The minimum of -1/Re{G} over the real-axis crossings of G(e^{j*omega})
+    with negative real part (math.inf if none).  For real coefficients,
+    conj(den(z)) = den(1/z) on |z| = 1, so Im{G} vanishes exactly at the
+    unit-circle roots of z^n * (num(z) den(1/z) - num(1/z) den(z)) with
+    n = deg den, a polynomial of degree 2n.  Its roots come from the same
+    companion-matrix solve as `poles`; a root counts as on the circle within
+    CROSSING_MODULUS_TOL, which also keeps tangential crossings (double
+    roots).  The endpoints 0 and pi, where G is always real, are always
+    candidates; a crossing polynomial that vanishes identically has no
+    roots and means G is real, hence constant, on the whole circle.
     """
     if not is_stable(tf):
         raise NotStable("nyquist_value requires a stable plant")
-    w = np.linspace(0.0, math.pi, n_scan)
-    g = frequency_response(tf, w)
-    im = g.imag
-    candidates = [0.0, math.pi]
-    sign = np.sign(im)
-    for k in range(n_scan - 1):
-        if sign[k] == 0.0:
-            candidates.append(float(w[k]))
-        elif sign[k] * sign[k + 1] < 0.0:
-            candidates.append(_refine_imag_zero(tf, float(w[k]), float(w[k + 1]), float(im[k])))
-    absim = np.abs(im)
-    for k in range(1, n_scan - 1):
-        # tangential crossing: |Im| dips to ~0 without a sign change
-        if absim[k] < 1e-9 and absim[k] <= absim[k - 1] and absim[k] <= absim[k + 1]:
-            candidates.append(float(w[k]))
-    best = math.inf
-    for wc in candidates:
-        gv = evaluate(tf, wc)
-        if gv.real < 0.0:
-            best = min(best, -1.0 / gv.real)
-    return best
+    n = tf.den.degree
+    num = np.zeros(n + 1)
+    num[: tf.num.coeffs.size] = tf.num.coeffs
+    den = tf.den.coeffs
+    cross = Polynomial(np.convolve(num, den[::-1]) - np.convolve(den, num[::-1]))
+    roots = _companion_roots(cross.coeffs)
+    on_circle = roots[np.abs(np.abs(roots) - 1.0) < CROSSING_MODULUS_TOL]
+    w = np.concatenate([[0.0, math.pi], np.abs(np.angle(on_circle))])
+    re = frequency_response(tf, w).real
+    neg = re[re < 0.0]
+    return float(np.min(-1.0 / neg)) if neg.size else math.inf

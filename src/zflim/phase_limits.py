@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateDenominator, NotStable
 from .lti_core import TransferFunction, evaluate, frequency_response, is_stable
-from .rational_core import MONOTONE, ODD, CLASS_TAGS, RationalFrequency, period
+from .rational_core import ODD, CLASS_TAGS, RationalFrequency, _bound_fraction, period
 
 DEFAULT_BETA_MAX = 50
 
@@ -41,18 +42,38 @@ class SlopeBoundResult:
 
 
 def phase_bound(rf: RationalFrequency, class_tag: str) -> float:
-    """Largest |phase| reachable at omega by a multiplier of the class.
-
-    (pi/2)*(1 - 1/beta), except (pi/2)*(1 - 2/beta) for the monotone class
-    at even alpha, and exactly 0 at omega = pi.
-    """
+    """Largest |phase| reachable at omega by a multiplier of the class:
+    pi times the exact `rational_core._bound_fraction` (0 at omega = pi)."""
     if class_tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {class_tag!r}")
-    if rf.beta == 1:
-        return 0.0
-    if class_tag == MONOTONE and rf.alpha % 2 == 0:
-        return (math.pi / 2.0) * (1.0 - 2.0 / rf.beta)
-    return (math.pi / 2.0) * (1.0 - 1.0 / rf.beta)
+    f = _bound_fraction(rf, class_tag)
+    return math.pi * f.numerator / f.denominator
+
+
+def _cone_half_angle(rf: RationalFrequency, class_tag: str) -> float:
+    """Half-angle pi*(1/2 - bound fraction) of the cone around the negative
+    real axis that G + 1/k must leave (pi/2 at omega = pi).  1/2 minus the
+    bound fraction always has numerator 1, so the product with pi is exact."""
+    h = Fraction(1, 2) - _bound_fraction(rf, class_tag)
+    return math.pi * h.numerator / h.denominator
+
+
+def _cone_slopes(g, half_angle) -> np.ndarray:
+    """Slopes k placing g + 1/k on the boundary of the cone of the given
+    half-angle around the negative real axis, NaN where that is degenerate.
+
+    k = -tan(a) / (R*tan(a) + I) with R = Re{g} and I = |Im{g}|; at a = pi/2
+    the cone is the left half-plane and k = -1/R.  A positive value certifies
+    that no multiplier of the matching class exists for G + 1/k.
+    """
+    g = np.asarray(g, dtype=complex)
+    half_angle = np.asarray(half_angle, dtype=float)
+    t = np.tan(half_angle)
+    d = g.real * t + np.abs(g.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.where(np.abs(d) < 1e-14, np.nan, -t / d)
+        k = np.where(half_angle == math.pi / 2, -1.0 / g.real, k)
+    return np.where(np.isfinite(k), k, np.nan)
 
 
 def make_phase_bound(rf: RationalFrequency, class_tag: str) -> PhaseBound:
@@ -86,21 +107,17 @@ def single_freq_certificate(
 
 def cone_slope_bound(G: TransferFunction, omega: float, beta_eff: int) -> float:
     """Slope k placing G + 1/k on the boundary of the half-angle pi/beta_eff
-    cone around the negative real axis.
+    cone around the negative real axis (see `_cone_slopes`).
 
-    Evaluates -tan(pi/b) / (R*tan(pi/b) + I) with R = Re{G(e^{j*omega})} and
-    I = |Im{G(e^{j*omega})}|.  A positive value certifies that no multiplier
-    of the matching class exists for G + 1/k.
+    A positive value certifies that no multiplier of the matching class
+    exists for G + 1/k.
     """
     if beta_eff < 2:
         raise ValueError("beta_eff must be at least 2")
-    g = evaluate(G, omega)
-    r, im = g.real, abs(g.imag)
-    t = math.tan(math.pi / beta_eff)
-    d = r * t + im
-    if abs(d) < 1e-14:
+    k = float(_cone_slopes(evaluate(G, omega), math.pi / beta_eff))
+    if math.isnan(k):
         raise DegenerateDenominator(f"cone boundary degenerate at omega={omega!r}")
-    return -t / d
+    return k
 
 
 def single_freq_upper_bound(
@@ -116,17 +133,7 @@ def single_freq_upper_bound(
         raise ValueError(f"unknown class tag {class_tag!r}")
     if not is_stable(G):
         raise NotStable("bound applies to stable plants")
-    if rf.beta == 1:
-        r = evaluate(G, math.pi).real
-        return -1.0 / r if r < 0.0 else None
-    if class_tag == MONOTONE and rf.alpha % 2 == 0:
-        beta_eff = rf.beta
-    else:
-        beta_eff = 2 * rf.beta
-    try:
-        k = cone_slope_bound(G, rf.omega, beta_eff)
-    except DegenerateDenominator:
-        return None
+    k = float(_cone_slopes(evaluate(G, rf.omega), _cone_half_angle(rf, class_tag)))
     return k if k > 0.0 else None
 
 
@@ -145,8 +152,10 @@ def scan_upper_bound(
 ) -> SlopeBoundResult:
     """Minimum single-frequency bound over all rational frequencies up to beta_max.
 
-    One vectorised response evaluation covers the whole grid; the stability
-    check runs once, not per frequency.
+    The same closed form as `single_freq_upper_bound` at every frequency: the
+    cone slope of `_cone_slopes` at the exact half-angle of
+    `_cone_half_angle`, with one vectorised response evaluation for the
+    whole grid and one stability check, not one per frequency.
     """
     if class_tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {class_tag!r}")
@@ -156,19 +165,7 @@ def scan_upper_bound(
         raise NotStable("scan applies to stable plants")
     pairs = coprime_pairs(beta_max)
     g = frequency_response(G, np.array([rf.omega for rf in pairs]))
-    r_parts, i_parts = g.real, np.abs(g.imag)
-    beta_eff = np.array(
-        [
-            rf.beta if (class_tag == MONOTONE and rf.alpha % 2 == 0) else 2 * rf.beta
-            for rf in pairs
-        ]
-    )
-    tans = np.tan(np.pi / beta_eff)
-    denom = r_parts * tans + i_parts
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_all = np.where(np.abs(denom) < 1e-14, np.nan, -tans / denom)
-    # omega = pi: the response is real and the bound reduces to -1/R when R < 0
-    k_all[0] = -1.0 / r_parts[0] if r_parts[0] < 0.0 else np.nan
+    k_all = _cone_slopes(g, [_cone_half_angle(rf, class_tag) for rf in pairs])
 
     best = math.inf
     witness = None

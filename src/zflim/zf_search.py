@@ -119,9 +119,7 @@ def find_multiplier(
     candidate = FirMultiplier(taps, class_tag)
 
     # sufficiency re-check on a denser grid
-    w_dense = np.unique(
-        np.concatenate([np.linspace(0.0, math.pi, 10 * config.grid_size), _rational_frequencies()])
-    )
+    w_dense = _search_grid(10 * config.grid_size)
     g_dense = frequency_response(G_tilde, w_dense)
     if np.min((candidate.response(w_dense) * g_dense).real) < 0.0:
         return None

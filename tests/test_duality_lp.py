@@ -140,6 +140,12 @@ class TestBisectUpperBound:
             plants["ex2"], beta=40, class_tag=MONOTONE, k_lo=3.80, k_hi=3.90, tol_k=1e-4
         )
         assert 3.824040 - 2e-3 <= k <= 3.824040 + 1e-3
+        # certificate existence is monotone in k: weights certifying k also
+        # certify every larger slope, which is what the bisection relies on
+        for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+            k_probe = k + frac * (3.90 - k)
+            shifted = shift_by_inverse_gain(plants["ex2"], k_probe)
+            assert lp_certificate(shifted, 40, MONOTONE) is not None, k_probe
 
     def test_always_certified_plant_rejects_bracket(self):
         with pytest.raises(BracketInvalid):

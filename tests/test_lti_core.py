@@ -222,6 +222,18 @@ class TestNyquistValue:
             k = nyquist_value(tf)
             assert abs(k - KNOWN_NYQUIST[name]) / KNOWN_NYQUIST[name] < 1e-3
 
+    def test_constant_plant(self):
+        assert nyquist_value(unit(-0.5)) == 2.0
+
+    def test_tangential_touch_of_minus_one(self):
+        # G(z) = -0.95 - 0.1 z^-1 + 0.1125 z^-2 - 0.0625 z^-3 + 0.0125 z^-4 has
+        # Im G = -0.1 sin(w) (cos(w) - 1/2)^2 (cos(w) - 3/2): the curve touches
+        # -1 at w = pi/3 without crossing the real axis, while the endpoints
+        # give only -0.987 and -0.662, so the value is exactly 1
+        tf = TransferFunction([0.0125, -0.0625, 0.1125, -0.1, -0.95], [0.0, 0.0, 0.0, 0.0, 1.0])
+        assert abs(evaluate(tf, math.pi / 3) + 1.0) < 1e-15
+        assert abs(nyquist_value(tf) - 1.0) < 1e-7
+
 
 class TestInvariants:
     def test_conjugate_symmetry(self, plants):
@@ -233,16 +245,33 @@ class TestInvariants:
                 assert abs(v.conjugate() - evaluate(tf, -w)) < 1e-12
 
     def test_nyquist_against_brute_force_grid(self, plants):
-        # oracle: dense grid restricted to near-real responses
-        for name, tf in plants.items():
+        # oracle: dense grid restricted to near-real responses, plus the grid
+        # points next to a sign change of Im (steep crossings can step over
+        # the near-real band)
+        cases = dict(plants)
+        rng = np.random.default_rng(11)
+        for j in range(8):
+            order = int(rng.integers(2, 7))
+            ps = list(rng.uniform(-0.9, 0.9, order % 2))
+            for _ in range(order // 2):
+                p = rng.uniform(0.0, 0.9) * cmath.exp(1j * rng.uniform(0.0, math.pi))
+                ps += [p, p.conjugate()]
+            den = np.poly(ps).real[::-1]
+            num = rng.normal(size=int(rng.integers(1, order + 2)))
+            cases[f"random{j}"] = TransferFunction(num, den)
+        for name, tf in cases.items():
             w = np.linspace(0.0, math.pi, 10**6)
             g = frequency_response(tf, w)
             near_real = np.abs(g.imag) < 1e-6
+            near_real[:-1] |= np.sign(g.imag[:-1]) * np.sign(g.imag[1:]) < 0.0
             real_parts = g.real[near_real]
             neg = real_parts[real_parts < 0.0]
             oracle = np.min(-1.0 / neg) if neg.size else math.inf
             got = nyquist_value(tf)
-            assert abs(got - oracle) / oracle < 1e-3, name
+            if math.isinf(oracle):
+                assert math.isinf(got), name
+            else:
+                assert abs(got - oracle) / oracle < 1e-3, name
 
     def test_closed_loop_stability_below_nyquist_gain(self, plants):
         for name, tf in plants.items():
