@@ -20,7 +20,6 @@ from .errors import (
     ZflimError,
 )
 from .lti_core import (
-    FrequencySample,
     Polynomial,
     TransferFunction,
     affine_combine,
@@ -29,7 +28,6 @@ from .lti_core import (
     is_stable,
     nyquist_value,
     poles,
-    sample,
     shift_by_inverse_gain,
 )
 from .rational_core import (
@@ -45,7 +43,6 @@ from .rational_core import (
     stern_brocot_neighbors,
 )
 from .phase_limits import (
-    PhaseBound,
     SlopeBoundResult,
     coprime_pairs,
     cone_slope_bound,

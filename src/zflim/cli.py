@@ -4,7 +4,8 @@ Machine output is JSON (written atomically when --out is given), human
 output is aligned text on stdout.  Infinities are serialised as the string
 "inf".  Exit codes: 0 success, 1 the requested object does not exist (no
 certificate / no multiplier), 2 unstable plant or internal error, 3 parse
-error, 4 bisection bracket failure (a partial report is still written),
+error or invalid argument (such as a --tol-k that is not positive and
+finite), 4 bisection bracket failure (a partial report is still written),
 5 report chain-inequality violation.
 """
 
@@ -23,9 +24,9 @@ from typing import Optional
 from .continuous_duality import CtCertificateInput, ct_check_nonodd, ct_check_odd
 from .duality_lp import bisect_upper_bound, certificate_residual, lp_certificate
 from .errors import BracketInvalid, ZflimError
-from .interval_limits import legacy_upper_bound
+from .interval_limits import DEFAULT_N_SEARCH, legacy_upper_bound
 from .lti_core import nyquist_value, shift_by_inverse_gain
-from .phase_limits import coprime_pairs, phase_bound, scan_upper_bound
+from .phase_limits import DEFAULT_BETA_MAX, coprime_pairs, phase_bound, scan_upper_bound
 from .plants import BUILTIN, PlantRecord, dump_plant, load_plant
 from .rational_core import (
     MONOTONE,
@@ -33,7 +34,7 @@ from .rational_core import (
     RationalFrequency,
     construct_tight_multiplier,
 )
-from .zf_search import SearchConfig, bisect_lower_bound, find_multiplier
+from .zf_search import DEFAULT_GRID_SIZE, SearchConfig, bisect_lower_bound, find_multiplier
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
@@ -387,10 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full lower/upper bound pipeline for one plant")
     _add_plant_args(p)
     _class_arg(p)
-    p.add_argument("--beta-max", type=int, default=50)
+    p.add_argument("--beta-max", type=int, default=DEFAULT_BETA_MAX)
     p.add_argument("--lp-beta", type=int, default=210)
     p.add_argument("--nz", type=int, default=8)
-    p.add_argument("--grid", type=int, default=2000)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--tol-k", type=float, default=1e-4)
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nyquist)
 
     p = sub.add_parser("limits", help="CSV of phase bounds over rational frequencies")
-    p.add_argument("--beta-max", type=int, default=50)
+    p.add_argument("--beta-max", type=int, default=DEFAULT_BETA_MAX)
     p.add_argument("--out")
     p.set_defaults(func=cmd_limits)
 
@@ -418,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     _class_arg(p)
     p.add_argument("--k", type=float, help="slope; the plant is shifted to G + 1/k first")
     p.add_argument("--nz", type=int, default=8)
-    p.add_argument("--grid", type=int, default=2000)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 
@@ -437,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-lo", type=float, required=True)
     p.add_argument("--k-hi", type=float, required=True)
     p.add_argument("--tol-k", type=float, default=1e-3)
-    p.add_argument("--n-search", type=int, default=100000)
+    p.add_argument("--n-search", type=int, default=DEFAULT_N_SEARCH)
     p.add_argument("--out")
     p.set_defaults(func=cmd_legacy)
 

@@ -18,10 +18,12 @@ import numpy as np
 
 from .errors import BracketInvalid, LpNumericalFailure, NotStable
 from .lti_core import TransferFunction, frequency_response, is_stable, shift_by_inverse_gain
+from .lti_core import _bisect, _check_bracket
 from .rational_core import CLASS_TAGS, MONOTONE
 from .simplex import simplex_max_leq
 
-DEFAULT_TOL_LP = 1e-9
+# largest re-verified residual (and LP value) accepted as a certificate
+TOL_LP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,6 @@ def lp_certificate(
     G_tilde: TransferFunction,
     beta: int,
     class_tag: str,
-    tol_lp: float = DEFAULT_TOL_LP,
 ) -> Optional[DualityCertificate]:
     """Search for certificate weights on the r*pi/beta grid.
 
@@ -107,7 +108,7 @@ def lp_certificate(
     # independent re-verification on all rows, including i = 0
     residual = float(np.max(W @ lambdas))
     lp_value = 1.0 / total - shift
-    if residual <= tol_lp:
+    if residual <= TOL_LP:
         margin = -float(np.max(W_lp @ lambdas))
         return DualityCertificate(
             beta=beta,
@@ -116,15 +117,11 @@ def lp_certificate(
             class_tag=class_tag,
             margin=margin,
         )
-    if lp_value <= tol_lp:
+    if lp_value <= TOL_LP:
         raise LpNumericalFailure(
             f"LP value {lp_value:.3e} passed but residual {residual:.3e} failed re-verification"
         )
     return None
-
-
-def _has_certificate(G, beta, class_tag, k, tol_lp):
-    return lp_certificate(shift_by_inverse_gain(G, k), beta, class_tag, tol_lp) is not None
 
 
 def bisect_upper_bound(
@@ -134,7 +131,6 @@ def bisect_upper_bound(
     k_lo: float,
     k_hi: float,
     tol_k: float,
-    tol_lp: float = DEFAULT_TOL_LP,
 ) -> float:
     """Smallest gain (within tol_k) at which a certificate is found.
 
@@ -145,16 +141,13 @@ def bisect_upper_bound(
     is non-negative and falls as k grows, so weights that keep every row
     non-positive at k keep them non-positive at every k' > k.
     """
-    if not (0.0 < k_lo < k_hi):
-        raise BracketInvalid("need 0 < k_lo < k_hi")
-    if not _has_certificate(G, beta, class_tag, k_hi, tol_lp):
+    _check_bracket(k_lo, k_hi, tol_k)
+
+    def certify(k):
+        return lp_certificate(shift_by_inverse_gain(G, k), beta, class_tag)
+
+    if certify(k_hi) is None:
         raise BracketInvalid(f"no certificate at k_hi={k_hi}")
-    if _has_certificate(G, beta, class_tag, k_lo, tol_lp):
+    if certify(k_lo) is not None:
         raise BracketInvalid(f"certificate already exists at k_lo={k_lo}")
-    while k_hi - k_lo > tol_k:
-        mid = 0.5 * (k_lo + k_hi)
-        if _has_certificate(G, beta, class_tag, mid, tol_lp):
-            k_hi = mid
-        else:
-            k_lo = mid
-    return k_hi
+    return _bisect(certify, k_lo, k_hi, tol_k)[1]

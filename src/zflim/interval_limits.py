@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import BracketInvalid, InvalidInterval, NotStable
-from .lti_core import TransferFunction, frequency_response, is_stable
+from .lti_core import TransferFunction, _bisect, _check_bracket, frequency_response, is_stable
 from .rational_core import CLASS_TAGS, MONOTONE
 
 DEFAULT_N_SEARCH = 100000
@@ -177,8 +177,7 @@ def legacy_upper_bound(
         raise ValueError(f"unknown class tag {class_tag!r}")
     if not is_stable(G):
         raise NotStable("legacy bound requires a stable plant")
-    if not (0.0 < k_lo < k_hi):
-        raise BracketInvalid("need 0 < k_lo < k_hi")
+    _check_bracket(k_lo, k_hi, tol_k)
     if not (resolution > 0.0):
         raise ValueError("resolution must be positive")
     w = np.arange(0.0, math.pi + resolution / 2.0, resolution)
@@ -193,11 +192,5 @@ def legacy_upper_bound(
     witness = obstruction(k_hi)
     if witness is None:
         return LegacyBoundResult(k_hi, None, class_tag, resolution)
-    while k_hi - k_lo > tol_k:
-        mid = 0.5 * (k_lo + k_hi)
-        ob = obstruction(mid)
-        if ob is not None:
-            k_hi, witness = mid, ob
-        else:
-            k_lo = mid
+    _, k_hi, witness = _bisect(obstruction, k_lo, k_hi, tol_k, witness)
     return LegacyBoundResult(k_hi, witness, class_tag, resolution)

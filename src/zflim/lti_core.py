@@ -8,14 +8,15 @@ parser in `plants` flips them before construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGain, NotStable, PoleOnUnitCircle, RootFindingFailed
+from .errors import BracketInvalid, InvalidGain, NotStable, PoleOnUnitCircle, RootFindingFailed
 
 STABILITY_MARGIN = 1e-9
 POLE_RESIDUAL_TOL = 1e-10
+# Newton corrections tried per companion-matrix root in `poles`
+NEWTON_STEPS = 12
 UNIT_CIRCLE_TOL = 1e-12
 # a root of the crossing polynomial counts as on the unit circle when its
 # modulus is within this of 1; double roots (tangential crossings) split by
@@ -99,38 +100,24 @@ class TransferFunction:
         return f"TransferFunction(num={self.num.coeffs.tolist()}, den={self.den.coeffs.tolist()})"
 
 
-@dataclass(frozen=True)
-class FrequencySample:
-    """Value of a transfer function at one point of the unit circle."""
-
-    omega: float
-    value: complex
-
-
 def _den_scale(tf: TransferFunction) -> float:
     return float(np.max(np.abs(tf.den.coeffs)))
 
 
-def evaluate(tf: TransferFunction, omega: float) -> complex:
-    """Evaluate tf at z = exp(j*omega)."""
-    z = complex(math.cos(omega), math.sin(omega))
-    d = tf.den(z)
-    if abs(d) < UNIT_CIRCLE_TOL * _den_scale(tf):
-        raise PoleOnUnitCircle(f"denominator vanishes at omega={omega!r}")
-    return complex(tf.num(z) / d)
-
-
 def frequency_response(tf: TransferFunction, omegas) -> np.ndarray:
-    """Vectorised `evaluate` over an array of frequencies."""
-    z = np.exp(1j * np.asarray(omegas, dtype=float))
+    """tf at z = exp(j*omega) for every frequency in `omegas` (scalar or array)."""
+    w = np.asarray(omegas, dtype=float)
+    z = np.exp(1j * w)
     d = tf.den(z)
-    if np.min(np.abs(d)) < UNIT_CIRCLE_TOL * _den_scale(tf):
-        raise PoleOnUnitCircle("denominator vanishes on the evaluation grid")
+    near = np.abs(d) < UNIT_CIRCLE_TOL * _den_scale(tf)
+    if near.any():
+        raise PoleOnUnitCircle(f"denominator vanishes at omega={float(w[near][0])!r}")
     return tf.num(z) / d
 
 
-def sample(tf: TransferFunction, omega: float) -> FrequencySample:
-    return FrequencySample(omega, evaluate(tf, omega))
+def evaluate(tf: TransferFunction, omega: float) -> complex:
+    """Evaluate tf at z = exp(j*omega): the scalar case of `frequency_response`."""
+    return complex(frequency_response(tf, omega))
 
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -145,7 +132,7 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp).astype(complex)
 
 
-def poles(tf: TransferFunction, newton_steps: int = 12) -> list[complex]:
+def poles(tf: TransferFunction) -> list[complex]:
     """All denominator roots with multiplicity.
 
     Companion-matrix eigenvalues, then a few Newton corrections per root.  A
@@ -160,7 +147,7 @@ def poles(tf: TransferFunction, newton_steps: int = 12) -> list[complex]:
     for r in roots:
         best, best_res = r, abs(tf.den(r))
         x = r
-        for _ in range(newton_steps):
+        for _ in range(NEWTON_STEPS):
             dp = dden(x)
             if abs(dp) == 0.0:
                 break
@@ -188,6 +175,32 @@ def shift_by_inverse_gain(tf: TransferFunction, k: float) -> TransferFunction:
     num = tf.num.scale(k) + tf.den
     den = tf.den.scale(k)
     return TransferFunction(num, den)
+
+
+def _check_bracket(k_lo: float, k_hi: float, tol_k: float):
+    """Reject a bracket or tolerance with which `_bisect` would never stop or
+    would evaluate a slope that is not positive; call before either end."""
+    if not (0.0 < k_lo < k_hi < math.inf):
+        raise BracketInvalid(f"need 0 < k_lo < k_hi < inf, got k_lo={k_lo!r}, k_hi={k_hi!r}")
+    if not (0.0 < tol_k < math.inf):
+        raise ValueError(f"tol_k must be positive and finite, got {tol_k!r}")
+
+
+def _bisect(test, k_lo: float, k_hi: float, tol_k: float, value=None):
+    """Halve [k_lo, k_hi] until it is at most tol_k wide.
+
+    `test` is falsy at k_lo and truthy at k_hi, and the caller has checked
+    both ends.  Returns the final (k_lo, k_hi) and the last truthy result of
+    `test` at k_hi (`value` if no midpoint was truthy).
+    """
+    while k_hi - k_lo > tol_k:
+        mid = 0.5 * (k_lo + k_hi)
+        result = test(mid)
+        if result:
+            k_hi, value = mid, result
+        else:
+            k_lo = mid
+    return k_lo, k_hi, value
 
 
 def affine_combine(terms) -> TransferFunction:

@@ -24,15 +24,6 @@ DEFAULT_BETA_MAX = 50
 
 
 @dataclass(frozen=True)
-class PhaseBound:
-    """Reachable-phase cap for one class at one rational frequency."""
-
-    omega: RationalFrequency
-    class_tag: str
-    bound: float
-
-
-@dataclass(frozen=True)
 class SlopeBoundResult:
     """Best single-frequency slope bound found by a scan, with its witness."""
 
@@ -74,10 +65,6 @@ def _cone_slopes(g, half_angle) -> np.ndarray:
         k = np.where(np.abs(d) < 1e-14, np.nan, -t / d)
         k = np.where(half_angle == math.pi / 2, -1.0 / g.real, k)
     return np.where(np.isfinite(k), k, np.nan)
-
-
-def make_phase_bound(rf: RationalFrequency, class_tag: str) -> PhaseBound:
-    return PhaseBound(rf, class_tag, phase_bound(rf, class_tag))
 
 
 def single_freq_certificate(

@@ -200,14 +200,6 @@ def _convergents(frac: Fraction):
         yield Fraction(h1, k1), (Fraction(h2, k2) if k2 else None)
 
 
-def _exact_one_minus_phase(n: int, gamma: Fraction):
-    """Exact phase of 1 - z^{n} at z = exp(j*gamma*pi), as a Fraction of pi."""
-    f = (n * gamma) % 2  # phase of z^n is f*pi with f in [0, 2)
-    if f == 0:
-        return None
-    return (f - 1) / 2
-
-
 def irrational_approx_multiplier(gamma: float, epsilon: float) -> FirMultiplier:
     """Monotone one-tap multiplier 1 - z^{+-n} with |phase| > pi/2 - epsilon at gamma*pi.
 
@@ -224,6 +216,7 @@ def irrational_approx_multiplier(gamma: float, epsilon: float) -> FirMultiplier:
     if not (epsilon > 0.0):
         raise ValueError("epsilon must be positive")
     gfrac = Fraction(*float(gamma).as_integer_ratio())
+    node = RationalFrequency(gfrac.numerator, gfrac.denominator)
     q_min = math.pi / (2.0 * epsilon)
     threshold = (
         Fraction(1, 2)
@@ -233,7 +226,7 @@ def irrational_approx_multiplier(gamma: float, epsilon: float) -> FirMultiplier:
     def try_candidates(qs):
         for n in qs:
             for e in (n, -n, 2 * n, -2 * n):
-                ph = _exact_one_minus_phase(e, gfrac)
+                ph = _phase_fraction(+1, e, node)
                 if ph is not None and abs(ph) > threshold:
                     return _one_tap(+1, e, MONOTONE)
         return None
@@ -241,7 +234,6 @@ def irrational_approx_multiplier(gamma: float, epsilon: float) -> FirMultiplier:
     for conv, prev in _convergents(gfrac):
         if conv == gfrac:
             # gamma is exactly this rational; its own tree bound is the best left
-            node = RationalFrequency(gfrac.numerator, gfrac.denominator)
             if _bound_fraction(node, MONOTONE) > threshold:
                 return construct_tight_multiplier(node, MONOTONE, +1)
             found = try_candidates([node.beta] + ([prev.denominator] if prev else []))

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import LpNumericalFailure
 
 _STALL_LIMIT = 30
+# reduced costs above -_TOL count as optimal; column entries above _TOL can pivot
+_TOL = 1e-9
 
 
 @dataclass
@@ -30,7 +32,7 @@ class LpSolution:
     iterations: int
 
 
-def simplex_max_leq(c, A, b, maxiter: int = 100000, tol: float = 1e-9) -> LpSolution:
+def simplex_max_leq(c, A, b, maxiter: int = 100000) -> LpSolution:
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -53,16 +55,16 @@ def simplex_max_leq(c, A, b, maxiter: int = 100000, tol: float = 1e-9) -> LpSolu
     for it in range(maxiter):
         red = z[: n + m]
         if bland:
-            negative = np.nonzero(red < -tol)[0]
+            negative = np.nonzero(red < -_TOL)[0]
             if negative.size == 0:
                 break
             j = int(negative[0])
         else:
             j = int(np.argmin(red))
-            if red[j] >= -tol:
+            if red[j] >= -_TOL:
                 break
         col = T[:, j]
-        positive = col > tol
+        positive = col > _TOL
         if not np.any(positive):
             return LpSolution("unbounded", None, None, it)
         ratios = np.full(m, np.inf)

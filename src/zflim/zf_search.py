@@ -18,39 +18,34 @@ import numpy as np
 
 from .errors import BracketInvalid, NotStable
 from .lti_core import TransferFunction, frequency_response, is_stable, shift_by_inverse_gain
+from .lti_core import _bisect, _check_bracket
 from .phase_limits import coprime_pairs
 from .rational_core import CLASS_TAGS, MONOTONE, FirMultiplier
 from .simplex import simplex_max_leq
 
 RATIONAL_AUGMENT_BETA = 12
+DEFAULT_GRID_SIZE = 2000
+# required positivity margin, relative to 1 + |G|, on the search grid
+EPS_POS = 1e-7
+# the taps' l1 norm is capped at 1 - DELTA_NORM
+DELTA_NORM = 1e-6
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Tap range and grid/margin parameters for the multiplier search."""
+    """Tap range and grid size for the multiplier search."""
 
     n_z: int
-    grid_size: int = 2000
-    eps_pos: float = 1e-7
-    delta_norm: float = 1e-6
+    grid_size: int = DEFAULT_GRID_SIZE
 
     def __post_init__(self):
         if self.n_z < 1 or self.grid_size < 2:
             raise ValueError("n_z and grid_size must be positive")
-        if not (self.eps_pos > 0.0):
-            raise ValueError("eps_pos must be positive")
-        if not (0.0 < self.delta_norm < 1.0):
-            raise ValueError("delta_norm must lie in (0, 1)")
-
-
-def _rational_frequencies(beta_max: int = RATIONAL_AUGMENT_BETA) -> np.ndarray:
-    return np.array(sorted(rf.omega for rf in coprime_pairs(beta_max)))
 
 
 def _search_grid(grid_size: int) -> np.ndarray:
-    return np.unique(
-        np.concatenate([np.linspace(0.0, math.pi, grid_size), _rational_frequencies()])
-    )
+    rational = [rf.omega for rf in coprime_pairs(RATIONAL_AUGMENT_BETA)]
+    return np.unique(np.concatenate([np.linspace(0.0, math.pi, grid_size), rational]))
 
 
 def _tap_indices(n_z: int) -> np.ndarray:
@@ -63,8 +58,8 @@ def find_multiplier(
     """Multiplier of the class with grid-certified positivity, or None.
 
     Maximises the positivity margin over taps with the class sign pattern
-    and an l1 budget of 1 - delta_norm.  Success requires the margin to
-    clear eps_pos * (1 + |G|) on the search grid and the plain positivity
+    and an l1 budget of 1 - DELTA_NORM.  Success requires the margin to
+    clear EPS_POS * (1 + |G|) on the search grid and the plain positivity
     re-check to pass on a 10x denser grid.
     """
     if class_tag not in CLASS_TAGS:
@@ -76,7 +71,7 @@ def find_multiplier(
     idx = _tap_indices(config.n_z)
     basis = np.exp(-1j * np.outer(w, idx))
     a = (basis * g[:, None]).real
-    b = g.real - config.eps_pos * (1.0 + np.abs(g))
+    b = g.real - EPS_POS * (1.0 + np.abs(g))
     A = a if class_tag == MONOTONE else np.hstack([a, -a])
     n_taps = A.shape[1]
     n_rows = A.shape[0]
@@ -94,7 +89,7 @@ def find_multiplier(
         block[:-1, :n_taps] = A[active]
         block[:-1, n_taps] = 1.0
         block[-1, :n_taps] = 1.0
-        rhs = np.concatenate([b[active] + shift, [1.0 - config.delta_norm]])
+        rhs = np.concatenate([b[active] + shift, [1.0 - DELTA_NORM]])
         sol = simplex_max_leq(cost, block, rhs)
         if sol.status != "optimal":
             return None
@@ -139,20 +134,13 @@ def bisect_lower_bound(
     The caller establishes the bracket: the search must succeed at k_lo and
     fail at k_hi.
     """
-    if not (0.0 < k_lo < k_hi):
-        raise BracketInvalid("need 0 < k_lo < k_hi")
+    _check_bracket(k_lo, k_hi, tol_k)
 
-    def found(k):
-        return find_multiplier(shift_by_inverse_gain(G, k), config, class_tag) is not None
+    def fails(k):
+        return find_multiplier(shift_by_inverse_gain(G, k), config, class_tag) is None
 
-    if not found(k_lo):
+    if fails(k_lo):
         raise BracketInvalid(f"search fails already at k_lo={k_lo}")
-    if found(k_hi):
+    if not fails(k_hi):
         raise BracketInvalid(f"search still succeeds at k_hi={k_hi}")
-    while k_hi - k_lo > tol_k:
-        mid = 0.5 * (k_lo + k_hi)
-        if found(mid):
-            k_lo = mid
-        else:
-            k_hi = mid
-    return k_lo
+    return _bisect(fails, k_lo, k_hi, tol_k)[0]

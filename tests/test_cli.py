@@ -199,3 +199,23 @@ class TestAnalyze:
         plant = tmp_path / "p.json"
         plant.write_text("{not json")
         assert run(["analyze", "--plant", str(plant), "--class", "monotone"]) == 3
+
+    def test_nan_tol_k_exit_code(self):
+        assert run([
+            "analyze", "--example", "ex2", "--class", "monotone",
+            "--nz", "5", "--lp-beta", "40", "--tol-k", "nan",
+        ]) == 3
+
+
+class TestLegacy:
+    def test_zero_tol_k_exit_code(self):
+        assert run([
+            "legacy", "--example", "ex1", "--class", "monotone",
+            "--k-lo", "10", "--k-hi", "36", "--resolution", "1e-2", "--tol-k", "0",
+        ]) == 3
+
+    def test_infinite_k_hi_exit_code(self):
+        assert run([
+            "legacy", "--example", "ex1", "--class", "monotone",
+            "--k-lo", "10", "--k-hi", "inf",
+        ]) == 4

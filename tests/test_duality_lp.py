@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from zflim import duality_lp
 from zflim.duality_lp import (
     bisect_upper_bound,
     build_vectors,
@@ -146,6 +147,22 @@ class TestBisectUpperBound:
             k_probe = k + frac * (3.90 - k)
             shifted = shift_by_inverse_gain(plants["ex2"], k_probe)
             assert lp_certificate(shifted, 40, MONOTONE) is not None, k_probe
+
+    @pytest.mark.parametrize("k_hi, tol_k, error", [
+        (3.9, 0.0, ValueError),
+        (3.9, -1.0, ValueError),
+        (3.9, math.nan, ValueError),
+        (math.inf, 1e-4, BracketInvalid),
+    ])
+    def test_unclosable_bracket_rejected_before_any_lp(
+        self, plants, monkeypatch, k_hi, tol_k, error
+    ):
+        def evaluated(*args):
+            raise AssertionError("a slope was evaluated")
+
+        monkeypatch.setattr(duality_lp, "lp_certificate", evaluated)
+        with pytest.raises(error):
+            bisect_upper_bound(plants["ex2"], 40, MONOTONE, 3.80, k_hi, tol_k)
 
     def test_always_certified_plant_rejects_bracket(self):
         with pytest.raises(BracketInvalid):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from zflim import interval_limits
 from zflim.errors import BracketInvalid, InvalidInterval
 from zflim.interval_limits import (
     interval_limitation,
@@ -81,6 +82,22 @@ class TestLegacyUpperBound:
         negative = TransferFunction([-1.0], [1.0])
         with pytest.raises(BracketInvalid):
             legacy_upper_bound(negative, MONOTONE, 1e-3, 2.0, 8.0, 1e-2)
+
+    @pytest.mark.parametrize("k_hi, tol_k, error", [
+        (36.0, 0.0, ValueError),
+        (36.0, -1.0, ValueError),
+        (36.0, math.nan, ValueError),
+        (math.inf, 1e-3, BracketInvalid),
+    ])
+    def test_unclosable_bracket_rejected_before_any_test(
+        self, plants, monkeypatch, k_hi, tol_k, error
+    ):
+        def evaluated(*args):
+            raise AssertionError("a slope was evaluated")
+
+        monkeypatch.setattr(interval_limits, "_find_obstruction", evaluated)
+        with pytest.raises(error):
+            legacy_upper_bound(plants["ex1"], MONOTONE, 1e-2, 10.0, k_hi, tol_k)
 
     def test_ex1_monotone_not_tighter_than_cone_bound(self, plants):
         res = legacy_upper_bound(plants["ex1"], MONOTONE, 1e-3, 10.0, 36.0, 1e-3)

@@ -10,6 +10,7 @@ from zflim.errors import InvalidGain, NotStable, PoleOnUnitCircle
 from zflim.lti_core import (
     Polynomial,
     TransferFunction,
+    _bisect,
     affine_combine,
     evaluate,
     frequency_response,
@@ -87,6 +88,27 @@ class TestEvaluate:
         vec = frequency_response(plants["ex2"], w)
         for wi, vi in zip(w, vec):
             assert abs(vi - evaluate(plants["ex2"], wi)) < 1e-13
+
+
+class TestBisect:
+    def test_threshold_predicate(self):
+        threshold = math.e
+        calls = []
+
+        def above(k):
+            calls.append(k)
+            return ("above", k) if k >= threshold else None
+
+        k_lo, k_hi, value = _bisect(above, 1.0, 5.0, 1e-3, "at k_hi")
+        assert k_lo < threshold <= k_hi
+        assert k_hi - k_lo <= 1e-3
+        assert len(calls) == math.ceil(math.log2((5.0 - 1.0) / 1e-3))
+        assert value == ("above", k_hi)
+
+    def test_no_truthy_midpoint_keeps_initial_value(self):
+        k_lo, k_hi, value = _bisect(lambda k: k >= 5.0, 1.0, 5.0, 1e-3, "at k_hi")
+        assert k_hi == 5.0 and 5.0 - k_lo <= 1e-3
+        assert value == "at k_hi"
 
 
 class TestPoles:

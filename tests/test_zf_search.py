@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from zflim import zf_search
 from zflim.errors import BracketInvalid
 from zflim.lti_core import TransferFunction, frequency_response, shift_by_inverse_gain
 from zflim.rational_core import MONOTONE, ODD
@@ -19,8 +20,6 @@ class TestSearchConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(n_z=0)
-        with pytest.raises(ValueError):
-            SearchConfig(n_z=3, delta_norm=1.5)
 
 
 class TestFindMultiplier:
@@ -79,6 +78,22 @@ class TestBisectLowerBound:
                 constant(1.0), SearchConfig(n_z=3, grid_size=300), MONOTONE,
                 k_lo=1.0, k_hi=10.0, tol_k=1e-2,
             )
+
+    @pytest.mark.parametrize("k_hi, tol_k, error", [
+        (3.9, 0.0, ValueError),
+        (3.9, -1.0, ValueError),
+        (3.9, math.nan, ValueError),
+        (math.inf, 1e-3, BracketInvalid),
+    ])
+    def test_unclosable_bracket_rejected_before_any_search(
+        self, plants, monkeypatch, k_hi, tol_k, error
+    ):
+        def evaluated(*args):
+            raise AssertionError("a slope was evaluated")
+
+        monkeypatch.setattr(zf_search, "find_multiplier", evaluated)
+        with pytest.raises(error):
+            bisect_lower_bound(plants["ex2"], SearchConfig(n_z=5), MONOTONE, 1.9, k_hi, tol_k)
 
     def test_sandwiched_by_dual_bounds(self, plants):
         from zflim.duality_lp import bisect_upper_bound
