@@ -1,4 +1,4 @@
-"""Dense tableau simplex for small linear programs.
+"""Condensed dense-tableau simplex for small linear programs.
 
 Solves  max c@x  s.t.  A x <= b,  x >= 0  with b >= 0, so the slack basis is
 feasible and no artificial variables are needed.  Both LP consumers in this
@@ -6,8 +6,16 @@ package (duality certificates and the multiplier search) are formulated to
 fit this shape: certificate programs via a positive shift of the game
 matrix, the search via a shifted margin variable.
 
-Dantzig pricing with a permanent switch to Bland's rule after a run of
-degenerate pivots; problem sizes here are a few thousand rows at most.
+The tableau keeps only the columns of the n nonbasic variables and the
+right-hand side, with the reduced costs as its last row (the dictionary of
+Chvatal, Linear Programming, 1983, ch. 2).  Variables carry labels,
+structurals 0..n-1 and slacks n..n+m-1; a pivot swaps labels between
+``basis`` and ``nonbasic`` and stores the leaving variable's column where
+the entering one stood.  Dantzig pricing, with a permanent switch to Bland's
+rule after a run of degenerate pivots, enters the smallest label among its
+candidates.  So it pivots bit for bit like the full m x (n+m+1) tableau:
+there every basic column stays an exact unit vector (x - x*1.0 == 0) with
+reduced cost 0, and the leaving column is computed as 0 - colv*(1/p).
 """
 
 from __future__ import annotations
@@ -33,42 +41,45 @@ class LpSolution:
 
 
 def simplex_max_leq(c, A, b, maxiter: int = 100000) -> LpSolution:
+    """Maximise c@x s.t. A x <= b, x >= 0; status "optimal" (x, objective) or "unbounded".
+
+    Raises ValueError for inconsistent shapes, non-finite data or b < 0, and
+    LpNumericalFailure when ``maxiter`` pivots reach no optimum.
+    """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
-    if np.min(b) < 0.0:
+    if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("LP data must be finite")
+    if np.any(b < 0.0):
         raise ValueError("this solver requires b >= 0")
 
-    T = np.empty((m, n + m + 1))
-    T[:, :n] = A
-    T[:, n : n + m] = np.eye(m)
-    T[:, -1] = b
-    z = np.zeros(n + m + 1)
-    z[:n] = -c
+    T = np.zeros((m + 1, n + 1))
+    T[:m, :n] = A
+    T[:m, -1] = b
+    T[m, :n] = -c
+    nonbasic = np.arange(n)
     basis = np.arange(n, n + m)
 
     bland = False
     stall = 0
     for it in range(maxiter):
-        red = z[: n + m]
-        if bland:
-            negative = np.nonzero(red < -_TOL)[0]
-            if negative.size == 0:
-                break
-            j = int(negative[0])
-        else:
-            j = int(np.argmin(red))
-            if red[j] >= -_TOL:
-                break
-        col = T[:, j]
+        red = T[m, :n]
+        candidates = np.flatnonzero(red < -_TOL)
+        if candidates.size == 0:
+            break
+        if not bland:
+            candidates = candidates[red[candidates] == red[candidates].min()]
+        j = int(candidates[np.argmin(nonbasic[candidates])])
+        col = T[:m, j]
         positive = col > _TOL
         if not np.any(positive):
             return LpSolution("unbounded", None, None, it)
         ratios = np.full(m, np.inf)
-        ratios[positive] = T[positive, -1] / col[positive]
+        ratios[positive] = T[:m, -1][positive] / col[positive]
         r = int(np.argmin(ratios))
         if ratios[r] <= 1e-13:
             stall += 1
@@ -82,13 +93,14 @@ def simplex_max_leq(c, A, b, maxiter: int = 100000) -> LpSolution:
         colv = T[:, j].copy()
         colv[r] = 0.0
         T -= np.outer(colv, row)
-        if z[j] != 0.0:
-            z = z - z[j] * row
-        basis[r] = j
+        inv = 1.0 / pivot
+        T[:, j] = 0.0 - colv * inv  # not -(colv * inv): zeros stay +0 as in the full tableau
+        T[r, j] = inv
+        basis[r], nonbasic[j] = nonbasic[j], basis[r]
     else:
         raise LpNumericalFailure(f"simplex did not converge within {maxiter} pivots")
 
     x_full = np.zeros(n + m)
-    x_full[basis] = T[:, -1]
+    x_full[basis] = T[:m, -1]
     x = x_full[:n]
     return LpSolution("optimal", x, float(c @ x), it)

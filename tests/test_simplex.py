@@ -5,6 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from zflim import duality_lp
+from zflim.lti_core import shift_by_inverse_gain
+from zflim.rational_core import MONOTONE, ODD
 from zflim.simplex import simplex_max_leq
 
 
@@ -38,6 +41,27 @@ def test_degenerate_rhs():
 def test_rejects_negative_rhs():
     with pytest.raises(ValueError):
         simplex_max_leq(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
+
+
+@pytest.mark.parametrize("where", ["c", "A", "b"])
+def test_rejects_nan(where):
+    data = {"c": np.array([1.0, 1.0]), "A": np.eye(2), "b": np.array([1.0, 2.0])}
+    data[where] = data[where].copy()
+    data[where].flat[0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        simplex_max_leq(data["c"], data["A"], data["b"])
+
+
+def test_zero_rows_unbounded_when_some_cost_positive():
+    sol = simplex_max_leq(np.array([-1.0, 2.0]), np.zeros((0, 2)), np.zeros(0))
+    assert sol.status == "unbounded"
+
+
+def test_zero_rows_optimum_zero_when_no_cost_positive():
+    sol = simplex_max_leq(np.array([-1.0, 0.0]), np.zeros((0, 2)), np.zeros(0))
+    assert sol.status == "optimal"
+    assert sol.objective == 0.0
+    assert list(sol.x) == [0.0, 0.0]
 
 
 def test_iteration_cap_raises():
@@ -86,3 +110,63 @@ def test_random_problems_match_vertex_enumeration():
         assert np.all(sol.x >= -1e-10)
         solved += 1
     assert solved >= 40
+
+
+def _certificate_pivots(monkeypatch, plant, k, beta, class_tag):
+    pivots = []
+
+    def recording(*args, **kwargs):
+        sol = simplex_max_leq(*args, **kwargs)
+        pivots.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(duality_lp, "simplex_max_leq", recording)
+    duality_lp.lp_certificate(shift_by_inverse_gain(plant, k), beta, class_tag)
+    return pivots
+
+
+def test_pivot_sequence_with_bland_switch(monkeypatch, plants):
+    # 119x59 game in which Bland's rule fires; a positional (not smallest
+    # label) entering choice under Bland takes 148 pivots here
+    pivots = _certificate_pivots(monkeypatch, plants["ex2"], 3.8240401704199645, 60, MONOTONE)
+    assert pivots == [150]
+
+
+def test_pivot_sequence_dantzig_only(monkeypatch, plants):
+    assert _certificate_pivots(monkeypatch, plants["ex1"], 13.0, 60, ODD) == [71]
+
+
+def _random_lp(rng, kind):
+    m = int(rng.integers(1, 25))
+    n = int(rng.integers(1, 20))
+    if kind == "integer":
+        A = rng.integers(-3, 4, size=(m, n)).astype(float)
+        return rng.integers(-2, 4, size=n).astype(float), A, rng.integers(0, 4, size=m).astype(float)
+    if kind == "game":
+        W = rng.normal(size=(m, n))
+        return np.ones(n), W - W.min() + 1.0, np.ones(m)
+    if kind == "integer game":
+        W = rng.integers(-2, 3, size=(m, n)).astype(float)
+        return np.ones(n), W - W.min() + 1.0, np.ones(m)
+    b = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.1, 2.0, size=m))
+    return rng.normal(size=n), rng.normal(size=(m, n)), b
+
+
+def test_random_problems_match_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(2024)
+    kinds = ["real", "integer", "game", "integer game"]
+    optimal = 0
+    for trial in range(200):
+        c, A, b = _random_lp(rng, kinds[trial % len(kinds)])
+        sol = simplex_max_leq(c, A, b)
+        ref = linprog(-c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+        if sol.status == "unbounded":
+            assert ref.status == 3, trial
+            continue
+        assert ref.status == 0, trial
+        assert sol.objective == pytest.approx(-ref.fun, abs=1e-7), trial
+        assert np.all(A @ sol.x <= b + 1e-8), trial
+        assert np.all(sol.x >= 0.0), trial
+        optimal += 1
+    assert optimal >= 120
