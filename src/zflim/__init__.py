@@ -52,10 +52,8 @@ from .phase_limits import (
     single_freq_upper_bound,
 )
 from .duality_lp import (
-    CertificateVectors,
     DualityCertificate,
     bisect_upper_bound,
-    build_vectors,
     certificate_residual,
     lp_certificate,
 )

@@ -117,10 +117,9 @@ def _jsonable(obj):
 
 
 def write_json(path: Optional[str], payload: dict):
-    text = json.dumps(_jsonable(payload), indent=2)
     if path is None:
         return
-    atomic_write(path, text + "\n")
+    atomic_write(path, json.dumps(_jsonable(payload), indent=2) + "\n")
 
 
 def atomic_write(path: str, text: str):

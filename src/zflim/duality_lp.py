@@ -17,25 +17,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import BracketInvalid, LpNumericalFailure, NotStable
-from .lti_core import TransferFunction, frequency_response, is_stable, shift_by_inverse_gain
+from .lti_core import TransferFunction, frequency_response, is_stable
 from .lti_core import _bisect, _check_bracket
 from .rational_core import CLASS_TAGS, MONOTONE
 from .simplex import simplex_max_leq
 
 # largest re-verified residual (and LP value) accepted as a certificate
 TOL_LP = 1e-9
-
-
-@dataclass(frozen=True)
-class CertificateVectors:
-    """Constraint rows for i = 0..2*beta-1 at frequencies r*pi/beta, r = 1..beta-1.
-
-    v_minus[i, r-1] = Re{(1 - e^{-j*omega_r*i}) G(e^{j*omega_r})}, and v_plus
-    the same with 1 + e^{-j*omega_r*i}.  Rows repeat with period 2*beta in i.
-    """
-
-    v_minus: np.ndarray
-    v_plus: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -49,31 +37,67 @@ class DualityCertificate:
     margin: float
 
 
-def build_vectors(G_tilde: TransferFunction, beta: int) -> CertificateVectors:
+def _grid(beta: int) -> np.ndarray:
+    return np.arange(1, beta) * math.pi / beta
+
+
+def _grid_samples(G: TransferFunction, beta: int) -> np.ndarray:
+    """G at r*pi/beta, r = 1..beta-1, after checking beta and stability."""
     if beta < 2:
         raise ValueError("beta must be at least 2")
-    if not is_stable(G_tilde):
+    if not is_stable(G):
         raise NotStable("certificate vectors require a stable plant")
-    omega = np.arange(1, beta) * math.pi / beta
-    g = frequency_response(G_tilde, omega)
+    return frequency_response(G, _grid(beta))
+
+
+def _certificate_rows(g: np.ndarray, beta: int, class_tag: str) -> np.ndarray:
+    """Constraint rows for i = 0..2*beta-1 from the samples g at r*pi/beta.
+
+    Row i of the first block is Re{(1 - e^{-j*omega_r*i}) g_r}; the odd class
+    appends a second block with 1 + e^{-j*omega_r*i}.  Rows repeat with
+    period 2*beta in i.
+    """
     i = np.arange(2 * beta)[:, None]
-    phases = np.exp(-1j * omega[None, :] * i)
+    phases = np.exp(-1j * _grid(beta)[None, :] * i)
     v_minus = ((1.0 - phases) * g[None, :]).real
-    v_plus = ((1.0 + phases) * g[None, :]).real
-    return CertificateVectors(v_minus, v_plus)
-
-
-def _constraint_matrix(vectors: CertificateVectors, class_tag: str) -> np.ndarray:
     if class_tag == MONOTONE:
-        return vectors.v_minus
-    return np.vstack([vectors.v_minus, vectors.v_plus])
+        return v_minus
+    return np.vstack([v_minus, ((1.0 + phases) * g[None, :]).real])
 
 
 def certificate_residual(G_tilde: TransferFunction, cert: DualityCertificate) -> float:
     """Largest constraint value of the certificate, recomputed from scratch."""
-    vectors = build_vectors(G_tilde, cert.beta)
-    W = _constraint_matrix(vectors, cert.class_tag)
+    W = _certificate_rows(_grid_samples(G_tilde, cert.beta), cert.beta, cert.class_tag)
     return float(np.max(W @ cert.lambdas))
+
+
+def _certificate(g: np.ndarray, beta: int, class_tag: str) -> Optional[DualityCertificate]:
+    """The certificate LP on the samples g at r*pi/beta (see `lp_certificate`)."""
+    W = _certificate_rows(g, beta, class_tag)
+    W_lp = W[1:]  # drop the all-zero i = 0 row
+    shift = 1.0 - float(W_lp.min())
+    sol = simplex_max_leq(np.ones(W_lp.shape[1]), W_lp + shift, np.ones(W_lp.shape[0]))
+    if sol.status != "optimal":
+        raise LpNumericalFailure(f"certificate LP ended with status {sol.status}")
+    x = np.maximum(sol.x, 0.0)
+    total = float(np.sum(x))
+    if not (total > 0.0):
+        raise LpNumericalFailure("certificate LP returned a zero weight vector")
+    lambdas = x / total
+
+    # independent re-verification on all rows, including i = 0
+    residual = float(np.max(W @ lambdas))
+    lp_value = 1.0 / total - shift
+    if residual <= TOL_LP:
+        margin = -float(np.max(W_lp @ lambdas))
+        return DualityCertificate(
+            beta=beta, freqs=_grid(beta), lambdas=lambdas, class_tag=class_tag, margin=margin
+        )
+    if lp_value <= TOL_LP:
+        raise LpNumericalFailure(
+            f"LP value {lp_value:.3e} passed but residual {residual:.3e} failed re-verification"
+        )
+    return None
 
 
 def lp_certificate(
@@ -92,36 +116,7 @@ def lp_certificate(
     """
     if class_tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {class_tag!r}")
-    vectors = build_vectors(G_tilde, beta)
-    W = _constraint_matrix(vectors, class_tag)
-    W_lp = W[1:]  # drop the all-zero i = 0 row
-    shift = 1.0 - float(W_lp.min())
-    sol = simplex_max_leq(np.ones(W_lp.shape[1]), W_lp + shift, np.ones(W_lp.shape[0]))
-    if sol.status != "optimal":
-        raise LpNumericalFailure(f"certificate LP ended with status {sol.status}")
-    x = np.maximum(sol.x, 0.0)
-    total = float(np.sum(x))
-    if not (total > 0.0):
-        raise LpNumericalFailure("certificate LP returned a zero weight vector")
-    lambdas = x / total
-
-    # independent re-verification on all rows, including i = 0
-    residual = float(np.max(W @ lambdas))
-    lp_value = 1.0 / total - shift
-    if residual <= TOL_LP:
-        margin = -float(np.max(W_lp @ lambdas))
-        return DualityCertificate(
-            beta=beta,
-            freqs=np.arange(1, beta) * math.pi / beta,
-            lambdas=lambdas,
-            class_tag=class_tag,
-            margin=margin,
-        )
-    if lp_value <= TOL_LP:
-        raise LpNumericalFailure(
-            f"LP value {lp_value:.3e} passed but residual {residual:.3e} failed re-verification"
-        )
-    return None
+    return _certificate(_grid_samples(G_tilde, beta), beta, class_tag)
 
 
 def bisect_upper_bound(
@@ -135,16 +130,20 @@ def bisect_upper_bound(
     """Smallest gain (within tol_k) at which a certificate is found.
 
     The caller establishes the bracket: a certificate must exist at k_hi and
-    must not at k_lo.  Certificate existence is monotone in k, so bisection
-    is exact up to tol_k: the constraint rows at slope k are
-    Re{(1 -+ e^{-j*omega_r*i}) G} + (1 -+ cos(omega_r*i))/k, whose added term
-    is non-negative and falls as k grows, so weights that keep every row
-    non-positive at k keep them non-positive at every k' > k.
+    must not at k_lo.  G is sampled once; slope k runs the certificate LP on
+    g + 1/k, whose poles are those of G.  Certificate existence is monotone
+    in k, so bisection is exact up to tol_k: the constraint rows at slope k
+    are Re{(1 -+ e^{-j*omega_r*i}) G} + (1 -+ cos(omega_r*i))/k, whose added
+    term is non-negative and falls as k grows, so weights that keep every
+    row non-positive at k keep them non-positive at every k' > k.
     """
     _check_bracket(k_lo, k_hi, tol_k)
+    if class_tag not in CLASS_TAGS:
+        raise ValueError(f"unknown class tag {class_tag!r}")
+    g = _grid_samples(G, beta)
 
     def certify(k):
-        return lp_certificate(shift_by_inverse_gain(G, k), beta, class_tag)
+        return _certificate(g + 1.0 / k, beta, class_tag)
 
     if certify(k_hi) is None:
         raise BracketInvalid(f"no certificate at k_hi={k_hi}")

@@ -1,4 +1,4 @@
-"""Certificate vectors, LP certificates and the slope bisection."""
+"""Certificate rows, LP certificates and the slope bisection."""
 
 import cmath
 import math
@@ -9,7 +9,6 @@ import pytest
 from zflim import duality_lp
 from zflim.duality_lp import (
     bisect_upper_bound,
-    build_vectors,
     certificate_residual,
     lp_certificate,
 )
@@ -19,6 +18,7 @@ from zflim.lti_core import (
     affine_combine,
     evaluate,
     frequency_response,
+    is_stable,
     shift_by_inverse_gain,
 )
 from zflim.phase_limits import single_freq_certificate
@@ -40,35 +40,47 @@ def nonconvexity_plant(plants):
     )
 
 
+def certificate_rows(tf, beta, class_tag):
+    g = frequency_response(tf, np.arange(1, beta) * math.pi / beta)
+    return duality_lp._certificate_rows(g, beta, class_tag)
+
+
 class TestBuildVectors:
     def test_zero_difference_row(self, plants):
-        vec = build_vectors(shift_by_inverse_gain(plants["ex1"], 10.0), beta=6)
-        assert np.max(np.abs(vec.v_minus[0])) == 0.0
+        rows = certificate_rows(shift_by_inverse_gain(plants["ex1"], 10.0), 6, MONOTONE)
+        assert np.max(np.abs(rows[0])) == 0.0
 
     def test_sum_row_is_twice_real_part(self, plants):
         g = shift_by_inverse_gain(plants["ex1"], 10.0)
-        vec = build_vectors(g, beta=6)
+        rows = certificate_rows(g, 6, ODD)
         omega = np.arange(1, 6) * math.pi / 6
         expected = 2.0 * frequency_response(g, omega).real
-        assert np.allclose(vec.v_plus[0], expected, atol=1e-13)
+        assert np.allclose(rows[2 * 6], expected, atol=1e-13)
 
     def test_beta_two_hand_substitution(self, plants):
         g = shift_by_inverse_gain(plants["ex2"], 3.0)
-        vec = build_vectors(g, beta=2)
+        rows = certificate_rows(g, 2, MONOTONE)
         val = evaluate(g, math.pi / 2)
         expected = ((1.0 - cmath.exp(-1j * math.pi / 2)) * val).real
-        assert vec.v_minus[1, 0] == pytest.approx(expected, abs=1e-12)
+        assert rows[1, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_row_periodicity(self, plants):
         g = shift_by_inverse_gain(plants["ex3"], 1.0)
         beta = 5
-        vec = build_vectors(g, beta)
+        rows = certificate_rows(g, beta, MONOTONE)
         omega = np.arange(1, beta) * math.pi / beta
         gv = frequency_response(g, omega)
         for i in (0, 3, 7):
             ph = np.exp(-1j * omega * (i + 2 * beta))
             extended = ((1.0 - ph) * gv).real
-            assert np.allclose(extended, vec.v_minus[i], atol=1e-12)
+            assert np.allclose(extended, rows[i], atol=1e-12)
+
+    def test_odd_rows_start_with_the_monotone_rows(self, plants):
+        g = shift_by_inverse_gain(plants["ex4"], 0.9)
+        beta = 7
+        odd = certificate_rows(g, beta, ODD)
+        assert odd.shape == (4 * beta, beta - 1)
+        assert np.array_equal(odd[: 2 * beta], certificate_rows(g, beta, MONOTONE))
 
 
 class TestLpCertificate:
@@ -160,9 +172,27 @@ class TestBisectUpperBound:
         def evaluated(*args):
             raise AssertionError("a slope was evaluated")
 
-        monkeypatch.setattr(duality_lp, "lp_certificate", evaluated)
+        monkeypatch.setattr(duality_lp, "simplex_max_leq", evaluated)
         with pytest.raises(error):
             bisect_upper_bound(plants["ex2"], 40, MONOTONE, 3.80, k_hi, tol_k)
+
+    def test_stability_checked_once(self, plants, monkeypatch):
+        calls = []
+
+        def counting(tf):
+            calls.append(tf)
+            return is_stable(tf)
+
+        monkeypatch.setattr(duality_lp, "is_stable", counting)
+        bisect_upper_bound(plants["ex2"], 40, MONOTONE, 3.80, 3.90, 1e-3)
+        assert calls == [plants["ex2"]]
+
+    def test_bracket_agrees_with_public_certificate(self, plants):
+        # the bisection shifts sampled values; the public path shifts the plant
+        for name, cls, k_lo, k_hi in [("ex2", MONOTONE, 3.80, 3.90), ("ex4", ODD, 0.5, 1.2)]:
+            k = bisect_upper_bound(plants[name], 20, cls, k_lo, k_hi, 1e-4)
+            shifted = shift_by_inverse_gain(plants[name], k)
+            assert lp_certificate(shifted, 20, cls) is not None, (name, cls)
 
     def test_always_certified_plant_rejects_bracket(self):
         with pytest.raises(BracketInvalid):

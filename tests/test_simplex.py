@@ -1,12 +1,14 @@
 """LP solver checks against hand solutions and vertex enumeration."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from zflim import duality_lp
-from zflim.lti_core import shift_by_inverse_gain
+from zflim.errors import LpNumericalFailure
+from zflim.lti_core import frequency_response, shift_by_inverse_gain
 from zflim.rational_core import MONOTONE, ODD
 from zflim.simplex import simplex_max_leq
 
@@ -65,8 +67,6 @@ def test_zero_rows_optimum_zero_when_no_cost_positive():
 
 
 def test_iteration_cap_raises():
-    from zflim.errors import LpNumericalFailure
-
     with pytest.raises(LpNumericalFailure):
         simplex_max_leq(np.array([1.0]), np.array([[1.0]]), np.array([1.0]), maxiter=0)
 
@@ -134,6 +134,26 @@ def test_pivot_sequence_with_bland_switch(monkeypatch, plants):
 
 def test_pivot_sequence_dantzig_only(monkeypatch, plants):
     assert _certificate_pivots(monkeypatch, plants["ex1"], 13.0, 60, ODD) == [71]
+
+
+@pytest.mark.xfail(
+    raises=LpNumericalFailure, strict=True, reason="the Bland phase loses primal feasibility"
+)
+def test_rounding_perturbed_certificate_game_solves(plants):
+    # ex1, odd class, beta 120, k 14 with rows (A + (1/14) D)[1:]: A holds the
+    # rows of G itself and D the (1 -+ cos) rows of the 1/k shift, so these rows
+    # differ from those of lp_certificate by ~4e-14; the basis turns infeasible
+    # after Bland's rule switches on, and the pivots run on to the cap
+    beta, k = 120, 14.0
+    omega = np.arange(1, beta) * math.pi / beta
+    g = frequency_response(plants["ex1"], omega)
+    phases = np.exp(-1j * omega[None, :] * np.arange(2 * beta)[:, None])
+    A = np.vstack([((1.0 - phases) * g).real, ((1.0 + phases) * g).real])
+    D = np.vstack([1.0 - phases.real, 1.0 + phases.real])
+    W = (A + (1.0 / k) * D)[1:]
+    m, n = W.shape
+    sol = simplex_max_leq(np.ones(n), W + (1.0 - W.min()), np.ones(m), maxiter=5000)
+    assert sol.status == "optimal"
 
 
 def _random_lp(rng, kind):

@@ -7,7 +7,12 @@ import pytest
 
 from zflim import zf_search
 from zflim.errors import BracketInvalid
-from zflim.lti_core import TransferFunction, frequency_response, shift_by_inverse_gain
+from zflim.lti_core import (
+    TransferFunction,
+    frequency_response,
+    is_stable,
+    shift_by_inverse_gain,
+)
 from zflim.rational_core import MONOTONE, ODD
 from zflim.zf_search import SearchConfig, bisect_lower_bound, find_multiplier
 
@@ -91,9 +96,31 @@ class TestBisectLowerBound:
         def evaluated(*args):
             raise AssertionError("a slope was evaluated")
 
-        monkeypatch.setattr(zf_search, "find_multiplier", evaluated)
+        monkeypatch.setattr(zf_search, "simplex_max_leq", evaluated)
         with pytest.raises(error):
             bisect_lower_bound(plants["ex2"], SearchConfig(n_z=5), MONOTONE, 1.9, k_hi, tol_k)
+
+    def test_stability_checked_once(self, plants, monkeypatch):
+        calls = []
+
+        def counting(tf):
+            calls.append(tf)
+            return is_stable(tf)
+
+        monkeypatch.setattr(zf_search, "is_stable", counting)
+        bisect_lower_bound(plants["ex2"], SearchConfig(n_z=5), MONOTONE, 1.9, 3.824040, 5e-2)
+        assert calls == [plants["ex2"]]
+
+    def test_bracket_agrees_with_public_search(self, plants):
+        # the bisection shifts sampled values; the public path shifts the plant
+        for name, cls, n_z, k_lo, k_hi in [
+            ("ex2", MONOTONE, 5, 1.9, 3.824040),
+            ("ex5", ODD, 8, 0.19, 0.374491),
+        ]:
+            config = SearchConfig(n_z=n_z)
+            k = bisect_lower_bound(plants[name], config, cls, k_lo, k_hi, 1e-3 * k_hi)
+            shifted = shift_by_inverse_gain(plants[name], k)
+            assert find_multiplier(shifted, config, cls) is not None, (name, cls)
 
     def test_sandwiched_by_dual_bounds(self, plants):
         from zflim.duality_lp import bisect_upper_bound
