@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NoTightCandidate, PrecisionExhausted
+from .lti_core import Polynomial
 
 MONOTONE = "monotone"
 ODD = "odd"
@@ -85,11 +86,12 @@ class FirMultiplier:
         return sum(abs(v) for v in self.taps.values())
 
     def response(self, omega):
-        """M(e^{j*omega}); omega may be a scalar or ndarray."""
+        """M(e^{j*omega}) by Horner in e^{-j*omega}; omega may be a scalar or ndarray."""
         w = np.asarray(omega, dtype=float)
-        out = np.ones(w.shape, dtype=complex)
-        for i, h in self.taps.items():
-            out = out - h * np.exp(-1j * w * i)
+        lo = min(self.taps, default=0)
+        coeffs = np.zeros(max(self.taps, default=0) - lo + 1)
+        coeffs[[i - lo for i in self.taps]] = list(self.taps.values())
+        out = 1.0 - np.exp(-1j * lo * w) * Polynomial(coeffs)(np.exp(-1j * w))
         return out if out.shape else complex(out[()])
 
     def phase_at(self, omega: float) -> float:

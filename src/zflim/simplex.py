@@ -11,11 +11,10 @@ right-hand side, with the reduced costs as its last row (the dictionary of
 Chvatal, Linear Programming, 1983, ch. 2).  Variables carry labels,
 structurals 0..n-1 and slacks n..n+m-1; a pivot swaps labels between
 ``basis`` and ``nonbasic`` and stores the leaving variable's column where
-the entering one stood.  Dantzig pricing, with a permanent switch to Bland's
-rule after a run of degenerate pivots, enters the smallest label among its
-candidates.  So it pivots bit for bit like the full m x (n+m+1) tableau:
-there every basic column stays an exact unit vector (x - x*1.0 == 0) with
-reduced cost 0, and the leaving column is computed as 0 - colv*(1/p).
+the entering one stood.  One pricing rule, exact steepest edge (Goldfarb
+and Reid, Math. Prog. 12, 1977), enters the column of largest
+red_j^2 / (1 + |T[:m, j]|^2) among those with red_j < 0.  Each pivot clamps
+the right-hand side at 0, so rounding cannot make the basis infeasible.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import numpy as np
 
 from .errors import LpNumericalFailure
 
-_STALL_LIMIT = 30
 # reduced costs above -_TOL count as optimal; column entries above _TOL can pivot
 _TOL = 1e-9
 
@@ -61,41 +59,37 @@ def simplex_max_leq(c, A, b, maxiter: int = 100000) -> LpSolution:
     T[:m, :n] = A
     T[:m, -1] = b
     T[m, :n] = -c
+    rhs = T[:m, -1]
+    update = np.empty_like(T)
     nonbasic = np.arange(n)
     basis = np.arange(n, n + m)
 
-    bland = False
-    stall = 0
     for it in range(maxiter):
         red = T[m, :n]
         candidates = np.flatnonzero(red < -_TOL)
         if candidates.size == 0:
             break
-        if not bland:
-            candidates = candidates[red[candidates] == red[candidates].min()]
-        j = int(candidates[np.argmin(nonbasic[candidates])])
+        norms = np.einsum("ij,ij->j", T[:m, :n], T[:m, :n])
+        score = red[candidates] ** 2 / (1.0 + norms[candidates])
+        j = int(candidates[np.argmax(score)])
         col = T[:m, j]
         positive = col > _TOL
         if not np.any(positive):
             return LpSolution("unbounded", None, None, it)
         ratios = np.full(m, np.inf)
-        ratios[positive] = T[:m, -1][positive] / col[positive]
+        ratios[positive] = rhs[positive] / col[positive]
         r = int(np.argmin(ratios))
-        if ratios[r] <= 1e-13:
-            stall += 1
-            if stall > _STALL_LIMIT:
-                bland = True
-        else:
-            stall = 0
         pivot = T[r, j]
         row = T[r] / pivot
         T[r] = row
         colv = T[:, j].copy()
         colv[r] = 0.0
-        T -= np.outer(colv, row)
+        np.outer(colv, row, out=update)
+        T -= update
         inv = 1.0 / pivot
-        T[:, j] = 0.0 - colv * inv  # not -(colv * inv): zeros stay +0 as in the full tableau
+        T[:, j] = -colv * inv
         T[r, j] = inv
+        np.maximum(rhs, 0.0, out=rhs)
         basis[r], nonbasic[j] = nonbasic[j], basis[r]
     else:
         raise LpNumericalFailure(f"simplex did not converge within {maxiter} pivots")

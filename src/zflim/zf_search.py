@@ -5,7 +5,8 @@ program in the taps.  Grid feasibility is necessary but not sufficient, so a
 found multiplier is accepted only after a positivity re-check on a ten times
 denser grid.  The LP is solved by constraint generation: only a few dozen
 grid rows ever bind, so small active-set LPs converge in a handful of
-rounds.  A bisection builds both grids, the tap basis and the samples of G
+rounds; each adds violated rows not yet active, and one that adds none ends
+the loop.  A bisection builds both grids, the tap basis and the samples of G
 once; each slope k only shifts the samples to g + 1/k.
 """
 
@@ -75,7 +76,7 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
 
         active = np.unique(np.append(np.arange(0, n_rows, max(1, n_rows // 64)), n_rows - 1))
         tol_violation = 1e-10 * max(1.0, float(np.max(np.abs(b))))
-        for _ in range(80):
+        while True:
             block = np.zeros((active.size + 1, n_taps + 1))
             block[:-1, :n_taps] = A[active]
             block[:-1, n_taps] = 1.0
@@ -87,13 +88,12 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
             h_stack = sol.x[:n_taps]
             margin = sol.x[n_taps]
             violations = A @ h_stack + margin - (b + shift)
+            violations[active] = -np.inf
             worst = np.argsort(violations)[-24:]
             worst = worst[violations[worst] > tol_violation]
             if worst.size == 0:
                 break
             active = np.unique(np.concatenate([active, worst]))
-        else:
-            return None
         if sol.objective - shift < 0.0:
             return None
 

@@ -158,7 +158,35 @@ class TestPlantFiles:
         assert run(["nyquist", "--plant", str(path)]) == 0
 
 
+# k_lower / k_upper_lp of `analyze` at default settings, per plant and class
+DEFAULT_ANALYZE_BOUNDS = {
+    ("ex1", "monotone"): (13.0282744, 13.0283737),
+    ("ex1", "odd"): (13.4821329, 13.5122839),
+    ("ex2", "monotone"): (3.8236321, 3.8240402),
+    ("ex2", "odd"): (3.8239819, 3.8240402),
+    ("ex3", "monotone"): (0.8026473, 0.8027452),
+    ("ex3", "odd"): (1.1055812, 1.1056487),
+    ("ex4", "monotone"): (0.8466050, 0.8466566),
+    ("ex4", "odd"): (0.9876104, 0.9876706),
+    ("ex5", "monotone"): (0.3743087, 0.3744914),
+    ("ex5", "odd"): (0.3743087, 0.3744914),
+    ("ex6", "monotone"): (13.2618838, 13.2620354),
+    ("ex6", "odd"): (22.6868208, 22.6869073),
+}
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize("plant,class_tag", sorted(DEFAULT_ANALYZE_BOUNDS))
+    def test_default_settings_bounds(self, tmp_path, plant, class_tag):
+        out = tmp_path / "report.json"
+        code = run(["analyze", "--example", plant, "--class", class_tag, "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        k_lower, k_upper_lp = DEFAULT_ANALYZE_BOUNDS[(plant, class_tag)]
+        tol_k = payload["k_upper_lp"]["tol_k"]
+        assert payload["k_lower"]["value"] == pytest.approx(k_lower, abs=tol_k)
+        assert payload["k_upper_lp"]["value"] == pytest.approx(k_upper_lp, abs=tol_k)
+
     def test_ex2_monotone_report(self, tmp_path):
         out = tmp_path / "report.json"
         code = run([
