@@ -2,16 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from zflim import interval_limits
 from zflim.errors import BracketInvalid, InvalidInterval
 from zflim.interval_limits import (
+    DEFAULT_N_SEARCH,
     interval_limitation,
     interval_slope_bound,
     legacy_upper_bound,
 )
-from zflim.lti_core import TransferFunction
+from zflim.lti_core import TransferFunction, _bisect, frequency_response
+from zflim.phase_limits import scan_upper_bound
 from zflim.rational_core import MONOTONE, ODD
 
 # frequency pairs at which the comparison method peaked for the bundled plants
@@ -26,6 +29,115 @@ ANCHORS = {
     (1.5674, 1.5742, MONOTONE): 0.9999944001502498,
     (1.5674, 1.5742, ODD): 1.0000017465321362,
 }
+
+
+# Reference implementations: the per-point, per-start and fixed-block loops
+# the vectorised code replaced.  Same arithmetic, so results must be equal.
+
+
+def reference_slope_bound(a, b, class_tag, n_search):
+    width = b - a
+    best = 0.0
+    start = 1
+    while start <= n_search:
+        stop = min(n_search, start + 20000 - 1)
+        n = np.arange(start, stop + 1, dtype=float)
+        psi_d = (np.cos(a * n) - np.cos(b * n)) / n
+        phi_d = (np.sin(a * n) - np.sin(b * n)) / n
+        den = width + phi_d if class_tag == MONOTONE else width - np.abs(phi_d)
+        ok = den > 1e-12
+        if np.any(ok):
+            best = max(best, float(np.max(np.abs(psi_d[ok]) / den[ok])))
+        start = stop + 1
+        if width > 2.0 / start:
+            envelope = (2.0 / start) / (width - 2.0 / start)
+            if envelope < best:
+                break
+    return best
+
+
+def reference_runs(g, selected):
+    n = selected.size
+    i = 0
+    while i < n:
+        if not selected[i]:
+            i += 1
+            continue
+        j = i
+        side = 1 if g.imag[i] >= 0.0 else -1
+        while j < n and selected[j] and (1 if g.imag[j] >= 0.0 else -1) == side:
+            j += 1
+        yield np.arange(i, j), side
+        i = j
+
+
+def reference_find_obstruction(g, w, class_tag, n_search):
+    cheap_n = np.arange(1, 33, dtype=float)[:, None]
+    for run, side in reference_runs(g, g.real <= 0.0):
+        if run.size < 2:
+            continue
+        wr = w[run]
+        sigma = np.angle(g[run])
+        if side > 0:
+            required = np.tan(np.maximum(sigma - math.pi / 2.0, 0.0))
+        else:
+            required = np.tan(np.maximum(-sigma - math.pi / 2.0, 0.0))
+        cosm = np.cos(cheap_n * wr[None, :])
+        sinm = np.sin(cheap_n * wr[None, :])
+        for ia in range(run.size - 1):
+            req_min = np.minimum.accumulate(required[ia:])[1:]
+            feasible = req_min > 0.0
+            if not np.any(feasible):
+                continue
+            widths = wr[ia + 1 :] - wr[ia]
+            psi_d = (cosm[:, ia : ia + 1] - cosm[:, ia + 1 :]) / cheap_n
+            phi_d = (sinm[:, ia : ia + 1] - sinm[:, ia + 1 :]) / cheap_n
+            if class_tag == MONOTONE:
+                den = widths[None, :] + phi_d
+            else:
+                den = widths[None, :] - np.abs(phi_d)
+            ratio = np.abs(psi_d) / np.where(den > 1e-12, den, np.inf)
+            cheap = ratio.max(axis=0)
+            for off in np.nonzero(feasible & (cheap <= req_min))[0]:
+                a_w, b_w = float(wr[ia]), float(wr[ia + 1 + off])
+                if req_min[off] >= reference_slope_bound(a_w, b_w, class_tag, n_search):
+                    return (a_w, b_w)
+    return None
+
+
+def reference_legacy(G, class_tag, resolution, k_lo, k_hi, tol_k):
+    w = np.arange(0.0, math.pi + resolution / 2.0, resolution)
+    w[-1] = min(w[-1], math.pi)
+    g_base = frequency_response(G, w)
+
+    def obstruction(k):
+        return reference_find_obstruction(g_base + 1.0 / k, w, class_tag, DEFAULT_N_SEARCH)
+
+    assert obstruction(k_lo) is None
+    witness = obstruction(k_hi)
+    if witness is None:
+        return k_hi, None
+    _, k_hi, witness = _bisect(obstruction, k_lo, k_hi, tol_k, witness)
+    return k_hi, witness
+
+
+def random_stable_plant(rng):
+    """Stable plant of order 2..5, poles inside radius 0.9, random zeros."""
+    order = int(rng.integers(2, 6))
+    radius = rng.uniform(0.2, 0.9, order // 2)
+    angle = rng.uniform(0.05, math.pi - 0.05, order // 2)
+    poles = list(radius * np.exp(1j * angle)) + list(radius * np.exp(-1j * angle))
+    if order % 2:
+        poles.append(rng.uniform(-0.9, 0.9))
+    den = np.poly(poles).real
+    num = np.poly(rng.uniform(-1.2, 1.2, order - 1)).real
+    return TransferFunction(num[::-1], den[::-1])
+
+
+def assert_matches_reference(tf, cls, resolution, k_lo, k_hi, tol_k):
+    res = legacy_upper_bound(tf, cls, resolution, k_lo, k_hi, tol_k)
+    k_ref, witness_ref = reference_legacy(tf, cls, resolution, k_lo, k_hi, tol_k)
+    assert (float.hex(res.k_upper), res.witness) == (float.hex(k_ref), witness_ref)
 
 
 class TestIntervalSlopeBound:
@@ -70,6 +182,56 @@ class TestIntervalSlopeBound:
         with pytest.raises(InvalidInterval):
             interval_slope_bound(1.0, 0.5, MONOTONE)
 
+    def test_matches_fixed_block_loop(self):
+        rng = np.random.default_rng(2018)
+        n_values = [1, 40, 64, 65, 191, 192, 193, 5000, 20000, 20001, DEFAULT_N_SEARCH]
+        for _ in range(60):
+            width = float(np.exp(rng.uniform(math.log(3e-4), math.log(2.0))))
+            a = float(rng.uniform(0.0, math.pi - width))
+            for cls in (MONOTONE, ODD):
+                for n_search in n_values:
+                    got = interval_slope_bound(a, a + width, cls, n_search)
+                    assert got == reference_slope_bound(a, a + width, cls, n_search), (
+                        a, width, cls, n_search)
+
+
+class TestRuns:
+    def test_matches_per_point_loop(self):
+        rng = np.random.default_rng(63)
+        for _ in range(200):
+            size = int(rng.integers(1, 40))
+            g = rng.choice([-1.0, -0.0, 0.0, 1.0], size) + 1j * rng.choice([-1.0, -0.0, 0.0, 1.0], size)
+            selected = g.real <= 0.0
+            got = list(interval_limits._runs_with_consistent_side(g, selected))
+            want = list(reference_runs(g, selected))
+            assert [(list(r), s) for r, s in got] == [(list(r), s) for r, s in want]
+
+
+class TestObstructionSearch:
+    def test_bundled_pairs_match_reference(self, plants):
+        for tf in plants.values():
+            for cls in (MONOTONE, ODD):
+                k = scan_upper_bound(tf, cls, 50).k_upper
+                assert_matches_reference(tf, cls, 1e-2, 0.5 * k, 1.5 * k, 1e-3 * k)
+
+    @pytest.mark.parametrize("resolution", [1e-2, 3e-3])
+    def test_random_plants_match_reference(self, resolution):
+        rng = np.random.default_rng(4631)
+        checked = 0
+        while checked < 6:
+            tf = random_stable_plant(rng)
+            cls = (MONOTONE, ODD)[checked % 2]
+            k = scan_upper_bound(tf, cls, 50).k_upper
+            if math.isfinite(k):
+                assert_matches_reference(tf, cls, resolution, 0.5 * k, 1.5 * k, 1e-3 * k)
+                checked += 1
+
+    def test_dropped_blocks_match_reference(self, plants, monkeypatch):
+        # room for a few row blocks only, so later ones are computed and dropped
+        monkeypatch.setattr(interval_limits, "_TABLE_BYTES", 100_000)
+        k = scan_upper_bound(plants["ex1"], ODD, 50).k_upper
+        assert_matches_reference(plants["ex1"], ODD, 3e-3, 0.5 * k, 1.5 * k, 1e-3 * k)
+
 
 class TestLegacyUpperBound:
     def test_positive_real_plant_returns_hi(self):
@@ -83,21 +245,23 @@ class TestLegacyUpperBound:
         with pytest.raises(BracketInvalid):
             legacy_upper_bound(negative, MONOTONE, 1e-3, 2.0, 8.0, 1e-2)
 
-    @pytest.mark.parametrize("k_hi, tol_k, error", [
-        (36.0, 0.0, ValueError),
-        (36.0, -1.0, ValueError),
-        (36.0, math.nan, ValueError),
-        (math.inf, 1e-3, BracketInvalid),
+    @pytest.mark.parametrize("k_hi, tol_k, resolution, n_search, error", [
+        (36.0, 0.0, 1e-2, DEFAULT_N_SEARCH, ValueError),
+        (36.0, -1.0, 1e-2, DEFAULT_N_SEARCH, ValueError),
+        (36.0, math.nan, 1e-2, DEFAULT_N_SEARCH, ValueError),
+        (math.inf, 1e-3, 1e-2, DEFAULT_N_SEARCH, BracketInvalid),
+        (36.0, 1e-3, math.inf, DEFAULT_N_SEARCH, ValueError),
+        (36.0, 1e-3, 1e-2, 0, ValueError),
     ])
     def test_unclosable_bracket_rejected_before_any_test(
-        self, plants, monkeypatch, k_hi, tol_k, error
+        self, plants, monkeypatch, k_hi, tol_k, resolution, n_search, error
     ):
         def evaluated(*args):
             raise AssertionError("a slope was evaluated")
 
         monkeypatch.setattr(interval_limits, "_find_obstruction", evaluated)
         with pytest.raises(error):
-            legacy_upper_bound(plants["ex1"], MONOTONE, 1e-2, 10.0, k_hi, tol_k)
+            legacy_upper_bound(plants["ex1"], MONOTONE, resolution, 10.0, k_hi, tol_k, n_search)
 
     def test_ex1_monotone_not_tighter_than_cone_bound(self, plants):
         res = legacy_upper_bound(plants["ex1"], MONOTONE, 1e-3, 10.0, 36.0, 1e-3)
