@@ -126,16 +126,17 @@ class _PairTable:
     """Truncated-n slope ratios and full slope bounds of grid pairs.
 
     Both depend only on the grid frequencies of a pair, not on the slope,
-    so one table serves every slope of a bisection.  Ratios are computed in
-    blocks of `_ROWS` rows, widened to the right as runs grow, and kept
-    while the kept blocks fit in `_TABLE_BYTES`.
+    so one table serves every slope of a bisection.  Ratios take the first
+    min(_CHEAP_N, n_search) terms, so they never exceed the full bound.
+    They are computed in blocks of `_ROWS` rows, widened to the right as
+    runs grow, and kept while the kept blocks fit in `_TABLE_BYTES`.
     """
 
     def __init__(self, w: np.ndarray, class_tag: str, n_search: int):
         self.w = w
         self.class_tag = class_tag
         self.n_search = n_search
-        n = np.arange(1, _CHEAP_N + 1, dtype=float)[:, None]
+        n = np.arange(1, min(_CHEAP_N, n_search) + 1, dtype=float)[:, None]
         self.cosm = np.cos(n * w[None, :])
         self.sinm = np.sin(n * w[None, :])
         self.blocks = {}
@@ -146,7 +147,7 @@ class _PairTable:
         """Truncated-n ratios of the pairs (i, j), r0 <= i < r1, c0 <= j < c1."""
         widths = self.w[None, c0:c1] - self.w[r0:r1, None]
         ratios = np.zeros((r1 - r0, c1 - c0))
-        for m in range(_CHEAP_N):
+        for m in range(self.cosm.shape[0]):
             n = float(m + 1)
             psi_d = (self.cosm[m, r0:r1, None] - self.cosm[m, None, c0:c1]) / n
             phi_d = (self.sinm[m, r0:r1, None] - self.sinm[m, None, c0:c1]) / n

@@ -1,4 +1,4 @@
-"""Condensed dense-tableau simplex for small linear programs.
+"""Condensed dense-tableau simplex for small linear programs, re-optimised after added rows.
 
 Solves  max c@x  s.t.  A x <= b,  x >= 0  with b >= 0, so the slack basis is
 feasible and no artificial variables are needed.  Both LP consumers in this
@@ -15,86 +15,145 @@ the entering one stood.  One pricing rule, exact steepest edge (Goldfarb
 and Reid, Math. Prog. 12, 1977), enters the column of largest
 red_j^2 / (1 + |T[:m, j]|^2) among those with red_j < 0.  Each pivot clamps
 the right-hand side at 0, so rounding cannot make the basis infeasible.
+
+A solved tableau takes further rows a@x <= beta (cutting planes, Kelley
+1960), each in dictionary form with its slack basic:
+coef = a[nonbasic] - a[basis] @ T[:m, :n], rhs = beta - a[basis] @ T[:m, -1].
+The reduced costs do not change, so the basis stays dual feasible, and dual
+simplex pivots restore feasibility before the primal rule cleans up: leave
+on the most negative rhs, enter on the largest |T[r, j]| with
+red_j / |T[r, j]| within _TOL of the minimum (Harris, Math. Prog. 5, 1973;
+the plain minimum ratio cycled on dual degenerate rounds).  Both rules share
+one pivot; on a fresh tableau, b >= 0 leaves the dual rule idle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import LpNumericalFailure
 
-# reduced costs above -_TOL count as optimal; column entries above _TOL can pivot
+# reduced costs and rhs above -_TOL count as optimal and feasible; |T[r, j]| > _TOL can pivot
 _TOL = 1e-9
 
 
 @dataclass
 class LpSolution:
-    status: str  # "optimal" or "unbounded"
+    status: str  # "optimal", "unbounded", or "infeasible" after added rows
     x: Optional[np.ndarray]
     objective: Optional[float]
     iterations: int
+    tableau: Optional[Tableau] = field(default=None, repr=False)
 
 
-def simplex_max_leq(c, A, b, maxiter: int = 100000) -> LpSolution:
-    """Maximise c@x s.t. A x <= b, x >= 0; status "optimal" (x, objective) or "unbounded".
+class Tableau:
+    """Condensed tableau of max c@x s.t. A x <= b, x >= 0 that takes rows between solves."""
 
-    Raises ValueError for inconsistent shapes, non-finite data or b < 0, and
-    LpNumericalFailure when ``maxiter`` pivots reach no optimum.
-    """
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    if b.shape != (m,) or c.shape != (n,):
-        raise ValueError("inconsistent LP dimensions")
-    if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("LP data must be finite")
-    if np.any(b < 0.0):
-        raise ValueError("this solver requires b >= 0")
+    def __init__(self, c, A, b):
+        c = np.asarray(c, dtype=float)
+        A = np.asarray(A, dtype=float)
+        b = np.asarray(b, dtype=float)
+        m, n = A.shape
+        if b.shape != (m,) or c.shape != (n,):
+            raise ValueError("inconsistent LP dimensions")
+        if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+            raise ValueError("LP data must be finite")
+        if np.any(b < 0.0):
+            raise ValueError("this solver requires b >= 0")
+        self.c = c
+        self.T = np.zeros((m + 1, n + 1))
+        self.T[:m, :n] = A
+        self.T[:m, -1] = b
+        self.T[m, :n] = -c
+        self.update = np.empty_like(self.T)
+        self.nonbasic = np.arange(n)
+        self.basis = np.arange(n, n + m)
 
-    T = np.zeros((m + 1, n + 1))
-    T[:m, :n] = A
-    T[:m, -1] = b
-    T[m, :n] = -c
-    rhs = T[:m, -1]
-    update = np.empty_like(T)
-    nonbasic = np.arange(n)
-    basis = np.arange(n, n + m)
+    def add_rows(self, A, b) -> None:
+        """Append rows A x <= b, of any sign of b, with their slacks basic."""
+        A = np.asarray(A, dtype=float)
+        b = np.asarray(b, dtype=float)
+        m, n = self.basis.size, self.nonbasic.size
+        if b.ndim != 1 or A.shape != (b.size, n):
+            raise ValueError("inconsistent LP dimensions")
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            raise ValueError("LP data must be finite")
+        by_label = np.zeros((b.size, n + m))  # slack coefficients are 0
+        by_label[:, :n] = A
+        rows = np.column_stack((by_label[:, self.nonbasic], b))
+        rows -= by_label[:, self.basis] @ self.T[:m]
+        self.T = np.vstack((self.T[:m], rows, self.T[m:]))
+        self.update = np.empty_like(self.T)
+        self.basis = np.concatenate((self.basis, np.arange(n + m, n + m + b.size)))
 
-    for it in range(maxiter):
-        red = T[m, :n]
-        candidates = np.flatnonzero(red < -_TOL)
-        if candidates.size == 0:
-            break
-        norms = np.einsum("ij,ij->j", T[:m, :n], T[:m, :n])
-        score = red[candidates] ** 2 / (1.0 + norms[candidates])
-        j = int(candidates[np.argmax(score)])
-        col = T[:m, j]
-        positive = col > _TOL
-        if not np.any(positive):
-            return LpSolution("unbounded", None, None, it)
-        ratios = np.full(m, np.inf)
-        ratios[positive] = rhs[positive] / col[positive]
-        r = int(np.argmin(ratios))
+    def _pivot(self, r: int, j: int) -> None:
+        """Exchange the basic variable of row r with the nonbasic one of column j."""
+        T = self.T
         pivot = T[r, j]
         row = T[r] / pivot
         T[r] = row
         colv = T[:, j].copy()
         colv[r] = 0.0
-        np.outer(colv, row, out=update)
-        T -= update
+        np.outer(colv, row, out=self.update)
+        T -= self.update
         inv = 1.0 / pivot
         T[:, j] = -colv * inv
         T[r, j] = inv
-        np.maximum(rhs, 0.0, out=rhs)
-        basis[r], nonbasic[j] = nonbasic[j], basis[r]
-    else:
-        raise LpNumericalFailure(f"simplex did not converge within {maxiter} pivots")
+        self.basis[r], self.nonbasic[j] = self.nonbasic[j], self.basis[r]
 
-    x_full = np.zeros(n + m)
-    x_full[basis] = T[:m, -1]
-    x = x_full[:n]
-    return LpSolution("optimal", x, float(c @ x), it)
+    def solve(self, maxiter: int = 100000) -> LpSolution:
+        """Optimise from the current basis, which must be primal or dual feasible.
+
+        Raises LpNumericalFailure when ``maxiter`` pivots reach no optimum.
+        """
+        T = self.T
+        m, n = self.basis.size, self.nonbasic.size
+        rhs, red = T[:m, -1], T[m, :n]
+        for it in range(maxiter):  # dual rule, while added rows leave some rhs < 0
+            r = int(np.argmin(rhs)) if m else 0
+            if not m or rhs[r] >= -_TOL:
+                break
+            row = T[r, :n]
+            candidates = np.flatnonzero(row < -_TOL)
+            if candidates.size == 0:
+                return LpSolution("infeasible", None, None, it, self)
+            slack, size = np.maximum(red[candidates], 0.0), -row[candidates]
+            near = candidates[slack / size <= np.min((slack + _TOL) / size)]
+            self._pivot(r, int(near[np.argmin(row[near])]))
+        else:
+            raise LpNumericalFailure(f"simplex did not converge within {maxiter} pivots")
+        for it in range(it, maxiter):  # primal rule
+            np.maximum(rhs, 0.0, out=rhs)
+            candidates = np.flatnonzero(red < -_TOL)
+            if candidates.size == 0:
+                break
+            norms = np.einsum("ij,ij->j", T[:m, :n], T[:m, :n])
+            score = red[candidates] ** 2 / (1.0 + norms[candidates])
+            j = int(candidates[np.argmax(score)])
+            col = T[:m, j]
+            positive = col > _TOL
+            if not np.any(positive):
+                return LpSolution("unbounded", None, None, it, self)
+            ratios = np.full(m, np.inf)
+            ratios[positive] = rhs[positive] / col[positive]
+            self._pivot(int(np.argmin(ratios)), j)
+        else:
+            raise LpNumericalFailure(f"simplex did not converge within {maxiter} pivots")
+
+        x_full = np.zeros(n + m)
+        x_full[self.basis] = rhs
+        x = x_full[:n]
+        return LpSolution("optimal", x, float(self.c @ x), it, self)
+
+
+def simplex_max_leq(c, A, b, maxiter: int = 100000) -> LpSolution:
+    """Maximise c@x s.t. A x <= b, x >= 0; status "optimal" (x, objective) or "unbounded".
+
+    The solution carries its `Tableau`, which can take rows and re-solve.
+    Raises ValueError for inconsistent shapes, non-finite data or b < 0, and
+    LpNumericalFailure when ``maxiter`` pivots reach no optimum.
+    """
+    return Tableau(c, A, b).solve(maxiter)

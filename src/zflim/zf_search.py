@@ -5,9 +5,11 @@ program in the taps.  Grid feasibility is necessary but not sufficient, so a
 found multiplier is accepted only after a positivity re-check on a ten times
 denser grid.  The LP is solved by constraint generation: only a few dozen
 grid rows ever bind, so small active-set LPs converge in a handful of
-rounds; each adds violated rows not yet active, and one that adds none ends
-the loop.  A bisection builds both grids, the tap basis and the samples of G
-once; each slope k only shifts the samples to g + 1/k.
+rounds; each appends violated rows not yet active to the solved tableau,
+which re-optimises from its last basis (dual simplex pivots, see `simplex`),
+and a round that adds none ends the loop.  A bisection builds both grids,
+the tap basis and the samples of G once; each slope k only shifts the
+samples to g + 1/k.
 """
 
 from __future__ import annotations
@@ -74,17 +76,12 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
         cost = np.zeros(n_taps + 1)
         cost[n_taps] = 1.0
 
+        rows = np.column_stack((A, np.ones(n_rows)))  # the taps, then the margin
         active = np.unique(np.append(np.arange(0, n_rows, max(1, n_rows // 64)), n_rows - 1))
+        first = np.vstack([rows[active], np.append(np.ones(n_taps), 0.0)])  # and the l1 budget
+        sol = simplex_max_leq(cost, first, np.append(b[active] + shift, 1.0 - DELTA_NORM))
         tol_violation = 1e-10 * max(1.0, float(np.max(np.abs(b))))
-        while True:
-            block = np.zeros((active.size + 1, n_taps + 1))
-            block[:-1, :n_taps] = A[active]
-            block[:-1, n_taps] = 1.0
-            block[-1, :n_taps] = 1.0
-            rhs = np.concatenate([b[active] + shift, [1.0 - DELTA_NORM]])
-            sol = simplex_max_leq(cost, block, rhs)
-            if sol.status != "optimal":
-                return None
+        while sol.status == "optimal":
             h_stack = sol.x[:n_taps]
             margin = sol.x[n_taps]
             violations = A @ h_stack + margin - (b + shift)
@@ -94,7 +91,9 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
             if worst.size == 0:
                 break
             active = np.unique(np.concatenate([active, worst]))
-        if sol.objective - shift < 0.0:
+            sol.tableau.add_rows(rows[worst], b[worst] + shift)
+            sol = sol.tableau.solve()
+        if sol.status != "optimal" or sol.objective - shift < 0.0:
             return None
 
         h = h_stack if class_tag == MONOTONE else h_stack[: n_taps // 2] - h_stack[n_taps // 2 :]

@@ -170,7 +170,7 @@ DEFAULT_ANALYZE_BOUNDS = {
     ("ex4", "odd"): (0.9876104, 0.9876706),
     ("ex5", "monotone"): (0.3743087, 0.3744914),
     ("ex5", "odd"): (0.3743087, 0.3744914),
-    ("ex6", "monotone"): (13.2618838, 13.2620354),
+    ("ex6", "monotone"): (13.2619849, 13.2620354),
     ("ex6", "odd"): (22.6868208, 22.6869073),
 }
 

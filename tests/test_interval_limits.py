@@ -72,7 +72,7 @@ def reference_runs(g, selected):
 
 
 def reference_find_obstruction(g, w, class_tag, n_search):
-    cheap_n = np.arange(1, 33, dtype=float)[:, None]
+    cheap_n = np.arange(1, min(32, n_search) + 1, dtype=float)[:, None]
     for run, side in reference_runs(g, g.real <= 0.0):
         if run.size < 2:
             continue
@@ -105,13 +105,13 @@ def reference_find_obstruction(g, w, class_tag, n_search):
     return None
 
 
-def reference_legacy(G, class_tag, resolution, k_lo, k_hi, tol_k):
+def reference_legacy(G, class_tag, resolution, k_lo, k_hi, tol_k, n_search):
     w = np.arange(0.0, math.pi + resolution / 2.0, resolution)
     w[-1] = min(w[-1], math.pi)
     g_base = frequency_response(G, w)
 
     def obstruction(k):
-        return reference_find_obstruction(g_base + 1.0 / k, w, class_tag, DEFAULT_N_SEARCH)
+        return reference_find_obstruction(g_base + 1.0 / k, w, class_tag, n_search)
 
     assert obstruction(k_lo) is None
     witness = obstruction(k_hi)
@@ -134,9 +134,9 @@ def random_stable_plant(rng):
     return TransferFunction(num[::-1], den[::-1])
 
 
-def assert_matches_reference(tf, cls, resolution, k_lo, k_hi, tol_k):
-    res = legacy_upper_bound(tf, cls, resolution, k_lo, k_hi, tol_k)
-    k_ref, witness_ref = reference_legacy(tf, cls, resolution, k_lo, k_hi, tol_k)
+def assert_matches_reference(tf, cls, resolution, k_lo, k_hi, tol_k, n_search=DEFAULT_N_SEARCH):
+    res = legacy_upper_bound(tf, cls, resolution, k_lo, k_hi, tol_k, n_search)
+    k_ref, witness_ref = reference_legacy(tf, cls, resolution, k_lo, k_hi, tol_k, n_search)
     assert (float.hex(res.k_upper), res.witness) == (float.hex(k_ref), witness_ref)
 
 
@@ -225,6 +225,13 @@ class TestObstructionSearch:
             if math.isfinite(k):
                 assert_matches_reference(tf, cls, resolution, 0.5 * k, 1.5 * k, 1e-3 * k)
                 checked += 1
+
+    @pytest.mark.parametrize("n_search", [1, 4, 31])
+    def test_short_search_screens_with_its_own_terms(self, plants, n_search):
+        # below 32 terms the screen must use n_search terms: a 32-term ratio
+        # can exceed the n_search-term bound and drop true obstructions
+        k = scan_upper_bound(plants["ex1"], MONOTONE, 50).k_upper
+        assert_matches_reference(plants["ex1"], MONOTONE, 1e-2, 0.3 * k, 1.5 * k, 1e-3 * k, n_search)
 
     def test_dropped_blocks_match_reference(self, plants, monkeypatch):
         # room for a few row blocks only, so later ones are computed and dropped

@@ -194,14 +194,86 @@ def test_random_problems_match_highs():
     assert optimal >= 120
 
 
+def _degenerate_lp(rng):
+    """c and A with entries in {-1, 0, 1}, b with 80% zeros."""
+    m = int(rng.integers(2, 40))
+    n = int(rng.integers(2, 30))
+    A = rng.integers(-1, 2, size=(m, n)).astype(float)
+    b = np.where(rng.random(m) < 0.8, 0.0, 1.0)
+    return rng.integers(-1, 2, size=n).astype(float), A, b
+
+
 def test_degenerate_random_problems_match_highs():
     # entries in {-1, 0, 1} and mostly zero b make long runs of degenerate,
     # tied pivots, the inputs on which a cycling or stalling rule shows
     rng = np.random.default_rng(7)
     for trial in range(200):
-        m = int(rng.integers(2, 40))
-        n = int(rng.integers(2, 30))
-        A = rng.integers(-1, 2, size=(m, n)).astype(float)
-        b = np.where(rng.random(m) < 0.8, 0.0, 1.0)
-        c = rng.integers(-1, 2, size=n).astype(float)
+        c, A, b = _degenerate_lp(rng)
         _agrees_with_highs(c, A, b, trial, maxiter=5000)
+
+
+def _cutting_rows(rng, x, zero_frac):
+    """1-5 rows a@x <= beta with beta >= 0, most of which cut x off."""
+    k = int(rng.integers(1, 6))
+    if zero_frac:
+        A = rng.integers(-1, 2, size=(k, x.size)).astype(float)
+    else:
+        A = rng.normal(size=(k, x.size))
+    keep = np.where(rng.random(k) < zero_frac, 0.0, rng.uniform(0.0, 0.9, size=k))
+    return A, np.maximum(A @ x, 0.0) * keep
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_added_rows_reoptimise_like_a_cold_solve(degenerate):
+    # two rounds of rows cut off a nonzero optimum; the dual re-optimisation
+    # must reach the optimum of a cold solve of the stacked LP.  The
+    # degenerate LPs have 80% zero b, and 80% of their cuts pass through 0.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(1960)
+    kinds = ["real", "integer", "game", "integer game"]
+    checked = cut = 0
+    while checked < 100:
+        c, A, b = _degenerate_lp(rng) if degenerate else _random_lp(rng, kinds[checked % 4])
+        sol = simplex_max_leq(c, A, b)
+        if sol.status != "optimal" or not np.any(sol.x > 0.0):
+            continue
+        checked += 1
+        for _ in range(2):
+            A_new, b_new = _cutting_rows(rng, sol.x, 0.8 if degenerate else 0.0)
+            cut += bool(np.any(A_new @ sol.x > b_new + 1e-9))
+            sol.tableau.add_rows(A_new, b_new)
+            sol = sol.tableau.solve()
+            A, b = np.vstack([A, A_new]), np.concatenate([b, b_new])
+            cold = simplex_max_leq(c, A, b)
+            ref = linprog(-c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+            assert sol.status == cold.status == "optimal", checked
+            assert ref.status == 0, checked
+            assert sol.objective == pytest.approx(cold.objective, abs=1e-9), checked
+            assert sol.objective == pytest.approx(-ref.fun, abs=1e-7), checked
+            assert np.all(A @ sol.x <= b + 1e-8), checked
+            assert np.all(sol.x >= 0.0), checked
+    assert cut > 100
+
+
+@pytest.mark.parametrize("where", ["A", "b"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_added_rows_must_be_finite(where, value):
+    sol = simplex_max_leq(np.array([1.0, 1.0]), np.eye(2), np.array([1.0, 2.0]))
+    data = {"A": np.array([[1.0, 1.0]]), "b": np.array([1.0])}
+    data[where].flat[0] = value
+    with pytest.raises(ValueError, match="finite"):
+        sol.tableau.add_rows(data["A"], data["b"])
+
+
+def _box_with_halving_cuts():
+    sol = simplex_max_leq(np.ones(2), np.eye(2), np.ones(2))
+    sol.tableau.add_rows(np.eye(2), np.array([0.5, 0.5]))
+    return sol.tableau
+
+
+def test_dual_phase_iteration_cap_raises():
+    # max x + y on the unit box, then x <= 0.5 and y <= 0.5: two dual pivots
+    sol = _box_with_halving_cuts().solve()
+    assert (sol.status, sol.objective, sol.iterations) == ("optimal", 1.0, 2)
+    with pytest.raises(LpNumericalFailure):
+        _box_with_halving_cuts().solve(maxiter=1)

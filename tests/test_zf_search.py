@@ -1,11 +1,12 @@
-"""Grid-LP multiplier search and the primal slope bisection."""
+"""Grid-LP multiplier search, its warm-started rounds and the primal slope bisection."""
 
 import math
 
 import numpy as np
 import pytest
 
-from zflim import zf_search
+from conftest import KNOWN_SINGLE_FREQ
+from zflim import simplex, zf_search
 from zflim.errors import BracketInvalid
 from zflim.lti_core import (
     TransferFunction,
@@ -151,3 +152,67 @@ class TestBisectLowerBound:
             results.append(k)
         assert results[0] <= results[1] + 2e-3
         assert results[1] <= results[2] + 2e-3
+
+
+class TestWarmStartedRounds:
+    @pytest.mark.parametrize("name, cls", sorted(KNOWN_SINGLE_FREQ))
+    def test_final_margin_matches_cold_solve(self, plants, monkeypatch, name, cls):
+        # each round appends rows to the solved tableau; the margin it ends
+        # with must be the optimum of a cold solve on the final active set
+        cold_solve, add_rows, solve = (
+            simplex.simplex_max_leq, simplex.Tableau.add_rows, simplex.Tableau.solve)
+        lps = {}  # tableau -> [c, A, b, latest solution]
+        added = []
+
+        def recording(c, A, b, maxiter=100000):
+            sol = cold_solve(c, A, b, maxiter)
+            lps[sol.tableau] = [c, A, b, sol]
+            return sol
+
+        def appending(self, A, b):
+            lp = lps[self]
+            lp[1], lp[2] = np.vstack([lp[1], A]), np.concatenate([lp[2], b])
+            added.append(len(b))
+            add_rows(self, A, b)
+
+        def resolving(self, maxiter=100000):
+            sol = solve(self, maxiter)
+            if self in lps:  # the first solve runs before `recording` sees it
+                lps[self][3] = sol
+            return sol
+
+        monkeypatch.setattr(zf_search, "simplex_max_leq", recording)
+        monkeypatch.setattr(simplex.Tableau, "add_rows", appending)
+        monkeypatch.setattr(simplex.Tableau, "solve", resolving)
+        k = 0.98 * KNOWN_SINGLE_FREQ[(name, cls)][0]
+        find_multiplier(shift_by_inverse_gain(plants[name], k), SearchConfig(n_z=8), cls)
+        [(c, A, b, warm)] = lps.values()
+        assert added
+        assert warm.status == "optimal"
+        assert warm.objective == pytest.approx(cold_solve(c, A, b).objective, abs=1e-9)
+
+    def test_dual_degenerate_rounds_terminate(self):
+        # a random plant on which a plain minimum-ratio dual rule cycled: all
+        # candidate columns had zero reduced costs, and first-index ties led
+        # to pivots on entries as small as 8e-5
+        tf = TransferFunction(
+            [-0.4375468939419436, 0.5084952282587126],
+            [0.11157438699583382, 0.16343171988797447, 1.0],
+        )
+        shifted = shift_by_inverse_gain(tf, 1.02 * 1.0022203502972118)
+        assert find_multiplier(shifted, SearchConfig(n_z=8), MONOTONE) is None
+
+    def test_pivot_count_guard(self, plants, monkeypatch):
+        # 600 pivots with warm rounds, 2306 when every round re-solved from
+        # the slack basis; every solve goes through the one pivot routine
+        pivots = []
+        pivot = simplex.Tableau._pivot
+
+        def counting(self, r, j):
+            pivots.append((r, j))
+            pivot(self, r, j)
+
+        monkeypatch.setattr(simplex.Tableau, "_pivot", counting)
+        k_hi = KNOWN_SINGLE_FREQ[("ex2", MONOTONE)][0]
+        bisect_lower_bound(plants["ex2"], SearchConfig(n_z=8), MONOTONE, k_hi / 1000, k_hi, 1e-4)
+        assert len(pivots) <= 900
