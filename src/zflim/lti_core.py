@@ -135,32 +135,35 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
 def poles(tf: TransferFunction) -> list[complex]:
     """All denominator roots with multiplicity.
 
-    Companion-matrix eigenvalues, then a few Newton corrections per root.  A
-    correction is kept only when it reduces the residual, so clustered roots
-    cannot be pushed onto each other.
+    Companion-matrix eigenvalues, then NEWTON_STEPS Newton corrections to all
+    roots at once.  A root keeps a correction only when it reduces its own
+    residual, so clustered roots cannot be pushed onto each other, and stops
+    at a zero derivative.
     """
     c = tf.den.coeffs
-    roots = _companion_roots(c)
-    scale = float(np.max(np.abs(c)))
+    tol = POLE_RESIDUAL_TOL * float(np.max(np.abs(c)))
     dden = tf.den.derivative()
-    polished = []
-    for r in roots:
-        best, best_res = r, abs(tf.den(r))
-        x = r
-        for _ in range(NEWTON_STEPS):
-            dp = dden(x)
-            if abs(dp) == 0.0:
-                break
-            x = x - tf.den(x) / dp
-            res = abs(tf.den(x))
-            if res < best_res:
-                best, best_res = x, res
-        polished.append(best)
-        if best_res > POLE_RESIDUAL_TOL * scale:
-            raise RootFindingFailed(
-                f"residual {best_res:.3e} above {POLE_RESIDUAL_TOL * scale:.3e} at root {best}"
-            )
-    return polished
+
+    def residual(z):  # |den(z)|, rounded as abs() rounds one complex scalar
+        d = tf.den(z)
+        return np.hypot(d.real, d.imag)
+
+    x = best = _companion_roots(c)
+    best_res = residual(x)
+    live = np.ones(x.size, dtype=bool)
+    for _ in range(NEWTON_STEPS):
+        dp = dden(x)
+        live &= dp != 0.0
+        if not live.any():
+            break
+        x = np.where(live, x - tf.den(x) / np.where(live, dp, 1.0), x)
+        res = residual(x)
+        better = res < best_res
+        best, best_res = np.where(better, x, best), np.where(better, res, best_res)
+    for root, root_res in zip(best, best_res):
+        if root_res > tol:
+            raise RootFindingFailed(f"residual {root_res:.3e} above {tol:.3e} at root {root}")
+    return list(best)
 
 
 def is_stable(tf: TransferFunction) -> bool:

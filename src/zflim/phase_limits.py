@@ -9,6 +9,7 @@ G + 1/k still escapes the cone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,6 +135,16 @@ def coprime_pairs(beta_max: int) -> list[RationalFrequency]:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _scan_table(beta_max: int, class_tag: str):
+    """`coprime_pairs(beta_max)` as a tuple, with their omegas and their
+    `_cone_half_angle`s as read-only arrays: the scan's slope-free part."""
+    pairs = tuple(coprime_pairs(beta_max))
+    table = np.array([(rf.omega, _cone_half_angle(rf, class_tag)) for rf in pairs])
+    table.flags.writeable = False
+    return pairs, table[:, 0], table[:, 1]
+
+
 def scan_upper_bound(
     G: TransferFunction, class_tag: str, beta_max: int = DEFAULT_BETA_MAX
 ) -> SlopeBoundResult:
@@ -142,7 +153,8 @@ def scan_upper_bound(
     The same closed form as `single_freq_upper_bound` at every frequency: the
     cone slope of `_cone_slopes` at the exact half-angle of
     `_cone_half_angle`, with one vectorised response evaluation for the
-    whole grid and one stability check, not one per frequency.
+    whole grid and one stability check, not one per frequency; the exact
+    half-angles are computed once per (beta_max, class) by `_scan_table`.
     """
     if class_tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {class_tag!r}")
@@ -150,13 +162,8 @@ def scan_upper_bound(
         raise ValueError("beta_max must be at least 2")
     if not is_stable(G):
         raise NotStable("scan applies to stable plants")
-    pairs = coprime_pairs(beta_max)
-    g = frequency_response(G, np.array([rf.omega for rf in pairs]))
-    k_all = _cone_slopes(g, [_cone_half_angle(rf, class_tag) for rf in pairs])
-
-    best = math.inf
-    witness = None
-    for rf, k in zip(pairs, k_all):
-        if np.isfinite(k) and k > 0.0 and k < best:
-            best, witness = float(k), rf
-    return SlopeBoundResult(best, witness, class_tag)
+    pairs, omega, half_angle = _scan_table(beta_max, class_tag)
+    k_all = _cone_slopes(frequency_response(G, omega), half_angle)
+    k_all = np.where(k_all > 0.0, k_all, math.inf)  # NaN and k <= 0 bound nothing
+    i = int(np.argmin(k_all))  # the first of equal minima
+    return SlopeBoundResult(float(k_all[i]), pairs[i] if k_all[i] < math.inf else None, class_tag)

@@ -3,13 +3,13 @@
 Feasibility of Re{M(e^{jw}) G(e^{jw})} > 0 over a dense grid is a linear
 program in the taps.  Grid feasibility is necessary but not sufficient, so a
 found multiplier is accepted only after a positivity re-check on a ten times
-denser grid.  The LP is solved by constraint generation: only a few dozen
-grid rows ever bind, so small active-set LPs converge in a handful of
-rounds; each appends violated rows not yet active to the solved tableau,
-which re-optimises from its last basis (dual simplex pivots, see `simplex`),
-and a round that adds none ends the loop.  A bisection builds both grids,
-the tap basis and the samples of G once; each slope k only shifts the
-samples to g + 1/k.
+denser grid, two mat-vecs against a cos/sin table.  The LP is solved by
+constraint generation: only a few dozen grid rows ever bind, so small
+active-set LPs converge in a handful of rounds; each appends violated rows
+not yet active to the solved tableau, which re-optimises from its last basis
+(dual simplex pivots, see `simplex`), and a round that adds none ends the
+loop.  A bisection builds both grids, the tap basis, that table and the
+samples of G once; each slope k only shifts the samples to g + 1/k.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BracketInvalid, NotStable
+from .errors import BracketInvalid, LpNumericalFailure, NotStable
 from .lti_core import TransferFunction, frequency_response, is_stable
 from .lti_core import _bisect, _check_bracket
 from .phase_limits import coprime_pairs
@@ -52,10 +52,35 @@ def _search_grid(grid_size: int) -> np.ndarray:
     return np.unique(np.concatenate([np.linspace(0.0, math.pi, grid_size), rational]))
 
 
+def _recheck_table(grid_size: int, n_z: int):
+    """The re-check grid w and rows cos(w*i), then sin(w*i), i = 1..n_z, all
+    read-only; z^i = z^(i-1) * z with z = e^{-jw} gives them row by row."""
+    w = _search_grid(10 * grid_size)
+    z, zi = np.exp(-1j * w), np.ones(w.size, dtype=complex)
+    table = np.empty((2 * n_z, w.size))
+    for i in range(n_z):
+        zi *= z
+        table[i], table[n_z + i] = zi.real, -zi.imag
+    w.flags.writeable = table.flags.writeable = False
+    return w, table
+
+
+def _recheck(h: np.ndarray, g: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Re{M(e^{jw}) g} on the re-check grid for taps h at -n_z..-1, 1..n_z:
+    M = 1 - C @ (h+ + h-) + j*S @ (h+ - h-), with h+, h- the taps at +i, -i
+    and C, S the cos and sin halves of `table`."""
+    n_z = h.size // 2
+    h_plus, h_minus = h[n_z:], h[n_z - 1 :: -1]
+    sigma, tau = (h_plus + h_minus) @ table[:n_z], (h_plus - h_minus) @ table[n_z:]
+    return (1.0 - sigma) * g.real - tau * g.imag
+
+
 def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     """Samples of G on the search grid, a sampler for the re-check grid, and
     the search step at samples g with re-check samples dense(), called only
-    for a candidate; a slope k shifts both by 1/k (G + 1/k has G's poles)."""
+    for a candidate; a slope k shifts both by 1/k (G + 1/k has G's poles).
+    The step re-checks against one `_recheck_table` built here, and raises
+    LpNumericalFailure when the LP returns taps of l1 norm above 1."""
     if class_tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {class_tag!r}")
     if not is_stable(G):
@@ -63,7 +88,7 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     w = _search_grid(config.grid_size)
     idx = np.concatenate([np.arange(-config.n_z, 0), np.arange(1, config.n_z + 1)])
     basis = np.exp(-1j * np.outer(w, idx))
-    w_dense = _search_grid(10 * config.grid_size)
+    w_dense, table = _recheck_table(config.grid_size, config.n_z)
 
     def step(g: np.ndarray, dense: Callable[[], np.ndarray]) -> Optional[FirMultiplier]:
         a = (basis * g[:, None]).real
@@ -97,13 +122,14 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
             return None
 
         h = h_stack if class_tag == MONOTONE else h_stack[: n_taps // 2] - h_stack[n_taps // 2 :]
-        taps = {int(i): float(v) for i, v in zip(idx, h) if v != 0.0}
-        candidate = FirMultiplier(taps, class_tag)
+        norm = float(np.abs(h).sum())
+        if norm > 1.0:
+            raise LpNumericalFailure(f"search LP taps have l1 norm {norm!r} above 1")
 
         # sufficiency re-check on the denser grid
-        if np.min((candidate.response(w_dense) * dense()).real) < 0.0:
+        if np.min(_recheck(h, dense(), table)) < 0.0:
             return None
-        return candidate
+        return FirMultiplier({int(i): float(v) for i, v in zip(idx, h) if v != 0.0}, class_tag)
 
     return frequency_response(G, w), lambda: frequency_response(G, w_dense), step
 

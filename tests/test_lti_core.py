@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from zflim.errors import InvalidGain, NotStable, PoleOnUnitCircle
+from zflim.errors import InvalidGain, NotStable, PoleOnUnitCircle, RootFindingFailed
 from zflim.lti_core import (
+    NEWTON_STEPS,
+    POLE_RESIDUAL_TOL,
     Polynomial,
     TransferFunction,
     _bisect,
+    _companion_roots,
     affine_combine,
     evaluate,
     frequency_response,
@@ -24,6 +27,48 @@ from conftest import KNOWN_NYQUIST
 
 def unit(value=1.0):
     return TransferFunction([value], [1.0])
+
+
+def reference_poles(tf):
+    """`poles` one root at a time: the scalar Newton loop the array form replaces."""
+    c = tf.den.coeffs
+    scale = float(np.max(np.abs(c)))
+    dden = tf.den.derivative()
+    polished = []
+    for r in _companion_roots(c):
+        best, best_res = r, abs(tf.den(r))
+        x = r
+        for _ in range(NEWTON_STEPS):
+            dp = dden(x)
+            if abs(dp) == 0.0:
+                break
+            x = x - tf.den(x) / dp
+            res = abs(tf.den(x))
+            if res < best_res:
+                best, best_res = x, res
+        polished.append(best)
+        if best_res > POLE_RESIDUAL_TOL * scale:
+            raise RootFindingFailed(
+                f"residual {best_res:.3e} above {POLE_RESIDUAL_TOL * scale:.3e} at root {best}"
+            )
+    return polished
+
+
+def seeded_denominators(seed, count):
+    """Degree 1-12 denominators: random, clustered roots, double roots, and
+    coefficients spread over six decades (on which root polishing can fail)."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        deg = int(rng.integers(1, 13))
+        kind = trial % 4
+        if kind == 0:
+            yield rng.normal(size=deg + 1)
+        elif kind == 1:
+            yield np.poly(0.5 + 1e-4 * rng.normal(size=deg))[::-1]
+        elif kind == 2:
+            yield np.poly(np.repeat(rng.uniform(-0.9, 0.9, (deg + 1) // 2), 2)[:deg])[::-1]
+        else:
+            yield rng.normal(size=deg + 1) * 10.0 ** rng.integers(-3, 4, size=deg + 1)
 
 
 class TestPolynomial:
@@ -157,6 +202,37 @@ class TestPoles:
             want = sorted(chosen, key=lambda p: (round(p.real, 6), p.imag))
             for g, e in zip(got, want):
                 assert abs(g - e) < 1e-8
+
+
+class TestPolesArrayForm:
+    def test_same_roots_and_failures_as_scalar_loop(self):
+        # every root bit for bit, and RootFindingFailed with the same message
+        # on the same inputs; this seed has double roots on which residuals
+        # rounded by np.abs, not as abs() of one complex scalar, keep other
+        # iterates
+        failed = 0
+        for den in seeded_denominators(15, 600):
+            tf = TransferFunction([1.0], den)
+            try:
+                want = reference_poles(tf)
+            except RootFindingFailed as exc:
+                failed += 1
+                with pytest.raises(RootFindingFailed) as got:
+                    poles(tf)
+                assert str(got.value) == str(exc)
+                continue
+            got = poles(tf)
+            assert len(got) == len(want)
+            assert all(g == w for g, w in zip(got, want)), den
+        assert 0 < failed < 600
+
+    def test_zero_derivative_stops_that_root_only(self):
+        # the companion roots of z^3 are exactly 0, where den' vanishes, so
+        # no correction is tried; z^3 + z^2 has such a double root beside a
+        # simple root at -1 that keeps its corrections
+        for den in ([0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]):
+            tf = TransferFunction([1.0], den)
+            assert poles(tf) == reference_poles(tf)
 
 
 class TestStability:

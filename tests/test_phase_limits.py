@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import KNOWN_SINGLE_FREQ
+from zflim import phase_limits
 from zflim.errors import DegenerateDenominator, NotStable
 from zflim.lti_core import TransferFunction, evaluate, shift_by_inverse_gain
 from zflim.phase_limits import (
+    _scan_table,
     cone_slope_bound,
     coprime_pairs,
     phase_bound,
@@ -128,6 +131,33 @@ class TestScanUpperBound:
                 k = scan_upper_bound(plants["ex3"], cls, beta_max).k_upper
                 assert k <= previous + 1e-12
                 previous = k
+
+
+    @pytest.mark.parametrize("name, cls", sorted(KNOWN_SINGLE_FREQ))
+    def test_equals_min_of_single_frequency_bounds(self, plants, name, cls):
+        tf = plants[name]
+        bounds = [(single_freq_upper_bound(tf, rf, cls), rf) for rf in coprime_pairs(50)]
+        k, rf = min(((k, rf) for k, rf in bounds if k is not None), key=lambda kr: kr[0])
+        res = scan_upper_bound(tf, cls, 50)
+        assert res.k_upper == k
+        assert res.witness_freq == rf
+
+    def test_cached_table_is_read_only(self):
+        pairs, omega, half_angle = _scan_table(50, ODD)
+        assert pairs == tuple(coprime_pairs(50))
+        assert _scan_table(50, ODD)[2] is half_angle
+        for array in (omega, half_angle):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_second_scan_does_no_fraction_work(self, plants, monkeypatch):
+        first = scan_upper_bound(plants["ex1"], MONOTONE, 37)
+
+        def exact(*args):
+            raise AssertionError("half-angle recomputed")
+
+        monkeypatch.setattr(phase_limits, "_cone_half_angle", exact)
+        assert scan_upper_bound(plants["ex1"], MONOTONE, 37) == first
 
 
 class TestConsistencyInvariants:

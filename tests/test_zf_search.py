@@ -7,15 +7,17 @@ import pytest
 
 from conftest import KNOWN_SINGLE_FREQ
 from zflim import simplex, zf_search
-from zflim.errors import BracketInvalid
+from zflim.cli import main
+from zflim.errors import BracketInvalid, LpNumericalFailure
 from zflim.lti_core import (
     TransferFunction,
     frequency_response,
     is_stable,
     shift_by_inverse_gain,
 )
-from zflim.rational_core import MONOTONE, ODD
-from zflim.zf_search import SearchConfig, bisect_lower_bound, find_multiplier
+from zflim.phase_limits import scan_upper_bound
+from zflim.rational_core import MONOTONE, ODD, FirMultiplier
+from zflim.zf_search import DEFAULT_GRID_SIZE, SearchConfig, bisect_lower_bound, find_multiplier
 
 
 def constant(value):
@@ -216,3 +218,111 @@ class TestWarmStartedRounds:
         k_hi = KNOWN_SINGLE_FREQ[("ex2", MONOTONE)][0]
         bisect_lower_bound(plants["ex2"], SearchConfig(n_z=8), MONOTONE, k_hi / 1000, k_hi, 1e-4)
         assert len(pivots) <= 900
+
+
+def tap_dict(h):
+    """Taps h at -n_z..-1, 1..n_z as a FirMultiplier's dict."""
+    n_z = h.size // 2
+    return {i: float(v) for i, v in zip(list(range(-n_z, 0)) + list(range(1, n_z + 1)), h)
+            if v != 0.0}
+
+
+def horner_recheck(h, g, table):
+    # the evaluator the table replaces: FirMultiplier.response on the re-check grid
+    w, _ = zf_search._recheck_table(DEFAULT_GRID_SIZE, h.size // 2)
+    return (FirMultiplier(tap_dict(h), ODD).response(w) * g).real
+
+
+class TestRecheckTable:
+    @pytest.mark.parametrize("n_z", [1, 3, 8, 12])
+    @pytest.mark.parametrize("cls", [MONOTONE, ODD])
+    def test_matches_multiplier_response(self, plants, n_z, cls):
+        rng = np.random.default_rng(100 * n_z + len(cls))
+        w, table = zf_search._recheck_table(DEFAULT_GRID_SIZE, n_z)
+        for name in ("ex1", "ex3", "ex5"):
+            k = KNOWN_SINGLE_FREQ[(name, cls)][0]
+            g = frequency_response(plants[name], w) + 1.0 / k
+            for _ in range(5):
+                h = rng.uniform(0.0 if cls == MONOTONE else -1.0, 1.0, 2 * n_z)
+                h *= rng.uniform(0.5, 1.0) / np.sum(np.abs(h))
+                want = (FirMultiplier(tap_dict(h), cls).response(w) * g).real
+                got = zf_search._recheck(h, g, table)
+                assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(g)))
+
+    def test_rows_are_cos_then_sin(self):
+        w, table = zf_search._recheck_table(DEFAULT_GRID_SIZE, 12)
+        i = np.arange(1, 13)[:, None]
+        assert table.shape == (24, w.size)
+        assert np.allclose(table[:12], np.cos(i * w), rtol=0.0, atol=1e-14)
+        assert np.allclose(table[12:], np.sin(i * w), rtol=0.0, atol=1e-14)
+
+    def test_read_only_on_the_re_check_grid(self):
+        w, table = zf_search._recheck_table(DEFAULT_GRID_SIZE, 8)
+        assert np.array_equal(w, zf_search._search_grid(10 * DEFAULT_GRID_SIZE))
+        for array in (w, table):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("name, cls", sorted(KNOWN_SINGLE_FREQ))
+    def test_same_verdicts_as_horner(self, plants, monkeypatch, name, cls):
+        tf = plants[name]
+        k_scan = scan_upper_bound(tf, cls).k_upper
+        config = SearchConfig(n_z=8)
+        for factor in (0.98, 1.0, 1.02):
+            shifted = shift_by_inverse_gain(tf, factor * k_scan)
+            got = find_multiplier(shifted, config, cls)
+            with monkeypatch.context() as m:
+                m.setattr(zf_search, "_recheck", horner_recheck)
+                want = find_multiplier(shifted, config, cls)
+            assert (got is None) == (want is None), (name, cls, factor)
+            if got is not None:
+                assert got.taps == want.taps
+
+    def test_bisection_resamples_nothing(self, plants, monkeypatch):
+        # the table replaces every per-candidate evaluation of M, and G is
+        # sampled once on each grid
+        responses, samples = [], []
+        response, sample = FirMultiplier.response, zf_search.frequency_response
+
+        def counting_response(self, omega):
+            responses.append(omega)
+            return response(self, omega)
+
+        def counting_sample(tf, omegas):
+            samples.append(omegas)
+            return sample(tf, omegas)
+
+        monkeypatch.setattr(FirMultiplier, "response", counting_response)
+        monkeypatch.setattr(zf_search, "frequency_response", counting_sample)
+        k_hi = KNOWN_SINGLE_FREQ[("ex2", MONOTONE)][0]
+        bisect_lower_bound(plants["ex2"], SearchConfig(n_z=8), MONOTONE, 1.9, k_hi, 5e-3)
+        assert responses == []
+        assert len(samples) <= 2
+
+
+class TestTapBudget:
+    @pytest.fixture
+    def over_budget(self, monkeypatch):
+        # the LP's x breaks the l1-budget row: taps summing to 1.0001 and a
+        # margin low enough that no grid row is violated
+        solve = simplex.Tableau.solve
+
+        def breaking(self, maxiter=100000):
+            sol = solve(self, maxiter)
+            if sol.status == "optimal":
+                sol.x = np.full(sol.x.size, 1.0001 / (sol.x.size - 1))
+                sol.x[-1] = -1e6
+            return sol
+
+        monkeypatch.setattr(simplex.Tableau, "solve", breaking)
+
+    def test_search_raises_typed_failure(self, plants, over_budget):
+        shifted = shift_by_inverse_gain(plants["ex2"], 3.8)
+        with pytest.raises(LpNumericalFailure, match="l1 norm"):
+            find_multiplier(shifted, SearchConfig(n_z=5), MONOTONE)
+
+    def test_cli_exits_two(self, over_budget, capsys):
+        code = main(["search", "--example", "ex2", "--k", "3.8", "--nz", "5",
+                     "--class", "monotone"])
+        assert code == 2
+        assert "l1 norm" in capsys.readouterr().err
