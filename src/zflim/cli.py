@@ -4,8 +4,8 @@ Machine output is JSON (written atomically when --out is given), human
 output is aligned text on stdout.  Infinities are serialised as the string
 "inf".  Exit codes: 0 success, 1 the requested object does not exist (no
 certificate / no multiplier), 2 unstable plant or internal error, 3 parse
-error or invalid argument (such as a --tol-k that is not positive and
-finite), 4 bisection bracket failure (a partial report is still written),
+error or invalid argument (such as a --k or --tol-k that is not positive
+and finite), 4 bisection bracket failure (a partial report is still written),
 5 report chain-inequality violation.
 """
 
@@ -23,7 +23,7 @@ from typing import Optional
 
 from .continuous_duality import CtCertificateInput, ct_check_nonodd, ct_check_odd
 from .duality_lp import bisect_upper_bound, certificate_residual, lp_certificate
-from .errors import BracketInvalid, ZflimError
+from .errors import BracketInvalid, InvalidGain, ZflimError
 from .interval_limits import DEFAULT_N_SEARCH, legacy_upper_bound
 from .lti_core import nyquist_value, shift_by_inverse_gain
 from .phase_limits import DEFAULT_BETA_MAX, coprime_pairs, phase_bound, scan_upper_bound
@@ -464,7 +464,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, InvalidGain, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BracketInvalid as exc:

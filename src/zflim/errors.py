@@ -18,7 +18,7 @@ class NotStable(ZflimError):
 
 
 class InvalidGain(ZflimError):
-    """Loop-transformation gain must be strictly positive."""
+    """Loop-transformation gain must be positive and finite."""
 
 
 class NoTightCandidate(ZflimError):

@@ -173,8 +173,8 @@ def is_stable(tf: TransferFunction) -> bool:
 
 def shift_by_inverse_gain(tf: TransferFunction, k: float) -> TransferFunction:
     """Return tf + 1/k, the loop transformation for a slope restriction of k."""
-    if not (k > 0.0):
-        raise InvalidGain(f"gain must be positive, got {k!r}")
+    if not (0.0 < k < math.inf):
+        raise InvalidGain(f"gain must be positive and finite, got {k!r}")
     num = tf.num.scale(k) + tf.den
     den = tf.den.scale(k)
     return TransferFunction(num, den)

@@ -1,28 +1,28 @@
-"""Primal search for an FIR multiplier certifying positivity on a frequency grid.
+"""Primal search for an FIR multiplier certifying positivity on the unit circle.
 
 Feasibility of Re{M(e^{jw}) G(e^{jw})} > 0 over a dense grid is a linear
 program in the taps.  Grid feasibility is necessary but not sufficient, so a
-found multiplier is accepted only after a positivity re-check on a ten times
-denser grid, two mat-vecs against a cos/sin table.  The LP is solved by
-constraint generation: only a few dozen grid rows ever bind, so small
-active-set LPs converge in a handful of rounds; each appends violated rows
-not yet active to the solved tableau, which re-optimises from its last basis
-(dual simplex pivots, see `simplex`), and a round that adds none ends the
-loop.  A bisection builds both grids, the tap basis, that table and the
-samples of G once; each slope k only shifts the samples to g + 1/k.
+found multiplier is accepted only when one root solve proves its positivity
+on the whole circle (`_circle_min`).  The LP is solved by constraint
+generation: only a few dozen grid rows ever bind, so small active-set LPs
+converge in a handful of rounds; each appends violated rows not yet active to
+the solved tableau, which re-optimises from its last basis (dual simplex
+pivots, see `simplex`), and a round that adds none ends the loop.  A
+bisection builds the grid, the tap basis and the samples of G once; each
+slope k only shifts the samples to g + 1/k.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import BracketInvalid, LpNumericalFailure, NotStable
-from .lti_core import TransferFunction, frequency_response, is_stable
-from .lti_core import _bisect, _check_bracket
+from .lti_core import Polynomial, TransferFunction, frequency_response, is_stable
+from .lti_core import _bisect, _check_bracket, _companion_roots
 from .phase_limits import coprime_pairs
 from .rational_core import CLASS_TAGS, MONOTONE, FirMultiplier
 from .simplex import simplex_max_leq
@@ -44,7 +44,7 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.n_z < 1 or self.grid_size < 2:
-            raise ValueError("n_z and grid_size must be positive")
+            raise ValueError(f"need n_z >= 1 and grid_size >= 2, got {self.n_z}, {self.grid_size}")
 
 
 def _search_grid(grid_size: int) -> np.ndarray:
@@ -52,34 +52,28 @@ def _search_grid(grid_size: int) -> np.ndarray:
     return np.unique(np.concatenate([np.linspace(0.0, math.pi, grid_size), rational]))
 
 
-def _recheck_table(grid_size: int, n_z: int):
-    """The re-check grid w and rows cos(w*i), then sin(w*i), i = 1..n_z, all
-    read-only; z^i = z^(i-1) * z with z = e^{-jw} gives them row by row."""
-    w = _search_grid(10 * grid_size)
-    z, zi = np.exp(-1j * w), np.ones(w.size, dtype=complex)
-    table = np.empty((2 * n_z, w.size))
-    for i in range(n_z):
-        zi *= z
-        table[i], table[n_z + i] = zi.real, -zi.imag
-    w.flags.writeable = table.flags.writeable = False
-    return w, table
-
-
-def _recheck(h: np.ndarray, g: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Re{M(e^{jw}) g} on the re-check grid for taps h at -n_z..-1, 1..n_z:
-    M = 1 - C @ (h+ + h-) + j*S @ (h+ - h-), with h+, h- the taps at +i, -i
-    and C, S the cos and sin halves of `table`."""
+def _circle_min(h: np.ndarray, num: np.ndarray, den: np.ndarray) -> float:
+    """Minimum over |z| = 1 of p = Re{M(z) num(z) conj(den(z))}, taps h at -n_z..-1,
+    1..n_z, ascending num and den with deg num <= deg den.  On the circle p =
+    sum c_j z^j = c_0 + 2 sum_{j>0} c_j cos(jw), j = -N..N, N = n_z + deg den;
+    its minimum is at a root of z^N p'(z) ~ sum j c_j z^(j+N).  p is taken at 0,
+    pi and every root's angle, each a true sample, so no root is judged on |z| = 1."""
     n_z = h.size // 2
-    h_plus, h_minus = h[n_z:], h[n_z - 1 :: -1]
-    sigma, tau = (h_plus + h_minus) @ table[:n_z], (h_plus - h_minus) @ table[n_z:]
-    return (1.0 - sigma) * g.real - tau * g.imag
+    m = np.insert(-h[::-1], n_z, 1.0)  # z^n_z M(z), ascending
+    q = np.convolve(np.convolve(m, num), den[::-1])
+    n = n_z + den.size - 1
+    q = np.pad(q, (0, 2 * n + 1 - q.size))
+    c = 0.5 * (q + q[::-1])
+    j = np.arange(-n, n + 1)
+    w = np.concatenate([[0.0, math.pi], np.angle(_companion_roots(Polynomial(j * c).coeffs))])
+    return float(np.min(c[n] + 2.0 * np.cos(np.outer(w, j[n + 1 :])) @ c[n + 1 :]))
 
 
 def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
-    """Samples of G on the search grid, a sampler for the re-check grid, and
-    the search step at samples g with re-check samples dense(), called only
-    for a candidate; a slope k shifts both by 1/k (G + 1/k has G's poles).
-    The step re-checks against one `_recheck_table` built here, and raises
+    """The search step at a shift s of G, which samples G once on the search
+    grid: step(s) runs the grid LP on the samples g + s, and accepts its taps
+    only when `_circle_min` proves Re{M (G + s)} >= 0 on the whole circle; a
+    slope k is s = 1/k (G + 1/k has G's poles).  It raises
     LpNumericalFailure when the LP returns taps of l1 norm above 1."""
     if class_tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {class_tag!r}")
@@ -88,9 +82,10 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     w = _search_grid(config.grid_size)
     idx = np.concatenate([np.arange(-config.n_z, 0), np.arange(1, config.n_z + 1)])
     basis = np.exp(-1j * np.outer(w, idx))
-    w_dense, table = _recheck_table(config.grid_size, config.n_z)
+    g_grid = frequency_response(G, w)
 
-    def step(g: np.ndarray, dense: Callable[[], np.ndarray]) -> Optional[FirMultiplier]:
+    def step(s: float) -> Optional[FirMultiplier]:
+        g = g_grid + s
         a = (basis * g[:, None]).real
         b = g.real - EPS_POS * (1.0 + np.abs(g))
         A = a if class_tag == MONOTONE else np.hstack([a, -a])
@@ -126,26 +121,26 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
         if norm > 1.0:
             raise LpNumericalFailure(f"search LP taps have l1 norm {norm!r} above 1")
 
-        # sufficiency re-check on the denser grid
-        if np.min(_recheck(h, dense(), table)) < 0.0:
+        # sufficiency: p = Re{M (G + s)} |den|^2 on the whole circle
+        if _circle_min(h, (G.num + G.den.scale(s)).coeffs, G.den.coeffs) < 0.0:
             return None
         return FirMultiplier({int(i): float(v) for i, v in zip(idx, h) if v != 0.0}, class_tag)
 
-    return frequency_response(G, w), lambda: frequency_response(G, w_dense), step
+    return step
 
 
 def find_multiplier(
     G_tilde: TransferFunction, config: SearchConfig, class_tag: str
 ) -> Optional[FirMultiplier]:
-    """Multiplier of the class with grid-certified positivity, or None.
+    """Multiplier of the class with Re{M G_tilde} >= 0 on the whole circle, or None.
 
     Maximises the positivity margin over taps with the class sign pattern
     and an l1 budget of 1 - DELTA_NORM.  Success requires the margin to
-    clear EPS_POS * (1 + |G|) on the search grid and the plain positivity
-    re-check to pass on a 10x denser grid.
+    clear EPS_POS * (1 + |G|) on the search grid and the minimum of
+    Re{M G_tilde} over the circle, found by one polynomial root solve, to
+    be non-negative.
     """
-    g, dense, step = _search(G_tilde, config, class_tag)
-    return step(g, dense)
+    return _search(G_tilde, config, class_tag)(0.0)
 
 
 def bisect_lower_bound(
@@ -162,11 +157,10 @@ def bisect_lower_bound(
     fail at k_hi.  G is sampled once; slope k searches at g + 1/k.
     """
     _check_bracket(k_lo, k_hi, tol_k)
-    g, dense, step = _search(G, config, class_tag)
-    g_dense = dense()
+    step = _search(G, config, class_tag)
 
     def fails(k):
-        return step(g + 1.0 / k, lambda: g_dense + 1.0 / k) is None
+        return step(1.0 / k) is None
 
     if fails(k_lo):
         raise BracketInvalid(f"search fails already at k_lo={k_lo}")

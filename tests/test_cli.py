@@ -111,6 +111,14 @@ class TestSearch:
         assert code == 1
 
 
+@pytest.mark.parametrize("command", [["search"], ["certify", "--beta", "12"]],
+                         ids=["search", "certify"])
+@pytest.mark.parametrize("k", ["-1", "0", "nan", "inf"])
+def test_invalid_gain_exits_three(command, k, capsys):
+    assert run(command + ["--example", "ex2", f"--k={k}", "--class", "monotone"]) == 3
+    assert "gain must be positive and finite" in capsys.readouterr().err
+
+
 class TestCtCheck:
     def test_round_trip(self, tmp_path):
         inp = tmp_path / "in.json"

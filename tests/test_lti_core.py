@@ -270,6 +270,11 @@ class TestShiftByInverseGain:
         with pytest.raises(InvalidGain):
             shift_by_inverse_gain(plants["ex1"], 0.0)
 
+    def test_rejects_infinite_gain(self, plants):
+        # inf would pass a positivity test and turn the coefficients into inf/nan
+        with pytest.raises(InvalidGain, match="finite"):
+            shift_by_inverse_gain(plants["ex1"], math.inf)
+
 
 class TestAffineCombine:
     def test_identity(self, plants):

@@ -10,6 +10,7 @@ from zflim import simplex, zf_search
 from zflim.cli import main
 from zflim.errors import BracketInvalid, LpNumericalFailure
 from zflim.lti_core import (
+    Polynomial,
     TransferFunction,
     frequency_response,
     is_stable,
@@ -26,8 +27,9 @@ def constant(value):
 
 class TestSearchConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(n_z=0)
+        for n_z, grid_size in [(0, 2000), (1, 1)]:
+            with pytest.raises(ValueError, match="n_z >= 1 and grid_size >= 2"):
+                SearchConfig(n_z=n_z, grid_size=grid_size)
 
 
 class TestFindMultiplier:
@@ -227,41 +229,42 @@ def tap_dict(h):
             if v != 0.0}
 
 
-def horner_recheck(h, g, table):
-    # the evaluator the table replaces: FirMultiplier.response on the re-check grid
-    w, _ = zf_search._recheck_table(DEFAULT_GRID_SIZE, h.size // 2)
-    return (FirMultiplier(tap_dict(h), ODD).response(w) * g).real
+def horner_p(h, num, den, w):
+    """p = Re{M num conj(den)} at frequencies w, M by FirMultiplier.response (Horner)."""
+    z = np.exp(1j * w)
+    m = FirMultiplier(tap_dict(h), ODD).response(w)
+    return (m * Polynomial(num)(z) * np.conj(Polynomial(den)(z))).real
+
+
+def horner_recheck(h, num, den):
+    # the re-check `_circle_min` replaced: a grid ten times denser than the search grid
+    return float(np.min(horner_p(h, num, den, zf_search._search_grid(10 * DEFAULT_GRID_SIZE))))
 
 
 class TestRecheckTable:
+    """The candidate re-check: `_circle_min`, the minimum of p on the whole circle."""
+
     @pytest.mark.parametrize("n_z", [1, 3, 8, 12])
     @pytest.mark.parametrize("cls", [MONOTONE, ODD])
     def test_matches_multiplier_response(self, plants, n_z, cls):
+        # never above a dense Horner minimum (a sample of p), and within 1e-9
+        # of it relative to max |p|; the last draw has zero taps at both ends
         rng = np.random.default_rng(100 * n_z + len(cls))
-        w, table = zf_search._recheck_table(DEFAULT_GRID_SIZE, n_z)
+        w = np.linspace(0.0, math.pi, 200_001)
         for name in ("ex1", "ex3", "ex5"):
+            tf = plants[name]
             k = KNOWN_SINGLE_FREQ[(name, cls)][0]
-            g = frequency_response(plants[name], w) + 1.0 / k
-            for _ in range(5):
+            num = (tf.num + tf.den.scale(1.0 / k)).coeffs
+            for draw in range(3):
                 h = rng.uniform(0.0 if cls == MONOTONE else -1.0, 1.0, 2 * n_z)
-                h *= rng.uniform(0.5, 1.0) / np.sum(np.abs(h))
-                want = (FirMultiplier(tap_dict(h), cls).response(w) * g).real
-                got = zf_search._recheck(h, g, table)
-                assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(g)))
-
-    def test_rows_are_cos_then_sin(self):
-        w, table = zf_search._recheck_table(DEFAULT_GRID_SIZE, 12)
-        i = np.arange(1, 13)[:, None]
-        assert table.shape == (24, w.size)
-        assert np.allclose(table[:12], np.cos(i * w), rtol=0.0, atol=1e-14)
-        assert np.allclose(table[12:], np.sin(i * w), rtol=0.0, atol=1e-14)
-
-    def test_read_only_on_the_re_check_grid(self):
-        w, table = zf_search._recheck_table(DEFAULT_GRID_SIZE, 8)
-        assert np.array_equal(w, zf_search._search_grid(10 * DEFAULT_GRID_SIZE))
-        for array in (w, table):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+                if draw == 2:
+                    h[[0, -1]] = 0.0
+                h *= rng.uniform(0.5, 1.0) / max(np.sum(np.abs(h)), 1.0)
+                p = horner_p(h, num, tf.den.coeffs, w)
+                scale = float(np.max(np.abs(p)))
+                got = zf_search._circle_min(h, num, tf.den.coeffs)
+                assert got <= p.min() + 1e-14 * scale, (name, draw)
+                assert got >= p.min() - 1e-9 * scale, (name, draw)
 
     @pytest.mark.parametrize("name, cls", sorted(KNOWN_SINGLE_FREQ))
     def test_same_verdicts_as_horner(self, plants, monkeypatch, name, cls):
@@ -272,15 +275,14 @@ class TestRecheckTable:
             shifted = shift_by_inverse_gain(tf, factor * k_scan)
             got = find_multiplier(shifted, config, cls)
             with monkeypatch.context() as m:
-                m.setattr(zf_search, "_recheck", horner_recheck)
+                m.setattr(zf_search, "_circle_min", horner_recheck)
                 want = find_multiplier(shifted, config, cls)
             assert (got is None) == (want is None), (name, cls, factor)
             if got is not None:
                 assert got.taps == want.taps
 
     def test_bisection_resamples_nothing(self, plants, monkeypatch):
-        # the table replaces every per-candidate evaluation of M, and G is
-        # sampled once on each grid
+        # the re-check evaluates no M on a grid, and G is sampled once
         responses, samples = [], []
         response, sample = FirMultiplier.response, zf_search.frequency_response
 
@@ -297,7 +299,7 @@ class TestRecheckTable:
         k_hi = KNOWN_SINGLE_FREQ[("ex2", MONOTONE)][0]
         bisect_lower_bound(plants["ex2"], SearchConfig(n_z=8), MONOTONE, 1.9, k_hi, 5e-3)
         assert responses == []
-        assert len(samples) <= 2
+        assert len(samples) == 1
 
 
 class TestTapBudget:
