@@ -5,7 +5,8 @@ every constraint row non-positive proves that no multiplier of the class
 restores positivity for the given (already loop-shifted) plant.  Existence
 of such weights is decided by a small matrix-game LP, and every returned
 certificate is re-verified by direct residual evaluation before being
-accepted.
+accepted.  Weights that certify one slope certify every slope above the
+exact threshold k(lambda) they prove, which the slope bisection uses.
 """
 
 from __future__ import annotations
@@ -63,6 +64,15 @@ def _certificate_rows(g: np.ndarray, beta: int, class_tag: str) -> np.ndarray:
     if class_tag == MONOTONE:
         return v_minus
     return np.vstack([v_minus, ((1.0 + phases) * g[None, :]).real])
+
+
+def _certified_slope(A: np.ndarray, D: np.ndarray, lambdas: np.ndarray) -> float:
+    """k(lambda), the smallest slope at which the weights keep every row of
+    A + D/k non-positive (inf if none); rows with D lambda = 0 do not depend
+    on k and are left out, as the residual gate of `_certificate` covers them."""
+    a, d = A @ lambdas, D @ lambdas
+    s = float(np.min(-a[d > 0.0] / d[d > 0.0]))
+    return 1.0 / s if s > 0.0 else math.inf
 
 
 def certificate_residual(G_tilde: TransferFunction, cert: DualityCertificate) -> float:
@@ -127,26 +137,38 @@ def bisect_upper_bound(
     k_hi: float,
     tol_k: float,
 ) -> float:
-    """Smallest gain (within tol_k) at which a certificate is found.
+    """Smallest gain (within tol_k) at which a certificate is found, or the
+    smaller slope its weights prove.
 
     The caller establishes the bracket: a certificate must exist at k_hi and
     must not at k_lo.  G is sampled once; slope k runs the certificate LP on
-    g + 1/k, whose poles are those of G.  Certificate existence is monotone
-    in k, so bisection is exact up to tol_k: the constraint rows at slope k
-    are Re{(1 -+ e^{-j*omega_r*i}) G} + (1 -+ cos(omega_r*i))/k, whose added
-    term is non-negative and falls as k grows, so weights that keep every
-    row non-positive at k keep them non-positive at every k' > k.
+    g + 1/k, whose poles are those of G.  The rows at slope k are
+    W(k) = A + D/k, with A the rows of G and D the rows of the constant 1,
+    Re{(1 -+ e^{-j*omega_r*i})} = 1 -+ cos(omega_r*i) >= 0.  So weights
+    lambda >= 0 keep every row non-positive exactly at the slopes
+    k >= k(lambda) = max_i D_i lambda / (-A_i lambda) (`_certified_slope`):
+    the added term D lambda/k is non-negative and falls as k grows.  Each
+    certificate found settles, without an LP, every midpoint at or above the
+    smallest k(lambda) found so far, and that k(lambda) is returned when it is
+    below the bisection's final k_hi; both bracket ends still run their own LP.
     """
     _check_bracket(k_lo, k_hi, tol_k)
     if class_tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {class_tag!r}")
     g = _grid_samples(G, beta)
+    A = _certificate_rows(g, beta, class_tag)
+    D = _certificate_rows(np.ones_like(g), beta, class_tag)
+    best = math.inf  # the smallest k(lambda) of the certificates found so far
 
     def certify(k):
-        return _certificate(g + 1.0 / k, beta, class_tag)
+        nonlocal best
+        cert = _certificate(g + 1.0 / k, beta, class_tag)
+        if cert is not None:
+            best = min(best, _certified_slope(A, D, cert.lambdas))
+        return cert is not None
 
-    if certify(k_hi) is None:
+    if not certify(k_hi):
         raise BracketInvalid(f"no certificate at k_hi={k_hi}")
-    if certify(k_lo) is not None:
+    if certify(k_lo):
         raise BracketInvalid(f"certificate already exists at k_lo={k_lo}")
-    return _bisect(certify, k_lo, k_hi, tol_k)[1]
+    return min(_bisect(lambda k: k >= best or certify(k), k_lo, k_hi, tol_k)[1], best)

@@ -9,7 +9,8 @@ converge in a handful of rounds; each appends violated rows not yet active to
 the solved tableau, which re-optimises from its last basis (dual simplex
 pivots, see `simplex`), and a round that adds none ends the loop.  A
 bisection builds the grid, the tap basis and the samples of G once; each
-slope k only shifts the samples to g + 1/k.
+slope k only shifts the samples to g + 1/k, and taps found at one slope
+settle every smaller slope up to their reach without another search.
 """
 
 from __future__ import annotations
@@ -70,11 +71,14 @@ def _circle_min(h: np.ndarray, num: np.ndarray, den: np.ndarray) -> float:
 
 
 def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
-    """The search step at a shift s of G, which samples G once on the search
-    grid: step(s) runs the grid LP on the samples g + s, and accepts its taps
-    only when `_circle_min` proves Re{M (G + s)} >= 0 on the whole circle; a
-    slope k is s = 1/k (G + 1/k has G's poles).  It raises
-    LpNumericalFailure when the LP returns taps of l1 norm above 1."""
+    """The search step at a shift s of G and the reach of its last taps, from
+    one sampling of G on the search grid: step(s) runs the grid LP on the
+    samples g + s, and accepts its taps only when `_circle_min` proves
+    Re{M (G + s)} >= 0 on the whole circle; a slope k is s = 1/k (G + 1/k has
+    G's poles).  It raises LpNumericalFailure when the LP returns taps of l1
+    norm above 1.  reach(k_hi) is the largest slope r < k_hi at which the last
+    accepted taps still clear the grid margin, found in closed form, and
+    proven on the whole circle by `_circle_min` at r (0.0 when that fails)."""
     if class_tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {class_tag!r}")
     if not is_stable(G):
@@ -83,8 +87,10 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     idx = np.concatenate([np.arange(-config.n_z, 0), np.arange(1, config.n_z + 1)])
     basis = np.exp(-1j * np.outer(w, idx))
     g_grid = frequency_response(G, w)
+    last = None  # taps of the last accepted step
 
     def step(s: float) -> Optional[FirMultiplier]:
+        nonlocal last
         g = g_grid + s
         a = (basis * g[:, None]).real
         b = g.real - EPS_POS * (1.0 + np.abs(g))
@@ -124,9 +130,21 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
         # sufficiency: p = Re{M (G + s)} |den|^2 on the whole circle
         if _circle_min(h, (G.num + G.den.scale(s)).coeffs, G.den.coeffs) < 0.0:
             return None
+        last = h
         return FirMultiplier({int(i): float(v) for i, v in zip(idx, h) if v != 0.0}, class_tag)
 
-    return step
+    def reach(k_hi: float) -> float:
+        # the margin holds at shift s when p + s q >= EPS_POS (1 + |g| + s), as
+        # |g + s| <= |g| + s; q - EPS_POS > 0, so it holds for every s >= t
+        m = 1.0 - basis @ last
+        p, q = (m * g_grid).real, m.real
+        t = float(np.max((EPS_POS * (1.0 + np.abs(g_grid)) - p) / (q - EPS_POS)))
+        r = 1.0 / t if t > 1.0 / k_hi else float(np.nextafter(k_hi, 0.0))
+        if _circle_min(last, (G.num + G.den.scale(1.0 / r)).coeffs, G.den.coeffs) < 0.0:
+            return 0.0
+        return r
+
+    return step, reach
 
 
 def find_multiplier(
@@ -140,7 +158,8 @@ def find_multiplier(
     Re{M G_tilde} over the circle, found by one polynomial root solve, to
     be non-negative.
     """
-    return _search(G_tilde, config, class_tag)(0.0)
+    step, _ = _search(G_tilde, config, class_tag)
+    return step(0.0)
 
 
 def bisect_lower_bound(
@@ -151,19 +170,32 @@ def bisect_lower_bound(
     k_hi: float,
     tol_k: float,
 ) -> float:
-    """Largest slope (within tol_k) at which the search still finds a multiplier.
+    """Largest slope (within tol_k) at which a multiplier is found or proven.
 
     The caller establishes the bracket: the search must succeed at k_lo and
-    fail at k_hi.  G is sampled once; slope k searches at g + 1/k.
+    fail at k_hi.  G is sampled once; slope k searches at g + 1/k.  Taps
+    accepted at one slope are valid at every smaller one: with s = 1/k and
+    s' > s, Re{M (G + s')} = Re{M (G + s)} + (s' - s) Re{M}, and Re{M} >=
+    1 - |h|_1 >= DELTA_NORM > EPS_POS, so Re{M (G + s)} rises on the whole
+    circle, and on the grid faster than the margin EPS_POS (1 + |G + s|),
+    which rises by at most EPS_POS (s' - s).  So each accepted search's taps
+    settle, without a search, every midpoint up to their reach (`_search`),
+    where `_circle_min` proves them; both bracket ends still run their own
+    search.
     """
     _check_bracket(k_lo, k_hi, tol_k)
-    step = _search(G, config, class_tag)
+    step, reach = _search(G, config, class_tag)
+    proven = 0.0  # the largest reach of the taps found so far
 
     def fails(k):
-        return step(1.0 / k) is None
+        nonlocal proven
+        if step(1.0 / k) is None:
+            return True
+        proven = max(proven, reach(k_hi))
+        return False
 
     if fails(k_lo):
         raise BracketInvalid(f"search fails already at k_lo={k_lo}")
     if not fails(k_hi):
         raise BracketInvalid(f"search still succeeds at k_hi={k_hi}")
-    return _bisect(fails, k_lo, k_hi, tol_k)[0]
+    return _bisect(lambda k: k > proven and fails(k), k_lo, k_hi, tol_k)[0]

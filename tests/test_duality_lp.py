@@ -15,6 +15,7 @@ from zflim.duality_lp import (
 from zflim.errors import BracketInvalid
 from zflim.lti_core import (
     TransferFunction,
+    _bisect,
     affine_combine,
     evaluate,
     frequency_response,
@@ -24,7 +25,7 @@ from zflim.lti_core import (
 from zflim.phase_limits import single_freq_certificate
 from zflim.rational_core import MONOTONE, ODD, RationalFrequency
 from zflim.zf_search import SearchConfig, find_multiplier
-from conftest import KNOWN_SINGLE_FREQ
+from conftest import KNOWN_LOWER, KNOWN_SINGLE_FREQ
 
 
 def constant(value):
@@ -205,3 +206,81 @@ class TestBisectUpperBound:
             bisect_upper_bound(
                 constant(1.0), beta=6, class_tag=MONOTONE, k_lo=0.5, k_hi=2.0, tol_k=1e-3
             )
+
+
+def reference_upper_bound(G, beta, cls, k_lo, k_hi, tol_k):
+    """The bisection with a fresh certificate LP at every midpoint; its final k_hi."""
+    g = duality_lp._grid_samples(G, beta)
+
+    def certify(k):
+        return duality_lp._certificate(g + 1.0 / k, beta, cls)
+
+    assert certify(k_hi) is not None and certify(k_lo) is None
+    return _bisect(certify, k_lo, k_hi, tol_k)[1]
+
+
+def known_bracket(name, cls):
+    return KNOWN_LOWER[(name, cls)][0] * (1 - 1e-4), KNOWN_SINGLE_FREQ[(name, cls)][0] * 1.01
+
+
+class TestCertifiedSlope:
+    """k(lambda), the exact slope a certificate's weights prove."""
+
+    @pytest.mark.parametrize("name, cls", [("ex1", ODD), ("ex2", MONOTONE), ("ex4", ODD)])
+    def test_rows_vanish_at_the_certified_slope(self, plants, name, cls):
+        beta = 60
+        g = duality_lp._grid_samples(plants[name], beta)
+        A = duality_lp._certificate_rows(g, beta, cls)
+        D = duality_lp._certificate_rows(np.ones_like(g), beta, cls)
+        k_scan = KNOWN_SINGLE_FREQ[(name, cls)][0]
+        for factor in (1.0005, 1.01, 1.2):
+            cert = duality_lp._certificate(g + 1.0 / (factor * k_scan), beta, cls)
+            assert cert is not None
+            k = duality_lp._certified_slope(A, D, cert.lambdas)
+            assert abs(float(np.max((A + D / k) @ cert.lambdas))) <= 1e-14
+            assert float(np.max((A + D / (k * (1 - 1e-6))) @ cert.lambdas)) > 0.0
+
+    def test_no_slope_when_a_row_never_falls(self):
+        A = np.array([[0.0, 0.0], [-1.0, 1.0]])
+        D = np.array([[0.0, 0.0], [1.0, 1.0]])
+        assert duality_lp._certified_slope(A, D, np.array([0.5, 0.5])) == math.inf
+        assert duality_lp._certified_slope(A, D, np.array([1.0, 0.0])) == 1.0
+
+    def test_bisection_returns_a_certified_slope(self, plants):
+        for name, cls in sorted(KNOWN_SINGLE_FREQ):
+            k_lo, k_hi = known_bracket(name, cls)
+            got = bisect_upper_bound(plants[name], 60, cls, k_lo, k_hi, 1e-4)
+            assert got <= reference_upper_bound(plants[name], 60, cls, k_lo, k_hi, 1e-4)
+            shifted = shift_by_inverse_gain(plants[name], got)
+            assert lp_certificate(shifted, 60, cls) is not None, (name, cls)
+
+    @pytest.mark.parametrize("name, cls", [("ex1", ODD), ("ex2", MONOTONE), ("ex4", ODD)])
+    def test_no_lp_at_a_settled_midpoint(self, plants, monkeypatch, name, cls):
+        lps, slopes, midpoints = [], [], []
+        certificate, certified_slope, bisect = (
+            duality_lp._certificate, duality_lp._certified_slope, duality_lp._bisect)
+
+        def counting(*args):
+            lps.append(args)
+            return certificate(*args)
+
+        def recording(*args):
+            slopes.append(certified_slope(*args))
+            return slopes[-1]
+
+        def spying(test, k_lo, k_hi, tol_k):
+            def spied(k):
+                best, ran = min(slopes, default=math.inf), len(lps)
+                result = test(k)
+                midpoints.append((k, best, len(lps) > ran))
+                return result
+
+            return bisect(spied, k_lo, k_hi, tol_k)
+
+        monkeypatch.setattr(duality_lp, "_certificate", counting)
+        monkeypatch.setattr(duality_lp, "_certified_slope", recording)
+        monkeypatch.setattr(duality_lp, "_bisect", spying)
+        bisect_upper_bound(plants[name], 60, cls, *known_bracket(name, cls), 1e-4)
+        # a midpoint runs its LP exactly when no k(lambda) covers it
+        assert all(ran == (k < best) for k, best, ran in midpoints)
+        assert any(not ran for _, _, ran in midpoints)

@@ -1,6 +1,7 @@
 """Grid-LP multiplier search, its warm-started rounds and the primal slope bisection."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from zflim.errors import BracketInvalid, LpNumericalFailure
 from zflim.lti_core import (
     Polynomial,
     TransferFunction,
+    _bisect,
     frequency_response,
     is_stable,
+    nyquist_value,
     shift_by_inverse_gain,
 )
 from zflim.phase_limits import scan_upper_bound
@@ -328,3 +331,142 @@ class TestTapBudget:
                      "--class", "monotone"])
         assert code == 2
         assert "l1 norm" in capsys.readouterr().err
+
+
+def analyze_bracket(tf, cls):
+    """The lower-bound bracket `zflim analyze` uses: [cap/1000, cap]."""
+    cap = min(scan_upper_bound(tf, cls).k_upper, nyquist_value(tf))
+    return cap / 1000.0, cap
+
+
+def reference_lower_bound(G, config, cls, k_lo, k_hi, tol_k):
+    """The bisection with a fresh search at every midpoint; its final (k_lo, k_hi)."""
+    step, _ = zf_search._search(G, config, cls)
+
+    def fails(k):
+        return step(1.0 / k) is None
+
+    assert not fails(k_lo) and fails(k_hi)
+    return _bisect(fails, k_lo, k_hi, tol_k)[:2]
+
+
+def grid_margin(G, config, h, k):
+    """Smallest search-grid margin Re{M (G + 1/k)} - EPS_POS (1 + |G + 1/k|) of taps h."""
+    w = zf_search._search_grid(config.grid_size)
+    g = frequency_response(G, w) + 1.0 / k
+    m = FirMultiplier(tap_dict(h), ODD).response(w)
+    return float(np.min((m * g).real - zf_search.EPS_POS * (1.0 + np.abs(g))))
+
+
+def taps_of(mult, n_z):
+    return np.array([mult.taps.get(i, 0.0) for i in list(range(-n_z, 0)) + list(range(1, n_z + 1))])
+
+
+class TestWitnessReach:
+    """Accepted taps settle every bisection midpoint up to their reach."""
+
+    def test_bundled_pairs_match_plain_bisection(self, plants):
+        config = SearchConfig(n_z=8)
+        for (name, cls) in sorted(KNOWN_SINGLE_FREQ):
+            k_lo, k_hi = analyze_bracket(plants[name], cls)
+            got = bisect_lower_bound(plants[name], config, cls, k_lo, k_hi, 1e-4)
+            ref_lo, ref_hi = reference_lower_bound(plants[name], config, cls, k_lo, k_hi, 1e-4)
+            # a witness may settle a midpoint the search rejects, never the reverse
+            assert got == ref_lo or got >= ref_hi, (name, cls, got, ref_lo)
+
+    def test_random_plants_match_plain_bisection(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import random_plant
+
+        config = SearchConfig(n_z=8)
+        for seed in range(1, 11):
+            tf = random_plant(np.random.default_rng(seed), str(seed)).tf()
+            for cls in (MONOTONE, ODD):
+                k_lo, k_hi = analyze_bracket(tf, cls)
+                tol_k = 1e-4 * k_hi
+                got = bisect_lower_bound(tf, config, cls, k_lo, k_hi, tol_k)
+                ref_lo, ref_hi = reference_lower_bound(tf, config, cls, k_lo, k_hi, tol_k)
+                assert got == ref_lo or got >= ref_hi, (seed, cls, got, ref_lo)
+
+    @pytest.mark.parametrize("name, cls", [
+        ("ex1", ODD), ("ex2", MONOTONE), ("ex3", MONOTONE), ("ex5", ODD), ("ex6", ODD),
+    ])
+    def test_reach_is_the_grid_margin_limit(self, plants, monkeypatch, name, cls):
+        config = SearchConfig(n_z=8)
+        k_scan = KNOWN_SINGLE_FREQ[(name, cls)][0]
+        num, den = plants[name].num, plants[name].den
+        step, reach = zf_search._search(plants[name], config, cls)
+        for factor in (0.5, 0.9, 0.99):
+            mult = step(1.0 / (factor * k_scan))
+            assert mult is not None
+            proven = reach(1e3 * k_scan)
+            with monkeypatch.context() as m:
+                m.setattr(zf_search, "_circle_min", lambda *args: 0.0)
+                r = reach(1e3 * k_scan)
+            assert factor * k_scan * (1 - 1e-9) <= r < 1e3 * k_scan
+            h = taps_of(mult, config.n_z)
+            assert grid_margin(plants[name], config, h, r) >= -1e-12
+            assert grid_margin(plants[name], config, h, r * (1 + 1e-6)) < 0.0
+            # the reach counts only where the whole circle proves it
+            holds = zf_search._circle_min(h, (num + den.scale(1.0 / r)).coeffs, den.coeffs) >= 0.0
+            assert proven == (r if holds else 0.0)
+
+    def test_reach_stays_below_k_hi(self, plants):
+        step, reach = zf_search._search(plants["ex2"], SearchConfig(n_z=5), MONOTONE)
+        assert step(1.0 / 1.9) is not None
+        assert reach(2.0) == np.nextafter(2.0, 0.0)
+
+    def test_search_count_guard(self, plants, monkeypatch):
+        # 206 searches when every midpoint ran its own search
+        searches = []
+        search = zf_search._search
+
+        def counting(*args):
+            step, reach = search(*args)
+
+            def counted(s):
+                searches.append(s)
+                return step(s)
+
+            return counted, reach
+
+        monkeypatch.setattr(zf_search, "_search", counting)
+        config = SearchConfig(n_z=8)
+        for (name, cls) in sorted(KNOWN_SINGLE_FREQ):
+            bisect_lower_bound(plants[name], config, cls, *analyze_bracket(plants[name], cls), 1e-4)
+        assert len(searches) <= 150
+
+    @pytest.mark.parametrize("name, cls", [("ex1", ODD), ("ex5", ODD), ("ex6", MONOTONE)])
+    def test_no_search_at_a_settled_midpoint(self, plants, monkeypatch, name, cls):
+        searches, reaches, midpoints = [], [], []
+        search, bisect = zf_search._search, zf_search._bisect
+
+        def recording(*args):
+            step, reach = search(*args)
+
+            def counted(s):
+                searches.append(s)
+                return step(s)
+
+            def recorded(k_hi):
+                reaches.append(reach(k_hi))
+                return reaches[-1]
+
+            return counted, recorded
+
+        def spying(test, k_lo, k_hi, tol_k):
+            def spied(k):
+                proven, ran = max(reaches, default=0.0), len(searches)
+                result = test(k)
+                midpoints.append((k, proven, len(searches) > ran))
+                return result
+
+            return bisect(spied, k_lo, k_hi, tol_k)
+
+        monkeypatch.setattr(zf_search, "_search", recording)
+        monkeypatch.setattr(zf_search, "_bisect", spying)
+        k_lo, k_hi = analyze_bracket(plants[name], cls)
+        bisect_lower_bound(plants[name], SearchConfig(n_z=8), cls, k_lo, k_hi, 1e-4)
+        # a midpoint runs its search exactly when no reach covers it
+        assert all(ran == (k > proven) for k, proven, ran in midpoints)
+        assert any(not ran for _, _, ran in midpoints)
