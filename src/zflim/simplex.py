@@ -23,8 +23,14 @@ The reduced costs do not change, so the basis stays dual feasible, and dual
 simplex pivots restore feasibility before the primal rule cleans up: leave
 on the most negative rhs, enter on the largest |T[r, j]| with
 red_j / |T[r, j]| within _TOL of the minimum (Harris, Math. Prog. 5, 1973;
-the plain minimum ratio cycled on dual degenerate rounds).  Both rules share
-one pivot; on a fresh tableau, b >= 0 leaves the dual rule idle.
+the plain minimum ratio cycled on dual degenerate rounds).  Rounding can
+drift a reduced cost below -_TOL during these pivots; the dual rule then
+shifts the costs, clamping the reduced costs at 0, and once the rhs is
+feasible the true costs are restored, red = c[basis] @ T[:m, :n] -
+c[nonbasic] with c = 0 on slacks (cost shifting, Koberstein, The dual
+simplex method, 2005, ch. 4).  Both rules share one pivot; on a fresh
+tableau, b >= 0 leaves the dual rule idle.  `generate_rows` solves an LP
+with many rows this way, adding only the violated ones.
 """
 
 from __future__ import annotations
@@ -104,27 +110,39 @@ class Tableau:
         T[r, j] = inv
         self.basis[r], self.nonbasic[j] = self.nonbasic[j], self.basis[r]
 
-    def solve(self, maxiter: int = 100000) -> LpSolution:
+    def solve(self, maxiter: int = 100000, feas: float = _TOL) -> LpSolution:
         """Optimise from the current basis, which must be primal or dual feasible.
 
-        Raises LpNumericalFailure when ``maxiter`` pivots reach no optimum.
+        Dual pivots run while some rhs < -feas; x reads off the rhs, so its
+        rows hold to about feas.  Raises LpNumericalFailure when ``maxiter``
+        pivots reach no optimum.
         """
         T = self.T
         m, n = self.basis.size, self.nonbasic.size
         rhs, red = T[:m, -1], T[m, :n]
+        shifted = False
         for it in range(maxiter):  # dual rule, while added rows leave some rhs < 0
             r = int(np.argmin(rhs)) if m else 0
-            if not m or rhs[r] >= -_TOL:
+            if not m or rhs[r] >= -feas:
                 break
             row = T[r, :n]
             candidates = np.flatnonzero(row < -_TOL)
             if candidates.size == 0:
+                if rhs[r] >= -_TOL:
+                    break
                 return LpSolution("infeasible", None, None, it, self)
+            if np.any(red < -_TOL):  # shift the costs
+                np.maximum(red, 0.0, out=red)
+                shifted = True
             slack, size = np.maximum(red[candidates], 0.0), -row[candidates]
             near = candidates[slack / size <= np.min((slack + _TOL) / size)]
             self._pivot(r, int(near[np.argmin(row[near])]))
         else:
             raise LpNumericalFailure(f"simplex did not converge within {maxiter} pivots")
+        if shifted:  # restore them for the primal rule
+            cost = np.concatenate((self.c, np.zeros(m)))
+            red[:] = cost[self.basis] @ T[:m, :n] - cost[self.nonbasic]
+            T[m, -1] = cost[self.basis] @ rhs
         for it in range(it, maxiter):  # primal rule
             np.maximum(rhs, 0.0, out=rhs)
             candidates = np.flatnonzero(red < -_TOL)
@@ -157,3 +175,35 @@ def simplex_max_leq(c, A, b, maxiter: int = 100000) -> LpSolution:
     LpNumericalFailure when ``maxiter`` pivots reach no optimum.
     """
     return Tableau(c, A, b).solve(maxiter)
+
+
+def generate_rows(c, A, b, tol, fixed=None, feas=_TOL):
+    """Maximise c@x s.t. A x <= b, x >= 0 from every (m // 64)-th row of A and
+    the last (b >= 0 there; every row when m < 256, where rounds cost more than
+    they skip), then ``fixed = (A_f, b_f)``, appending the 24 rows x violates
+    most, by more than ``tol``, and re-solving warm (`Tableau.solve` with
+    ``feas``) until none is; a re-solve past 4 pivots per row (dual degenerate
+    rounds stall) restarts cold on the same rows.  Returns the solution and
+    the indices of the rows of A it holds."""
+    m = b.size
+    A_f, b_f = (A[:0], b[:0]) if fixed is None else fixed
+
+    def cold(rows):
+        return simplex_max_leq(c, np.vstack([A[rows], A_f]), np.append(b[rows], b_f))
+
+    active = np.unique(np.append(np.arange(0, m, m // 64 if m >= 256 else 1), m - 1))
+    sol = cold(active)
+    while sol.status == "optimal":
+        violations = A @ sol.x - b
+        violations[active] = -np.inf
+        worst = np.argsort(violations)[-24:]
+        worst = worst[violations[worst] > tol]
+        if worst.size == 0:
+            break
+        active = np.unique(np.concatenate([active, worst]))
+        sol.tableau.add_rows(A[worst], b[worst])
+        try:
+            sol = sol.tableau.solve(4 * active.size, feas)
+        except LpNumericalFailure:
+            sol = cold(active)
+    return sol, active

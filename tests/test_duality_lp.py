@@ -24,6 +24,7 @@ from zflim.lti_core import (
 )
 from zflim.phase_limits import single_freq_certificate
 from zflim.rational_core import MONOTONE, ODD, RationalFrequency
+from zflim.simplex import simplex_max_leq
 from zflim.zf_search import SearchConfig, find_multiplier
 from conftest import KNOWN_LOWER, KNOWN_SINGLE_FREQ
 
@@ -173,7 +174,7 @@ class TestBisectUpperBound:
         def evaluated(*args):
             raise AssertionError("a slope was evaluated")
 
-        monkeypatch.setattr(duality_lp, "simplex_max_leq", evaluated)
+        monkeypatch.setattr(duality_lp, "generate_rows", evaluated)
         with pytest.raises(error):
             bisect_upper_bound(plants["ex2"], 40, MONOTONE, 3.80, k_hi, tol_k)
 
@@ -284,3 +285,51 @@ class TestCertifiedSlope:
         # a midpoint runs its LP exactly when no k(lambda) covers it
         assert all(ran == (k < best) for k, best, ran in midpoints)
         assert any(not ran for _, _, ran in midpoints)
+
+
+class TestRowGeneration:
+    """The certificate LP by row generation against a direct solve on all rows."""
+
+    @pytest.mark.parametrize("beta", [60, 160])
+    def test_verdicts_match_the_full_lp(self, plants, monkeypatch, beta):
+        # k at 0.995-1.005x each scan bound and the two certify-deep slopes:
+        # the same verdict and weights, and the same k(lambda) within tol_k
+        # (at beta 60 every game has under 256 rows, so both solve all rows)
+        def full(c, A, b, tol, feas):
+            return simplex_max_leq(c, A, b), None
+
+        cases = [(name, cls, f * k) for (name, cls), (k, _) in sorted(KNOWN_SINGLE_FREQ.items())
+                 for f in (0.995, 0.999, 1.0, 1.001, 1.005)]
+        cases += [("ex1", ODD, 13.46), ("ex1", ODD, 13.56)]
+        certified = 0
+        for name, cls, k in cases:
+            g = duality_lp._grid_samples(plants[name], beta)
+            generated = duality_lp._certificate(g + 1.0 / k, beta, cls)
+            with monkeypatch.context() as patched:
+                patched.setattr(duality_lp, "generate_rows", full)
+                dense = duality_lp._certificate(g + 1.0 / k, beta, cls)
+            assert (generated is None) == (dense is None), (name, cls, k)
+            if dense is None:
+                continue
+            certified += 1
+            assert np.max(np.abs(generated.lambdas - dense.lambdas)) <= 1e-9, (name, cls, k)
+            A = duality_lp._certificate_rows(g, beta, cls)
+            D = duality_lp._certificate_rows(np.ones_like(g), beta, cls)
+            k_gen = duality_lp._certified_slope(A, D, generated.lambdas)
+            k_dense = duality_lp._certified_slope(A, D, dense.lambdas)
+            assert k_gen == k_dense or abs(k_gen - k_dense) <= 1e-4, (name, cls, k)
+        assert 0 < certified < len(cases)
+
+    def test_rounding_level_weights_are_dropped(self, plants):
+        # ex2, odd class, beta 60, at 1.01x the scan bound: weights of ~1e-15
+        # on rows that need a larger slope made k(lambda) 1.06x the slope of
+        # the LP, so the certificate settled no bisection midpoint
+        beta, k = 60, 1.01 * KNOWN_SINGLE_FREQ[("ex2", ODD)][0]
+        g = duality_lp._grid_samples(plants["ex2"], beta)
+        cert = duality_lp._certificate(g + 1.0 / k, beta, ODD)
+        weights = cert.lambdas[cert.lambdas > 0.0]
+        assert np.min(weights) > 1e-12 * np.max(weights)
+        A = duality_lp._certificate_rows(g, beta, ODD)
+        D = duality_lp._certificate_rows(np.ones_like(g), beta, ODD)
+        assert duality_lp._certified_slope(A, D, cert.lambdas) < k
+        assert float(np.max((A + D / k) @ cert.lambdas)) == 0.0

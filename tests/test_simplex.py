@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from zflim import duality_lp
+from zflim import duality_lp, simplex
 from zflim.errors import LpNumericalFailure
 from zflim.lti_core import frequency_response, shift_by_inverse_gain
 from zflim.rational_core import MONOTONE, ODD
-from zflim.simplex import simplex_max_leq
+from zflim.simplex import generate_rows, simplex_max_leq
 
 
 def test_two_variable_box():
@@ -112,27 +112,22 @@ def test_random_problems_match_vertex_enumeration():
     assert solved >= 40
 
 
-def _certificate_pivots(monkeypatch, plant, k, beta, class_tag):
-    pivots = []
-
-    def recording(*args, **kwargs):
-        sol = simplex_max_leq(*args, **kwargs)
-        pivots.append(sol.iterations)
-        return sol
-
-    monkeypatch.setattr(duality_lp, "simplex_max_leq", recording)
-    duality_lp.lp_certificate(shift_by_inverse_gain(plant, k), beta, class_tag)
-    return pivots
+def _certificate_game(plant, k, beta, class_tag):
+    """The full game LP of `lp_certificate` at slope k: every row but i = 0, shifted positive."""
+    g = duality_lp._grid_samples(shift_by_inverse_gain(plant, k), beta)
+    W = duality_lp._certificate_rows(g, beta, class_tag)[1:]
+    m, n = W.shape
+    return np.ones(n), W + (1.0 - float(W.min())), np.ones(m)
 
 
-def test_pivot_sequence_degenerate_game(monkeypatch, plants):
+def test_pivot_sequence_degenerate_game(plants):
     # 119x59 game at the LP bound itself, where many degenerate pivots tie
-    pivots = _certificate_pivots(monkeypatch, plants["ex2"], 3.8240401704199645, 60, MONOTONE)
-    assert pivots == [30]
+    sol = simplex_max_leq(*_certificate_game(plants["ex2"], 3.8240401704199645, 60, MONOTONE))
+    assert sol.iterations == 30
 
 
-def test_pivot_sequence_steepest_edge(monkeypatch, plants):
-    assert _certificate_pivots(monkeypatch, plants["ex1"], 13.0, 60, ODD) == [46]
+def test_pivot_sequence_steepest_edge(plants):
+    assert simplex_max_leq(*_certificate_game(plants["ex1"], 13.0, 60, ODD)).iterations == 46
 
 
 def test_rounding_perturbed_certificate_game_solves(plants):
@@ -277,3 +272,88 @@ def test_dual_phase_iteration_cap_raises():
     assert (sol.status, sol.objective, sol.iterations) == ("optimal", 1.0, 2)
     with pytest.raises(LpNumericalFailure):
         _box_with_halving_cuts().solve(maxiter=1)
+
+
+def test_deep_grid_rounds_restore_dual_feasibility(plants):
+    # ex1, odd class, beta 2520, k 13.511: the 10,079-row certificate game,
+    # first on every (m // 64)-th row and the last, then on the 24 most violated
+    # rows per round, each round re-solved warm (driven here without
+    # `generate_rows`, whose cold restart would hide a stall).  Without cost
+    # shifting, rounding drives a reduced cost below -_TOL (-1.3e-8 in round 6),
+    # and the dual rule, which needs them >= 0, pivots on past any cap.
+    # Shifting the costs keeps every round under 1,400 pivots.
+    c, A, b = _certificate_game(plants["ex1"], 13.511, 2520, ODD)
+    m = b.size
+    active = np.unique(np.append(np.arange(0, m, m // 64), m - 1))
+    sol = simplex_max_leq(c, A[active], b[active])
+    rounds = 0
+    while True:
+        violations = A @ sol.x - b
+        violations[active] = -np.inf
+        worst = np.argsort(violations)[-24:]
+        worst = worst[violations[worst] > 1e-14]  # the tolerances of `_certificate`
+        if worst.size == 0:
+            break
+        active = np.union1d(active, worst)
+        sol.tableau.add_rows(A[worst], b[worst])
+        sol = sol.tableau.solve(maxiter=2000, feas=1e-14)
+        assert sol.status == "optimal"
+        rounds += 1
+    assert rounds >= 6
+    assert np.max(A[active] @ sol.x - b[active]) <= 1e-11
+    assert sol.objective == pytest.approx(simplex_max_leq(c, A[active], b[active]).objective)
+
+
+def _game(rng, integer=False):
+    m, n = int(rng.integers(256, 800)), int(rng.integers(2, 25))
+    W = rng.integers(-2, 3, size=(m, n)).astype(float) if integer else rng.normal(size=(m, n))
+    return np.ones(n), W - W.min() + 1.0, np.ones(m)
+
+
+def test_generated_rows_reach_the_full_optimum():
+    # games, real and integer (degenerate), with and without a fixed row; the
+    # seed rows stay active, rows are added, and every row holds at the end
+    rng = np.random.default_rng(1960)
+    added = 0
+    for trial in range(60):
+        c, A, b = _game(rng, integer=trial % 2 == 1)
+        m, n = A.shape
+        fixed = (np.ones((1, n)), 1.0) if trial % 3 == 0 else None
+        sol, active = generate_rows(c, A, b, 1e-12, fixed)
+        A_all, b_all = (A, b) if fixed is None else (np.vstack([A, fixed[0]]), np.append(b, 1.0))
+        full = simplex_max_leq(c, A_all, b_all)
+        assert sol.status == full.status == "optimal", trial
+        assert np.all(np.isin(np.arange(0, m, m // 64), active)), trial
+        assert m - 1 in active, trial
+        assert sol.objective == pytest.approx(full.objective, abs=1e-9), trial
+        assert np.all(A_all @ sol.x <= b_all + 1e-9), trial
+        added += active.size > np.unique(np.append(np.arange(0, m, m // 64), m - 1)).size
+    assert added >= 30
+
+
+def test_small_lps_seed_every_row():
+    c, A, b = _game(np.random.default_rng(3))
+    sol, active = generate_rows(c, A[:255], b[:255], 0.0)
+    assert np.array_equal(active, np.arange(255))
+    assert sol.iterations == simplex_max_leq(c, A[:255], b[:255]).iterations
+
+
+def test_stalled_warm_resolve_restarts_cold(monkeypatch):
+    # a warm re-solve past 4 pivots per active row is redone cold on those rows
+    budgets = []
+    add_rows = simplex.Tableau.add_rows
+
+    def stalling(self, A, b):
+        add_rows(self, A, b)
+
+        def solve(maxiter, feas):
+            budgets.append((maxiter, self.basis.size))
+            raise LpNumericalFailure(f"no optimum within {maxiter} pivots")
+
+        self.solve = solve
+
+    monkeypatch.setattr(simplex.Tableau, "add_rows", stalling)
+    c, A, b = _game(np.random.default_rng(5))
+    sol, active = generate_rows(c, A, b, 0.0)
+    assert budgets and all(maxiter == 4 * rows for maxiter, rows in budgets)
+    assert sol.objective == pytest.approx(simplex_max_leq(c, A, b).objective, abs=1e-9)

@@ -104,7 +104,7 @@ class TestBisectLowerBound:
         def evaluated(*args):
             raise AssertionError("a slope was evaluated")
 
-        monkeypatch.setattr(zf_search, "simplex_max_leq", evaluated)
+        monkeypatch.setattr(zf_search, "generate_rows", evaluated)
         with pytest.raises(error):
             bisect_lower_bound(plants["ex2"], SearchConfig(n_z=5), MONOTONE, 1.9, k_hi, tol_k)
 
@@ -182,13 +182,13 @@ class TestWarmStartedRounds:
             added.append(len(b))
             add_rows(self, A, b)
 
-        def resolving(self, maxiter=100000):
-            sol = solve(self, maxiter)
+        def resolving(self, maxiter=100000, feas=simplex._TOL):
+            sol = solve(self, maxiter, feas)
             if self in lps:  # the first solve runs before `recording` sees it
                 lps[self][3] = sol
             return sol
 
-        monkeypatch.setattr(zf_search, "simplex_max_leq", recording)
+        monkeypatch.setattr(simplex, "simplex_max_leq", recording)
         monkeypatch.setattr(simplex.Tableau, "add_rows", appending)
         monkeypatch.setattr(simplex.Tableau, "solve", resolving)
         k = 0.98 * KNOWN_SINGLE_FREQ[(name, cls)][0]
