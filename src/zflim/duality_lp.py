@@ -81,9 +81,15 @@ def certificate_residual(G_tilde: TransferFunction, cert: DualityCertificate) ->
     return float(np.max(W @ cert.lambdas))
 
 
-def _certificate(g: np.ndarray, beta: int, class_tag: str) -> Optional[DualityCertificate]:
-    """The certificate LP on the samples g at r*pi/beta (see `lp_certificate`)."""
-    W = _certificate_rows(g, beta, class_tag)
+def _slope_rows(beta: int, class_tag: str) -> np.ndarray:
+    """The rows of the constant 1, Re{1 -+ e^{-j*omega_r*i}} = 1 -+ cos(omega_r*i),
+    in the layout of `_certificate_rows`, built from real arrays."""
+    cos = np.cos(np.arange(2 * beta)[:, None] * _grid(beta)[None, :])
+    return 1.0 - cos if class_tag == MONOTONE else np.vstack([1.0 - cos, 1.0 + cos])
+
+
+def _certificate(W: np.ndarray, beta: int, class_tag: str) -> Optional[DualityCertificate]:
+    """The certificate LP on the rows W of `_certificate_rows` (see `lp_certificate`)."""
     W_lp = W[1:]  # drop the all-zero i = 0 row
     m, n = W_lp.shape
     shift = 1.0 - float(W_lp.min())
@@ -131,7 +137,9 @@ def lp_certificate(
     """
     if class_tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {class_tag!r}")
-    return _certificate(_grid_samples(G_tilde, beta), beta, class_tag)
+    return _certificate(
+        _certificate_rows(_grid_samples(G_tilde, beta), beta, class_tag), beta, class_tag
+    )
 
 
 def bisect_upper_bound(
@@ -146,10 +154,10 @@ def bisect_upper_bound(
     smaller slope its weights prove.
 
     The caller establishes the bracket: a certificate must exist at k_hi and
-    must not at k_lo.  G is sampled once; slope k runs the certificate LP on
-    g + 1/k, whose poles are those of G.  The rows at slope k are
-    W(k) = A + D/k, with A the rows of G and D the rows of the constant 1,
-    Re{(1 -+ e^{-j*omega_r*i})} = 1 -+ cos(omega_r*i) >= 0.  So weights
+    must not at k_lo.  G is sampled and its rows built once: slope k runs
+    the certificate LP on the rows of g + 1/k, W(k) = A + D/k, with A the
+    rows of G and D those of the constant 1, Re{(1 -+ e^{-j*omega_r*i})} =
+    1 -+ cos(omega_r*i) >= 0 (`_slope_rows`).  So weights
     lambda >= 0 keep every row non-positive exactly at the slopes
     k >= k(lambda) = max_i D_i lambda / (-A_i lambda) (`_certified_slope`):
     the added term D lambda/k is non-negative and falls as k grows.  Each
@@ -162,12 +170,12 @@ def bisect_upper_bound(
         raise ValueError(f"unknown class tag {class_tag!r}")
     g = _grid_samples(G, beta)
     A = _certificate_rows(g, beta, class_tag)
-    D = _certificate_rows(np.ones_like(g), beta, class_tag)
+    D = _slope_rows(beta, class_tag)
     best = math.inf  # the smallest k(lambda) of the certificates found so far
 
     def certify(k):
         nonlocal best
-        cert = _certificate(g + 1.0 / k, beta, class_tag)
+        cert = _certificate(A + D / k, beta, class_tag)
         if cert is not None:
             best = min(best, _certified_slope(A, D, cert.lambdas))
         return cert is not None

@@ -184,7 +184,9 @@ def generate_rows(c, A, b, tol, fixed=None, feas=_TOL):
     most, by more than ``tol``, and re-solving warm (`Tableau.solve` with
     ``feas``) until none is; a re-solve past 4 pivots per row (dual degenerate
     rounds stall) restarts cold on the same rows.  Returns the solution and
-    the indices of the rows of A it holds."""
+    the indices of the rows of A it holds; raises LpNumericalFailure when x
+    breaks an active row of A by more than ten times feas + _TOL (|A_i| x +
+    |b_i|), which rounding in the pivots does not reach."""
     m = b.size
     A_f, b_f = (A[:0], b[:0]) if fixed is None else fixed
 
@@ -195,6 +197,12 @@ def generate_rows(c, A, b, tol, fixed=None, feas=_TOL):
     sol = cold(active)
     while sol.status == "optimal":
         violations = A @ sol.x - b
+        held = violations[active]
+        # x holds its rows to feas, and to _TOL relative to |A_i| x + |b_i| for
+        # rounding in the pivots; past ten times that the tableau has drifted
+        scale = np.abs(A[active]) @ sol.x + np.abs(b[active])
+        if np.any(held > 10.0 * (feas + _TOL * scale)):
+            raise LpNumericalFailure(f"an active row is violated by {float(held.max())!r}")
         violations[active] = -np.inf
         worst = np.argsort(violations)[-24:]
         worst = worst[violations[worst] > tol]

@@ -209,12 +209,17 @@ class TestBisectUpperBound:
             )
 
 
+def certificate_at(g, beta, cls):
+    """The certificate LP on the rows of the samples g, as `lp_certificate` builds them."""
+    return duality_lp._certificate(duality_lp._certificate_rows(g, beta, cls), beta, cls)
+
+
 def reference_upper_bound(G, beta, cls, k_lo, k_hi, tol_k):
     """The bisection with a fresh certificate LP at every midpoint; its final k_hi."""
     g = duality_lp._grid_samples(G, beta)
 
     def certify(k):
-        return duality_lp._certificate(g + 1.0 / k, beta, cls)
+        return certificate_at(g + 1.0 / k, beta, cls)
 
     assert certify(k_hi) is not None and certify(k_lo) is None
     return _bisect(certify, k_lo, k_hi, tol_k)[1]
@@ -235,7 +240,7 @@ class TestCertifiedSlope:
         D = duality_lp._certificate_rows(np.ones_like(g), beta, cls)
         k_scan = KNOWN_SINGLE_FREQ[(name, cls)][0]
         for factor in (1.0005, 1.01, 1.2):
-            cert = duality_lp._certificate(g + 1.0 / (factor * k_scan), beta, cls)
+            cert = certificate_at(g + 1.0 / (factor * k_scan), beta, cls)
             assert cert is not None
             k = duality_lp._certified_slope(A, D, cert.lambdas)
             assert abs(float(np.max((A + D / k) @ cert.lambdas))) <= 1e-14
@@ -304,10 +309,10 @@ class TestRowGeneration:
         certified = 0
         for name, cls, k in cases:
             g = duality_lp._grid_samples(plants[name], beta)
-            generated = duality_lp._certificate(g + 1.0 / k, beta, cls)
+            generated = certificate_at(g + 1.0 / k, beta, cls)
             with monkeypatch.context() as patched:
                 patched.setattr(duality_lp, "generate_rows", full)
-                dense = duality_lp._certificate(g + 1.0 / k, beta, cls)
+                dense = certificate_at(g + 1.0 / k, beta, cls)
             assert (generated is None) == (dense is None), (name, cls, k)
             if dense is None:
                 continue
@@ -326,7 +331,7 @@ class TestRowGeneration:
         # the LP, so the certificate settled no bisection midpoint
         beta, k = 60, 1.01 * KNOWN_SINGLE_FREQ[("ex2", ODD)][0]
         g = duality_lp._grid_samples(plants["ex2"], beta)
-        cert = duality_lp._certificate(g + 1.0 / k, beta, ODD)
+        cert = certificate_at(g + 1.0 / k, beta, ODD)
         weights = cert.lambdas[cert.lambdas > 0.0]
         assert np.min(weights) > 1e-12 * np.max(weights)
         A = duality_lp._certificate_rows(g, beta, ODD)

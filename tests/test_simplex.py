@@ -2,13 +2,15 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zflim import duality_lp, simplex
+from zflim import cli, duality_lp, simplex, zf_search
 from zflim.errors import LpNumericalFailure
 from zflim.lti_core import frequency_response, shift_by_inverse_gain
+from zflim.plants import BUILTIN, dump_plant
 from zflim.rational_core import MONOTONE, ODD
 from zflim.simplex import generate_rows, simplex_max_leq
 
@@ -357,3 +359,56 @@ def test_stalled_warm_resolve_restarts_cold(monkeypatch):
     sol, active = generate_rows(c, A, b, 0.0)
     assert budgets and all(maxiter == 4 * rows for maxiter, rows in budgets)
     assert sol.objective == pytest.approx(simplex_max_leq(c, A, b).objective, abs=1e-9)
+
+
+class TestResidualCheck:
+    """`generate_rows` re-checks every active row against the x it returns."""
+
+    def test_drifted_solution_raises(self, monkeypatch):
+        c, A, b = _game(np.random.default_rng(7))
+        solve = simplex.Tableau.solve
+
+        def drifting(scale):
+            def solved(self, *args, **kwargs):
+                sol = solve(self, *args, **kwargs)
+                sol.x = sol.x * scale  # every binding row A_i x = b_i now breaks
+                return sol
+
+            return solved
+
+        monkeypatch.setattr(simplex.Tableau, "solve", drifting(1.0 + 1e-12))
+        assert generate_rows(c, A, b, 1e-9)[0].status == "optimal"
+        monkeypatch.setattr(simplex.Tableau, "solve", drifting(1.0 + 1e-6))
+        with pytest.raises(LpNumericalFailure, match="active row"):
+            generate_rows(c, A, b, 1e-9)
+
+    def test_bound_never_fires_on_analyze_runs(self, monkeypatch, tmp_path):
+        # the 12 bundled pairs at lp-beta 60 (TestAnalyze runs them at the
+        # default 210) and 8 random plants of both classes; every returned x
+        # keeps its active rows within half the bound
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import random_plant
+
+        ratios = []
+
+        def checked(c, A, b, tol, fixed=None, feas=simplex._TOL):
+            sol, active = generate_rows(c, A, b, tol, fixed, feas)
+            scale = np.abs(A[active]) @ sol.x + np.abs(b[active])
+            bound = 10.0 * (feas + simplex._TOL * scale)
+            ratios.append(np.max((A[active] @ sol.x - b[active]) / bound))
+            return sol, active
+
+        monkeypatch.setattr(zf_search, "generate_rows", checked)
+        monkeypatch.setattr(duality_lp, "generate_rows", checked)
+        plants = [["--example", name] for name in sorted(BUILTIN)]
+        for seed in range(1, 9):
+            path = tmp_path / f"rand{seed}.json"
+            path.write_text(dump_plant(random_plant(np.random.default_rng(seed), str(seed))))
+            plants.append(["--plant", str(path)])
+        for plant in plants:
+            for cls in (MONOTONE, ODD):
+                code = cli.main(["analyze", *plant, "--class", cls, "--lp-beta", "60",
+                                 "--out", str(tmp_path / "report.json")])
+                assert code in (cli.EXIT_OK, cli.EXIT_BRACKET), (plant, cls)
+        assert len(ratios) > 150
+        assert max(ratios) <= 0.5

@@ -350,14 +350,6 @@ def reference_lower_bound(G, config, cls, k_lo, k_hi, tol_k):
     return _bisect(fails, k_lo, k_hi, tol_k)[:2]
 
 
-def grid_margin(G, config, h, k):
-    """Smallest search-grid margin Re{M (G + 1/k)} - EPS_POS (1 + |G + 1/k|) of taps h."""
-    w = zf_search._search_grid(config.grid_size)
-    g = frequency_response(G, w) + 1.0 / k
-    m = FirMultiplier(tap_dict(h), ODD).response(w)
-    return float(np.min((m * g).real - zf_search.EPS_POS * (1.0 + np.abs(g))))
-
-
 def taps_of(mult, n_z):
     return np.array([mult.taps.get(i, 0.0) for i in list(range(-n_z, 0)) + list(range(1, n_z + 1))])
 
@@ -391,25 +383,51 @@ class TestWitnessReach:
     @pytest.mark.parametrize("name, cls", [
         ("ex1", ODD), ("ex2", MONOTONE), ("ex3", MONOTONE), ("ex5", ODD), ("ex6", ODD),
     ])
-    def test_reach_is_the_grid_margin_limit(self, plants, monkeypatch, name, cls):
+    def test_reach_is_the_whole_circle_limit(self, plants, name, cls):
         config = SearchConfig(n_z=8)
         k_scan = KNOWN_SINGLE_FREQ[(name, cls)][0]
-        num, den = plants[name].num, plants[name].den
-        step, reach = zf_search._search(plants[name], config, cls)
+        k_hi = 1e3 * k_scan
+        G = plants[name]
+        num, den = G.num, G.den
+        w = np.linspace(0.0, math.pi, 2**16)
+        g = frequency_response(G, w)
+        step, reach = zf_search._search(G, config, cls)
         for factor in (0.5, 0.9, 0.99):
             mult = step(1.0 / (factor * k_scan))
             assert mult is not None
-            proven = reach(1e3 * k_scan)
-            with monkeypatch.context() as m:
-                m.setattr(zf_search, "_circle_min", lambda *args: 0.0)
-                r = reach(1e3 * k_scan)
-            assert factor * k_scan * (1 - 1e-9) <= r < 1e3 * k_scan
+            r = reach(k_hi)
+            assert factor * k_scan * (1 - 1e-9) <= r < k_hi
             h = taps_of(mult, config.n_z)
-            assert grid_margin(plants[name], config, h, r) >= -1e-12
-            assert grid_margin(plants[name], config, h, r * (1 + 1e-6)) < 0.0
-            # the reach counts only where the whole circle proves it
-            holds = zf_search._circle_min(h, (num + den.scale(1.0 / r)).coeffs, den.coeffs) >= 0.0
-            assert proven == (r if holds else 0.0)
+
+            def circle_min(k):
+                return zf_search._circle_min(h, (num + den.scale(1.0 / k)).coeffs, den.coeffs)
+
+            # a reach counts only where the whole circle proves it, and it is tight
+            assert circle_min(r) >= 0.0
+            if r < np.nextafter(k_hi, 0.0):
+                assert circle_min(r * (1 + 1e-6)) < 0.0
+            m = FirMultiplier(tap_dict(h), ODD).response(w)
+            dense = float(np.max(-(m * g).real / m.real))
+            assert zf_search._circle_shift(h, num.coeffs, den.coeffs) >= dense
+
+    @pytest.mark.parametrize("name, cls", sorted(KNOWN_SINGLE_FREQ))
+    def test_weighted_lp_keeps_grid_feasibility(self, plants, name, cls):
+        # weighting the margin by Re{M} > 0 moves the vertex, never the verdict
+        config = SearchConfig(n_z=8)
+        k_scan = KNOWN_SINGLE_FREQ[(name, cls)][0]
+        w = zf_search._search_grid(config.grid_size)
+        idx = np.concatenate([np.arange(-config.n_z, 0), np.arange(1, config.n_z + 1)])
+        basis = np.exp(-1j * np.outer(w, idx))
+        g = frequency_response(plants[name], w)
+        ones = np.ones(w.size)
+        h = zf_search._grid_lp(basis, g + 2.0 / k_scan, ones, cls)
+        for factor in (0.5, 0.9, 0.99, 1.01):
+            weight = (1.0 - basis @ h).real
+            assert weight.min() >= zf_search.DELTA_NORM
+            weighted = zf_search._grid_lp(basis, g + 1.0 / (factor * k_scan), weight, cls)
+            plain = zf_search._grid_lp(basis, g + 1.0 / (factor * k_scan), ones, cls)
+            assert (weighted is None) == (plain is None), factor
+            h = h if weighted is None else weighted
 
     def test_reach_stays_below_k_hi(self, plants):
         step, reach = zf_search._search(plants["ex2"], SearchConfig(n_z=5), MONOTONE)
@@ -417,7 +435,7 @@ class TestWitnessReach:
         assert reach(2.0) == np.nextafter(2.0, 0.0)
 
     def test_search_count_guard(self, plants, monkeypatch):
-        # 206 searches when every midpoint ran its own search
+        # 206 searches when every midpoint ran its own search, 136 with the grid-margin reach
         searches = []
         search = zf_search._search
 
@@ -434,7 +452,7 @@ class TestWitnessReach:
         config = SearchConfig(n_z=8)
         for (name, cls) in sorted(KNOWN_SINGLE_FREQ):
             bisect_lower_bound(plants[name], config, cls, *analyze_bracket(plants[name], cls), 1e-4)
-        assert len(searches) <= 150
+        assert len(searches) <= 100
 
     @pytest.mark.parametrize("name, cls", [("ex1", ODD), ("ex5", ODD), ("ex6", MONOTONE)])
     def test_no_search_at_a_settled_midpoint(self, plants, monkeypatch, name, cls):
