@@ -2,8 +2,9 @@
 
 Given a stable LTI plant in feedback with a slope-restricted (optionally
 odd) memoryless nonlinearity, this package brackets the largest slope for
-which a suitable FIR multiplier exists: a grid-LP primal search from below,
-and closed-form phase limitations plus LP duality certificates from above.
+which a suitable FIR multiplier exists: a primal search from below, an LP
+whose positivity is proved on the whole unit circle, and closed-form phase
+limitations plus LP duality certificates from above.
 """
 
 from .errors import (

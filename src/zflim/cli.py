@@ -34,7 +34,7 @@ from .rational_core import (
     RationalFrequency,
     construct_tight_multiplier,
 )
-from .zf_search import DEFAULT_GRID_SIZE, SearchConfig, bisect_lower_bound, find_multiplier
+from .zf_search import SearchConfig, bisect_lower_bound, find_multiplier
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
@@ -43,7 +43,7 @@ EXIT_PARSE = 3
 EXIT_BRACKET = 4
 EXIT_CHAIN = 5
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CHAIN_SLACK = 1e-6
 
 
@@ -56,7 +56,6 @@ class AnalysisReport:
     k_nyquist: float = math.inf
     k_lower: float = math.inf
     k_lower_n_z: Optional[int] = None
-    k_lower_grid: Optional[int] = None
     k_upper_single: float = math.inf
     witness_alpha: Optional[int] = None
     witness_beta: Optional[int] = None
@@ -86,7 +85,6 @@ class AnalysisReport:
             "k_lower": {
                 "value": self.k_lower,
                 "n_z": self.k_lower_n_z,
-                "grid": self.k_lower_grid,
             },
             "k_upper_single": {
                 "value": self.k_upper_single,
@@ -235,7 +233,7 @@ def cmd_search(args) -> int:
     tf = record.tf()
     if args.k is not None:
         tf = shift_by_inverse_gain(tf, args.k)
-    config = SearchConfig(n_z=args.nz, grid_size=args.grid)
+    config = SearchConfig(n_z=args.nz)
     mult = find_multiplier(tf, config, args.class_tag)
     if mult is None:
         print(f"{record.name}: no multiplier found (n_z={args.nz}, class={args.class_tag})")
@@ -313,9 +311,8 @@ def cmd_analyze(args) -> int:
         report.note = "passive regime: no finite upper bound, any slope admits the trivial multiplier"
         report.k_lower = math.inf
     else:
-        config = SearchConfig(n_z=args.nz, grid_size=args.grid)
+        config = SearchConfig(n_z=args.nz)
         report.k_lower_n_z = args.nz
-        report.k_lower_grid = args.grid
         t0 = time.perf_counter()
         try:
             report.k_lower = bisect_lower_bound(
@@ -369,7 +366,7 @@ def _print_report(r: AnalysisReport):
     print(f"plant            {r.plant_name}")
     print(f"class            {r.class_tag}")
     print(f"k_nyquist        {_fmt(r.k_nyquist)}")
-    print(f"k_lower          {_fmt(r.k_lower)}  (n_z={r.k_lower_n_z}, grid={r.k_lower_grid})")
+    print(f"k_lower          {_fmt(r.k_lower)}  (n_z={r.k_lower_n_z})")
     print(f"k_upper_single   {_fmt(r.k_upper_single)}  at {wit}")
     print(f"k_upper_lp       {_fmt(r.k_upper_lp)}  (beta={r.lp_beta})")
     print(f"dual_gap         {gap}")
@@ -390,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-max", type=int, default=DEFAULT_BETA_MAX)
     p.add_argument("--lp-beta", type=int, default=210)
     p.add_argument("--nz", type=int, default=8)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--tol-k", type=float, default=1e-4)
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
@@ -413,12 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("search", help="FIR multiplier search on a frequency grid")
+    p = sub.add_parser("search", help="FIR multiplier search, positive on the whole circle")
     _add_plant_args(p)
     _class_arg(p)
     p.add_argument("--k", type=float, help="slope; the plant is shifted to G + 1/k first")
     p.add_argument("--nz", type=int, default=8)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 

@@ -55,15 +55,17 @@ def _certificate_rows(g: np.ndarray, beta: int, class_tag: str) -> np.ndarray:
     """Constraint rows for i = 0..2*beta-1 from the samples g at r*pi/beta.
 
     Row i of the first block is Re{(1 - e^{-j*omega_r*i}) g_r}; the odd class
-    appends a second block with 1 + e^{-j*omega_r*i}.  Rows repeat with
-    period 2*beta in i.
+    appends a second block with 1 + e^{-j*omega_r*i}.  Both come from one
+    cos/sin table, Re{(1 -+ e^{-j*theta}) g} = (1 -+ cos theta) Re g -+
+    sin theta Im g, so g = 1 gives the rows of the constant exactly.  Rows
+    repeat with period 2*beta in i.
     """
-    i = np.arange(2 * beta)[:, None]
-    phases = np.exp(-1j * _grid(beta)[None, :] * i)
-    v_minus = ((1.0 - phases) * g[None, :]).real
+    theta = np.arange(2 * beta)[:, None] * _grid(beta)[None, :]
+    cos, sin = np.cos(theta), np.sin(theta)
+    v_minus = (1.0 - cos) * g.real - sin * g.imag
     if class_tag == MONOTONE:
         return v_minus
-    return np.vstack([v_minus, ((1.0 + phases) * g[None, :]).real])
+    return np.vstack([v_minus, (1.0 + cos) * g.real + sin * g.imag])
 
 
 def _certified_slope(A: np.ndarray, D: np.ndarray, lambdas: np.ndarray) -> float:
@@ -81,20 +83,27 @@ def certificate_residual(G_tilde: TransferFunction, cert: DualityCertificate) ->
     return float(np.max(W @ cert.lambdas))
 
 
-def _slope_rows(beta: int, class_tag: str) -> np.ndarray:
-    """The rows of the constant 1, Re{1 -+ e^{-j*omega_r*i}} = 1 -+ cos(omega_r*i),
-    in the layout of `_certificate_rows`, built from real arrays."""
-    cos = np.cos(np.arange(2 * beta)[:, None] * _grid(beta)[None, :])
-    return 1.0 - cos if class_tag == MONOTONE else np.vstack([1.0 - cos, 1.0 + cos])
-
-
 def _certificate(W: np.ndarray, beta: int, class_tag: str) -> Optional[DualityCertificate]:
     """The certificate LP on the rows W of `_certificate_rows` (see `lp_certificate`)."""
     W_lp = W[1:]  # drop the all-zero i = 0 row
     m, n = W_lp.shape
     shift = 1.0 - float(W_lp.min())
-    # rows held to rounding level (b = 1) keep rounding-level weights below 1e-12 of the largest
-    sol, _ = generate_rows(np.ones(n), W_lp + shift, np.ones(m), 1e-14, feas=1e-14)
+    A, b = W_lp + shift, np.ones(m)
+    # seed every (m // 64)-th row and the last; every row when m < 256, where
+    # rounds cost more than they skip
+    active = np.zeros(m, dtype=bool)
+    active[np.arange(0, m, m // 64 if m >= 256 else 1)] = active[-1] = True
+
+    def worst_rows(x):
+        """The 24 rows x violates most, beyond rounding level (b = 1)."""
+        violations = np.where(active, -np.inf, A @ x - b)
+        worst = np.argsort(violations)[-24:]
+        worst = worst[violations[worst] > 1e-14]
+        active[worst] = True
+        return A[worst], b[worst]
+
+    # rows held to rounding level keep rounding-level weights below 1e-12 of the largest
+    sol, _, _ = generate_rows(np.ones(n), A[active], b[active], worst_rows, feas=1e-14)
     if sol.status != "optimal":
         raise LpNumericalFailure(f"certificate LP ended with status {sol.status}")
     x = np.maximum(sol.x, 0.0)
@@ -157,10 +166,9 @@ def bisect_upper_bound(
     must not at k_lo.  G is sampled and its rows built once: slope k runs
     the certificate LP on the rows of g + 1/k, W(k) = A + D/k, with A the
     rows of G and D those of the constant 1, Re{(1 -+ e^{-j*omega_r*i})} =
-    1 -+ cos(omega_r*i) >= 0 (`_slope_rows`).  So weights
-    lambda >= 0 keep every row non-positive exactly at the slopes
-    k >= k(lambda) = max_i D_i lambda / (-A_i lambda) (`_certified_slope`):
-    the added term D lambda/k is non-negative and falls as k grows.  Each
+    1 -+ cos(omega_r*i) >= 0.  So weights lambda >= 0 keep every row
+    non-positive exactly at the slopes k >= k(lambda) = max_i D_i lambda /
+    (-A_i lambda) (`_certified_slope`): the added term D lambda/k is non-negative and falls as k grows.  Each
     certificate found settles, without an LP, every midpoint at or above the
     smallest k(lambda) found so far, and that k(lambda) is returned when it is
     below the bisection's final k_hi; both bracket ends still run their own LP.
@@ -170,7 +178,7 @@ def bisect_upper_bound(
         raise ValueError(f"unknown class tag {class_tag!r}")
     g = _grid_samples(G, beta)
     A = _certificate_rows(g, beta, class_tag)
-    D = _slope_rows(beta, class_tag)
+    D = _certificate_rows(np.ones(g.size), beta, class_tag)
     best = math.inf  # the smallest k(lambda) of the certificates found so far
 
     def certify(k):

@@ -1,10 +1,9 @@
 """Condensed dense-tableau simplex for small linear programs, re-optimised after added rows.
 
-Solves  max c@x  s.t.  A x <= b,  x >= 0  with b >= 0, so the slack basis is
-feasible and no artificial variables are needed.  Both LP consumers in this
-package (duality certificates and the multiplier search) are formulated to
-fit this shape: certificate programs via a positive shift of the game
-matrix, the search via a shifted margin variable.
+Solves  max c@x  s.t.  A x <= b,  x >= 0, starting from the slack basis; no
+artificial variables are needed.  When b >= 0 that basis is feasible and the
+primal rule alone runs; a negative b_i is put right by the dual rule below,
+with the costs shifted.
 
 The tableau keeps only the columns of the n nonbasic variables and the
 right-hand side, with the reduced costs as its last row (the dictionary of
@@ -23,14 +22,13 @@ The reduced costs do not change, so the basis stays dual feasible, and dual
 simplex pivots restore feasibility before the primal rule cleans up: leave
 on the most negative rhs, enter on the largest |T[r, j]| with
 red_j / |T[r, j]| within _TOL of the minimum (Harris, Math. Prog. 5, 1973;
-the plain minimum ratio cycled on dual degenerate rounds).  Rounding can
-drift a reduced cost below -_TOL during these pivots; the dual rule then
-shifts the costs, clamping the reduced costs at 0, and once the rhs is
-feasible the true costs are restored, red = c[basis] @ T[:m, :n] -
-c[nonbasic] with c = 0 on slacks (cost shifting, Koberstein, The dual
-simplex method, 2005, ch. 4).  Both rules share one pivot; on a fresh
-tableau, b >= 0 leaves the dual rule idle.  `generate_rows` solves an LP
-with many rows this way, adding only the violated ones.
+the plain minimum ratio cycled on dual degenerate rounds).  When a reduced
+cost is below -_TOL (rounding during these pivots, or a fresh tableau with
+c > 0 and some b < 0) the dual rule shifts the costs, clamping the reduced
+costs at 0, and once the rhs is feasible the true costs are restored, red =
+c[basis] @ T[:m, :n] - c[nonbasic] with c = 0 on slacks (cost shifting,
+Koberstein, The dual simplex method, 2005, ch. 4).  Both rules share one
+pivot.  `generate_rows` solves an LP whose rows an oracle supplies this way.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ _TOL = 1e-9
 
 @dataclass
 class LpSolution:
-    status: str  # "optimal", "unbounded", or "infeasible" after added rows
+    status: str  # "optimal", "unbounded" or "infeasible"
     x: Optional[np.ndarray]
     objective: Optional[float]
     iterations: int
@@ -67,8 +65,6 @@ class Tableau:
             raise ValueError("inconsistent LP dimensions")
         if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("LP data must be finite")
-        if np.any(b < 0.0):
-            raise ValueError("this solver requires b >= 0")
         self.c = c
         self.T = np.zeros((m + 1, n + 1))
         self.T[:m, :n] = A
@@ -111,7 +107,7 @@ class Tableau:
         self.basis[r], self.nonbasic[j] = self.nonbasic[j], self.basis[r]
 
     def solve(self, maxiter: int = 100000, feas: float = _TOL) -> LpSolution:
-        """Optimise from the current basis, which must be primal or dual feasible.
+        """Optimise from the current basis.
 
         Dual pivots run while some rhs < -feas; x reads off the rhs, so its
         rows hold to about feas.  Raises LpNumericalFailure when ``maxiter``
@@ -168,50 +164,45 @@ class Tableau:
 
 
 def simplex_max_leq(c, A, b, maxiter: int = 100000) -> LpSolution:
-    """Maximise c@x s.t. A x <= b, x >= 0; status "optimal" (x, objective) or "unbounded".
+    """Maximise c@x s.t. A x <= b, x >= 0; status "optimal" (x, objective),
+    "unbounded" or "infeasible".
 
     The solution carries its `Tableau`, which can take rows and re-solve.
-    Raises ValueError for inconsistent shapes, non-finite data or b < 0, and
+    Raises ValueError for inconsistent shapes or non-finite data, and
     LpNumericalFailure when ``maxiter`` pivots reach no optimum.
     """
     return Tableau(c, A, b).solve(maxiter)
 
 
-def generate_rows(c, A, b, tol, fixed=None, feas=_TOL):
-    """Maximise c@x s.t. A x <= b, x >= 0 from every (m // 64)-th row of A and
-    the last (b >= 0 there; every row when m < 256, where rounds cost more than
-    they skip), then ``fixed = (A_f, b_f)``, appending the 24 rows x violates
-    most, by more than ``tol``, and re-solving warm (`Tableau.solve` with
-    ``feas``) until none is; a re-solve past 4 pivots per row (dual degenerate
-    rounds stall) restarts cold on the same rows.  Returns the solution and
-    the indices of the rows of A it holds; raises LpNumericalFailure when x
-    breaks an active row of A by more than ten times feas + _TOL (|A_i| x +
-    |b_i|), which rounding in the pivots does not reach."""
-    m = b.size
+def generate_rows(c, A, b, more, fixed=None, feas=_TOL):
+    """Maximise c@x s.t. A x <= b, the rows that ``more`` adds, and ``fixed =
+    (A_f, b_f)``, x >= 0.  Solves on A, b and fixed, then appends the rows
+    ``more(x) -> (A_new, b_new)`` returns for the optimal x and re-solves warm
+    (`Tableau.solve` with ``feas``) until it returns none; a re-solve past 4
+    pivots per row (dual degenerate rounds stall) restarts cold on the same
+    rows.  Returns the solution and the rows it holds, fixed left out; raises
+    LpNumericalFailure when x breaks one of those rows by more than ten times
+    feas + _TOL (|A_i| x + |b_i|), which rounding in the pivots does not
+    reach.  The fixed rows are not checked, so their caller can."""
     A_f, b_f = (A[:0], b[:0]) if fixed is None else fixed
 
-    def cold(rows):
-        return simplex_max_leq(c, np.vstack([A[rows], A_f]), np.append(b[rows], b_f))
+    def cold():
+        return simplex_max_leq(c, np.vstack([A, A_f]), np.append(b, b_f))
 
-    active = np.unique(np.append(np.arange(0, m, m // 64 if m >= 256 else 1), m - 1))
-    sol = cold(active)
+    sol = cold()
     while sol.status == "optimal":
-        violations = A @ sol.x - b
-        held = violations[active]
         # x holds its rows to feas, and to _TOL relative to |A_i| x + |b_i| for
         # rounding in the pivots; past ten times that the tableau has drifted
-        scale = np.abs(A[active]) @ sol.x + np.abs(b[active])
-        if np.any(held > 10.0 * (feas + _TOL * scale)):
+        held = A @ sol.x - b
+        if np.any(held > 10.0 * (feas + _TOL * (np.abs(A) @ sol.x + np.abs(b)))):
             raise LpNumericalFailure(f"an active row is violated by {float(held.max())!r}")
-        violations[active] = -np.inf
-        worst = np.argsort(violations)[-24:]
-        worst = worst[violations[worst] > tol]
-        if worst.size == 0:
+        A_new, b_new = more(sol.x)
+        if b_new.size == 0:
             break
-        active = np.unique(np.concatenate([active, worst]))
-        sol.tableau.add_rows(A[worst], b[worst])
+        A, b = np.vstack([A, A_new]), np.append(b, b_new)
+        sol.tableau.add_rows(A_new, b_new)
         try:
-            sol = sol.tableau.solve(4 * active.size, feas)
+            sol = sol.tableau.solve(4 * b.size, feas)
         except LpNumericalFailure:
-            sol = cold(active)
-    return sol, active
+            sol = cold()
+    return sol, A, b

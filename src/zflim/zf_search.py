@@ -1,15 +1,16 @@
 """Primal search for an FIR multiplier certifying positivity on the unit circle.
 
-Feasibility of Re{M(e^{jw}) G(e^{jw})} > 0 over a dense grid is a linear
-program in the taps.  Grid feasibility is necessary but not sufficient, so a
-found multiplier is accepted only when one root solve proves its positivity
-on the whole circle (`_circle_min`).  The LP is solved by row generation
-(`simplex.generate_rows`), as only a few dozen grid rows ever bind.  A
-bisection builds the grid, the tap basis and the samples of G once; each
-slope k only shifts the samples to g + 1/k.  Taps found at one slope settle
-every smaller slope up to their reach without another search: the exact
-slope at which they stay positive on the whole circle, a ratio of
-trigonometric polynomials maximised by one more root solve
+Positivity of Re{M(e^{jw}) G(e^{jw})} for all w is a semi-infinite LP in the
+taps, solved by the exchange method (Kelley, 1960; Hettich and Kortanek,
+SIAM Rev. 35, 1993): the LP on SEED_SIZE equispaced frequencies, re-solved
+warm (`simplex.generate_rows`) with rows at the negative local minima of
+p = Re{M num conj(den)} over the whole circle, which one root solve of p'
+finds, until p has none (positivity is proved on the whole circle) or the
+margin is negative (no taps of the class exist).  A bisection samples G at
+the seed once, each slope k shifting the samples to g + 1/k.  Taps found at
+one slope settle every smaller slope up to their reach without another
+search: the exact slope at which they stay positive on the whole circle, a
+ratio of trigonometric polynomials maximised by one more root solve
 (`_circle_shift`).  Each search after the first weights its margin by the
 last taps' Re{M}, so the taps it finds reach further past its slope.
 """
@@ -25,13 +26,14 @@ import numpy as np
 from .errors import BracketInvalid, LpNumericalFailure, NotStable
 from .lti_core import Polynomial, TransferFunction, frequency_response, is_stable
 from .lti_core import _bisect, _check_bracket, _companion_roots
-from .phase_limits import coprime_pairs
 from .rational_core import CLASS_TAGS, MONOTONE, FirMultiplier
 from .simplex import generate_rows, simplex_max_leq  # noqa: F401 (perfbench traces this binding)
 
-RATIONAL_AUGMENT_BETA = 12
-DEFAULT_GRID_SIZE = 2000
-# required positivity margin, relative to 1 + |G|, on the search grid
+# equispaced frequencies in [0, pi] the exchange starts from
+SEED_SIZE = 64
+# required margin, relative to 1 + |G|, at each frequency of the LP: acceptance
+# asks only p >= 0, and this buffer keeps the frequencies each round adds apart
+# from those already held, so the exchange stops in finitely many rounds
 EPS_POS = 1e-7
 # the taps' l1 norm is capped at 1 - DELTA_NORM
 DELTA_NORM = 1e-6
@@ -41,19 +43,13 @@ REACH_BACKOFF = 1e-9
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Tap range and grid size for the multiplier search."""
+    """Tap range for the multiplier search: taps at -n_z..-1, 1..n_z."""
 
     n_z: int
-    grid_size: int = DEFAULT_GRID_SIZE
 
     def __post_init__(self):
-        if self.n_z < 1 or self.grid_size < 2:
-            raise ValueError(f"need n_z >= 1 and grid_size >= 2, got {self.n_z}, {self.grid_size}")
-
-
-def _search_grid(grid_size: int) -> np.ndarray:
-    rational = [rf.omega for rf in coprime_pairs(RATIONAL_AUGMENT_BETA)]
-    return np.unique(np.concatenate([np.linspace(0.0, math.pi, grid_size), rational]))
+        if self.n_z < 1:
+            raise ValueError(f"need n_z >= 1, got {self.n_z}")
 
 
 def _laurent(h: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -100,50 +96,22 @@ def _circle_shift(h: np.ndarray, num: np.ndarray, den: np.ndarray) -> float:
     return float(np.max(-_cos_sum(p, w) / _cos_sum(q, w)))
 
 
-def _grid_lp(basis: np.ndarray, g: np.ndarray, weight: np.ndarray, class_tag: str):
-    """Taps of the class in the l1 budget maximising the margin t with
-    Re{M g} - EPS_POS (1 + |g|) >= t weight at the samples g (`basis` holds
-    e^{-j w i} there), or None when that margin is negative; weight > 0."""
-    a = (basis * g[:, None]).real
-    b = g.real - EPS_POS * (1.0 + np.abs(g))
-    A = a if class_tag == MONOTONE else np.hstack([a, -a])
-    n_taps = A.shape[1]
-
-    # shift the free margin variable so the slack basis is feasible
-    shift = 1.0 + max(0.0, float(np.max(-b / weight)))
-    cost = np.zeros(n_taps + 1)
-    cost[n_taps] = 1.0
-
-    rows = np.column_stack((A, weight))  # the taps, then the margin
-    budget = (np.append(np.ones(n_taps), 0.0)[None, :], 1.0 - DELTA_NORM)  # the l1 budget
-    tol_violation = 1e-10 * max(1.0, float(np.max(np.abs(b))))
-    sol, _ = generate_rows(cost, rows, b + shift * weight, tol_violation, budget)
-    if sol.status != "optimal" or sol.objective - shift < 0.0:
-        return None
-
-    h_stack = sol.x[:n_taps]
-    h = h_stack if class_tag == MONOTONE else h_stack[: n_taps // 2] - h_stack[n_taps // 2 :]
-    norm = float(np.abs(h).sum())
-    if norm > 1.0:
-        raise LpNumericalFailure(f"search LP taps have l1 norm {norm!r} above 1")
-    return h
-
-
 def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     """The search step at a shift s of G and the reach of its last taps, from
-    one sampling of G on the search grid.  A slope k is s = 1/k (G + 1/k has
-    G's poles).
+    one sampling of G at the seed frequencies.  A slope k is s = 1/k (G + 1/k
+    has G's poles).
 
-    step(s) runs the grid LP (`_grid_lp`) on the samples g + s and accepts
-    its taps only when `_circle_min` proves Re{M (G + s)} >= 0 on the whole
-    circle.  The margin is weighted by Re{M_last} of the last accepted taps
-    (all ones before the first).  As Re{M_last} >= 1 - |h|_1 >= DELTA_NORM > 0,
-    the LP is feasible exactly when the unweighted one is; its vertex
-    maximises the margin normalised as Crouzeix, Ferland and Schaible (JOTA
-    47(1), 1985) normalise the Dinkelbach step (Mgmt. Sci. 13(7), 1967), so
-    its taps reach further past s.  Weighted taps that fail `_circle_min`
-    are searched once more unweighted.  It raises LpNumericalFailure when
-    the LP returns taps of l1 norm above 1.
+    step(s) maximises the margin t of the taps of the class in the l1 budget
+    1 - DELTA_NORM with Re{M g} - EPS_POS (1 + |g|) >= t Re{M_last} at the
+    frequencies held, g = G + s there, by the exchange method: it adds the
+    negative local minima of p = Re{M (G + s)} |den|^2 until there are none
+    (it accepts the taps) or t < 0 (it returns None).  Re{M_last} belongs
+    to the last accepted taps (all ones before the first); as Re{M_last} >=
+    1 - |h|_1 >= DELTA_NORM > 0, it moves the vertex but not the sign of the
+    margin: the vertex maximises the margin normalised as Crouzeix, Ferland
+    and Schaible (JOTA 47(1), 1985) normalise the Dinkelbach step (Mgmt.
+    Sci. 13(7), 1967), so its taps reach further past s.  It raises
+    LpNumericalFailure when the LP returns taps of l1 norm above 1.
 
     reach(k_hi) is 1/s* of the last accepted taps (`_circle_shift`), backed
     off by REACH_BACKOFF and capped below k_hi, and counts only where
@@ -152,28 +120,59 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
         raise ValueError(f"unknown class tag {class_tag!r}")
     if not is_stable(G):
         raise NotStable("multiplier search requires a stable plant")
-    w = _search_grid(config.grid_size)
+    w_seed = np.linspace(0.0, math.pi, SEED_SIZE)
+    g_seed = frequency_response(G, w_seed)
     idx = np.concatenate([np.arange(-config.n_z, 0), np.arange(1, config.n_z + 1)])
-    basis = np.exp(-1j * np.outer(w, idx))
-    g_grid = frequency_response(G, w)
+    n_taps = idx.size if class_tag == MONOTONE else 2 * idx.size
+    cost = np.append(np.zeros(n_taps), 1.0)  # the taps, then the margin
+    budget = (np.append(np.ones(n_taps), 0.0)[None, :], 1.0 - DELTA_NORM)  # the l1 budget
     num, den = G.num.coeffs, G.den.coeffs
-    ones = np.ones(w.size)
     last = None  # taps of the last accepted step
+
+    def rows(w, g):
+        """Rows a h + Re{M_last} t <= Re{g} - EPS_POS (1 + |g|) at the angles w."""
+        basis = np.exp(-1j * np.outer(w, idx))
+        a = (basis * g[:, None]).real
+        weight = np.ones(w.size) if last is None else (1.0 - basis @ last).real
+        A = a if class_tag == MONOTONE else np.hstack([a, -a])
+        return np.column_stack((A, weight)), g.real - EPS_POS * (1.0 + np.abs(g))
+
+    def taps(x):
+        return x[: idx.size] if class_tag == MONOTONE else x[: idx.size] - x[idx.size : n_taps]
 
     def step(s: float) -> Optional[FirMultiplier]:
         nonlocal last
-        g = g_grid + s
         shifted = (G.num + G.den.scale(s)).coeffs
-        for weight in [ones] if last is None else [(1.0 - basis @ last).real, ones]:
-            h = _grid_lp(basis, g, weight, class_tag)
-            if h is None:
-                return None
-            # sufficiency: p = Re{M (G + s)} |den|^2 on the whole circle
-            if _circle_min(h, shifted, den) >= 0.0:
-                last = h
-                taps = {int(i): float(v) for i, v in zip(idx, h) if v != 0.0}
-                return FirMultiplier(taps, class_tag)
-        return None
+        A, b = rows(w_seed, g_seed + s)
+        # the LP's variable is t + shift >= 0, so the slack basis is feasible on the seed
+        shift = 1.0 + max(0.0, float(np.max(-b / A[:, -1])))
+
+        def minima(x):
+            """Rows at the negative local minima of p over the whole circle, at
+            the angles of the roots of p' (`_circle_min`); none once t < 0."""
+            if x[-1] < shift:
+                return A[:0], b[:0]
+            c = _laurent(taps(x), shifted, den)
+            n = c.size // 2
+            w = np.unique(np.abs(_angles(np.arange(-n, n + 1) * c)))
+            p = _cos_sum(c, w)  # a negative local minimum is below its neighbouring angles
+            w = w[(p < 0.0) & (p <= np.append(p[1:], np.inf)) & (p <= np.append(np.inf, p[:-1]))]
+            if not w.size:
+                return A[:0], b[:0]
+            A_new, b_new = rows(w, frequency_response(G, w) + s)
+            return A_new, b_new + shift * A_new[:, -1]
+
+        sol, _, _ = generate_rows(cost, A, b + shift * A[:, -1], minima, budget)
+        if sol.status != "optimal":
+            return None
+        h = taps(sol.x)
+        norm = float(np.abs(h).sum())
+        if norm > 1.0:
+            raise LpNumericalFailure(f"search LP taps have l1 norm {norm!r} above 1")
+        if sol.x[-1] < shift:
+            return None
+        last = h
+        return FirMultiplier({int(i): float(v) for i, v in zip(idx, h) if v != 0.0}, class_tag)
 
     def reach(k_hi: float) -> float:
         s = _circle_shift(last, num, den)
@@ -192,10 +191,10 @@ def find_multiplier(
     """Multiplier of the class with Re{M G_tilde} >= 0 on the whole circle, or None.
 
     Maximises the positivity margin over taps with the class sign pattern
-    and an l1 budget of 1 - DELTA_NORM.  Success requires the margin to
-    clear EPS_POS * (1 + |G|) on the search grid and the minimum of
-    Re{M G_tilde} over the circle, found by one polynomial root solve, to
-    be non-negative.
+    and an l1 budget of 1 - DELTA_NORM at the frequencies the exchange
+    method holds (`_search`).  Success requires the margin to clear
+    EPS_POS * (1 + |G|) there and Re{M G_tilde} to have no negative local
+    minimum on the whole circle, which one polynomial root solve finds.
     """
     step, _ = _search(G_tilde, config, class_tag)
     return step(0.0)
@@ -212,7 +211,8 @@ def bisect_lower_bound(
     """Largest slope (within tol_k) at which a multiplier is found or proven.
 
     The caller establishes the bracket: the search must succeed at k_lo and
-    fail at k_hi.  G is sampled once; slope k searches at g + 1/k.  Taps
+    fail at k_hi.  G is sampled once at the seed frequencies, then at those
+    each exchange round adds; slope k searches at g + 1/k.  Taps
     accepted at one slope are valid at every smaller one: with s = 1/k and
     s' > s, Re{M (G + s')} = Re{M (G + s)} + (s' - s) Re{M}, and Re{M} >=
     1 - |h|_1 >= DELTA_NORM > 0, so Re{M (G + s)} rises on the whole circle.

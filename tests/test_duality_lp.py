@@ -137,7 +137,7 @@ class TestLpCertificate:
         k, _ = KNOWN_SINGLE_FREQ[("ex2", MONOTONE)]
         shifted = shift_by_inverse_gain(plants["ex2"], k * 1.001)
         assert lp_certificate(shifted, beta=8, class_tag=MONOTONE) is not None
-        config = SearchConfig(n_z=5, grid_size=800)
+        config = SearchConfig(n_z=5)
         assert find_multiplier(shifted, config, MONOTONE) is None
 
     def test_scaling_invariance(self, plants):
@@ -300,9 +300,6 @@ class TestRowGeneration:
         # k at 0.995-1.005x each scan bound and the two certify-deep slopes:
         # the same verdict and weights, and the same k(lambda) within tol_k
         # (at beta 60 every game has under 256 rows, so both solve all rows)
-        def full(c, A, b, tol, feas):
-            return simplex_max_leq(c, A, b), None
-
         cases = [(name, cls, f * k) for (name, cls), (k, _) in sorted(KNOWN_SINGLE_FREQ.items())
                  for f in (0.995, 0.999, 1.0, 1.001, 1.005)]
         cases += [("ex1", ODD, 13.46), ("ex1", ODD, 13.56)]
@@ -310,6 +307,11 @@ class TestRowGeneration:
         for name, cls, k in cases:
             g = duality_lp._grid_samples(plants[name], beta)
             generated = certificate_at(g + 1.0 / k, beta, cls)
+            W = duality_lp._certificate_rows(g + 1.0 / k, beta, cls)[1:]
+
+            def full(c, A, b, more, feas):  # the game on all rows, as `_certificate` shifts it
+                return simplex_max_leq(c, W + (1.0 - float(W.min())), np.ones(W.shape[0])), A, b
+
             with monkeypatch.context() as patched:
                 patched.setattr(duality_lp, "generate_rows", full)
                 dense = certificate_at(g + 1.0 / k, beta, cls)

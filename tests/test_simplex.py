@@ -42,9 +42,28 @@ def test_degenerate_rhs():
     assert sol.objective == pytest.approx(2.0)
 
 
-def test_rejects_negative_rhs():
-    with pytest.raises(ValueError):
-        simplex_max_leq(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
+def test_mixed_sign_rhs_matches_highs():
+    # a fresh tableau with some b < 0 starts on the dual rule with the costs
+    # shifted; optimal values must match HiGHS and infeasible LPs be detected
+    # (a budget row sum(x) <= b_0 > 0 keeps every LP bounded)
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(1993)
+    statuses = {"optimal": 0, "infeasible": 0}
+    for trial in range(600):
+        m, n = int(rng.integers(1, 25)), int(rng.integers(1, 20))
+        A = rng.normal(size=(m, n)) if trial % 2 else rng.integers(-3, 4, size=(m, n)).astype(float)
+        A = np.vstack([np.ones(n), A])
+        b = np.append(rng.uniform(1.0, 3.0), rng.normal(size=m))
+        c = rng.normal(size=n)
+        sol = simplex_max_leq(c, A, b)
+        ref = linprog(-c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+        statuses[sol.status] += 1
+        assert ref.status == {"optimal": 0, "infeasible": 2}[sol.status], trial
+        if sol.status == "optimal":
+            assert sol.objective == pytest.approx(-ref.fun, rel=1e-7, abs=1e-9), trial
+            assert np.all(A @ sol.x <= b + 1e-8), trial
+            assert np.all(sol.x >= 0.0), trial
+    assert min(statuses.values()) >= 150, statuses
 
 
 @pytest.mark.parametrize("where", ["c", "A", "b"])
@@ -123,9 +142,18 @@ def _certificate_game(plant, k, beta, class_tag):
 
 
 def test_pivot_sequence_degenerate_game(plants):
-    # 119x59 game at the LP bound itself, where many degenerate pivots tie
-    sol = simplex_max_leq(*_certificate_game(plants["ex2"], 3.8240401704199645, 60, MONOTONE))
+    # 119x59 game at the LP bound itself, where many degenerate pivots tie;
+    # rows Re{(1 - e^{-j w i}) g} by complex products, as they were pinned (the
+    # real-arithmetic rows of `_certificate_rows` differ by rounding, and the
+    # tie-breaking with them)
+    beta, k = 60, 3.8240401704199645
+    g = duality_lp._grid_samples(shift_by_inverse_gain(plants["ex2"], k), beta)
+    phases = np.exp(-1j * duality_lp._grid(beta)[None, :] * np.arange(2 * beta)[:, None])
+    W = ((1.0 - phases) * g[None, :]).real[1:]
+    sol = simplex_max_leq(np.ones(W.shape[1]), W + (1.0 - W.min()), np.ones(W.shape[0]))
     assert sol.iterations == 30
+    real = simplex_max_leq(*_certificate_game(plants["ex2"], k, beta, MONOTONE))
+    assert real.objective == pytest.approx(sol.objective, rel=1e-12)
 
 
 def test_pivot_sequence_steepest_edge(plants):
@@ -312,36 +340,68 @@ def _game(rng, integer=False):
     return np.ones(n), W - W.min() + 1.0, np.ones(m)
 
 
+def _seeded(A, b, tol):
+    """Every (m // 64)-th row and the last of A x <= b, an oracle that adds the
+    24 rows x violates most by more than tol, and the mask of the rows held."""
+    m = b.size
+    active = np.zeros(m, dtype=bool)
+    active[np.arange(0, m, m // 64)] = active[-1] = True
+
+    def worst_rows(x):
+        violations = np.where(active, -np.inf, A @ x - b)
+        worst = np.argsort(violations)[-24:]
+        worst = worst[violations[worst] > tol]
+        active[worst] = True
+        return A[worst], b[worst]
+
+    return A[active], b[active], worst_rows, active
+
+
 def test_generated_rows_reach_the_full_optimum():
     # games, real and integer (degenerate), with and without a fixed row; the
-    # seed rows stay active, rows are added, and every row holds at the end
+    # seed rows stay, the oracle's rows are added, and every row holds at the end
     rng = np.random.default_rng(1960)
     added = 0
     for trial in range(60):
         c, A, b = _game(rng, integer=trial % 2 == 1)
         m, n = A.shape
         fixed = (np.ones((1, n)), 1.0) if trial % 3 == 0 else None
-        sol, active = generate_rows(c, A, b, 1e-12, fixed)
+        A_seed, b_seed, more, active = _seeded(A, b, 1e-12)
+        sol, A_held, b_held = generate_rows(c, A_seed, b_seed, more, fixed)
         A_all, b_all = (A, b) if fixed is None else (np.vstack([A, fixed[0]]), np.append(b, 1.0))
         full = simplex_max_leq(c, A_all, b_all)
         assert sol.status == full.status == "optimal", trial
-        assert np.all(np.isin(np.arange(0, m, m // 64), active)), trial
-        assert m - 1 in active, trial
+        assert np.array_equal(A_held[: b_seed.size], A_seed), trial
+        assert b_held.size == np.count_nonzero(active), trial
         assert sol.objective == pytest.approx(full.objective, abs=1e-9), trial
         assert np.all(A_all @ sol.x <= b_all + 1e-9), trial
-        added += active.size > np.unique(np.append(np.arange(0, m, m // 64), m - 1)).size
+        added += b_held.size > b_seed.size
     assert added >= 30
 
 
-def test_small_lps_seed_every_row():
+def test_small_lps_seed_every_row(plants, monkeypatch):
+    # `_certificate` seeds every row of a game under 256 rows, which is then one
+    # cold solve, and every (m // 64)-th row and the last of a larger one
+    seeds = []
+
+    def spying(c, A, b, more, fixed=None, feas=simplex._TOL):
+        seeds.append(A)
+        return generate_rows(c, A, b, more, fixed, feas)
+
+    monkeypatch.setattr(duality_lp, "generate_rows", spying)
+    for beta, cls in [(60, ODD), (160, MONOTONE)]:
+        duality_lp.lp_certificate(shift_by_inverse_gain(plants["ex1"], 13.0), beta, cls)
+        _, A, _ = _certificate_game(plants["ex1"], 13.0, beta, cls)
+        m = A.shape[0]
+        rows = np.unique(np.append(np.arange(0, m, m // 64 if m >= 256 else 1), m - 1))
+        assert np.array_equal(seeds[-1], A[rows]), (beta, m)
     c, A, b = _game(np.random.default_rng(3))
-    sol, active = generate_rows(c, A[:255], b[:255], 0.0)
-    assert np.array_equal(active, np.arange(255))
-    assert sol.iterations == simplex_max_leq(c, A[:255], b[:255]).iterations
+    sol, _, _ = generate_rows(c, A, b, lambda x: (A[:0], b[:0]))
+    assert sol.iterations == simplex_max_leq(c, A, b).iterations
 
 
 def test_stalled_warm_resolve_restarts_cold(monkeypatch):
-    # a warm re-solve past 4 pivots per active row is redone cold on those rows
+    # a warm re-solve past 4 pivots per held row is redone cold on those rows
     budgets = []
     add_rows = simplex.Tableau.add_rows
 
@@ -356,13 +416,14 @@ def test_stalled_warm_resolve_restarts_cold(monkeypatch):
 
     monkeypatch.setattr(simplex.Tableau, "add_rows", stalling)
     c, A, b = _game(np.random.default_rng(5))
-    sol, active = generate_rows(c, A, b, 0.0)
+    A_seed, b_seed, more, _ = _seeded(A, b, 0.0)
+    sol, _, _ = generate_rows(c, A_seed, b_seed, more)
     assert budgets and all(maxiter == 4 * rows for maxiter, rows in budgets)
     assert sol.objective == pytest.approx(simplex_max_leq(c, A, b).objective, abs=1e-9)
 
 
 class TestResidualCheck:
-    """`generate_rows` re-checks every active row against the x it returns."""
+    """`generate_rows` re-checks every row it holds against the x it returns."""
 
     def test_drifted_solution_raises(self, monkeypatch):
         c, A, b = _game(np.random.default_rng(7))
@@ -377,10 +438,10 @@ class TestResidualCheck:
             return solved
 
         monkeypatch.setattr(simplex.Tableau, "solve", drifting(1.0 + 1e-12))
-        assert generate_rows(c, A, b, 1e-9)[0].status == "optimal"
+        assert generate_rows(c, *_seeded(A, b, 1e-9)[:3])[0].status == "optimal"
         monkeypatch.setattr(simplex.Tableau, "solve", drifting(1.0 + 1e-6))
         with pytest.raises(LpNumericalFailure, match="active row"):
-            generate_rows(c, A, b, 1e-9)
+            generate_rows(c, *_seeded(A, b, 1e-9)[:3])
 
     def test_bound_never_fires_on_analyze_runs(self, monkeypatch, tmp_path):
         # the 12 bundled pairs at lp-beta 60 (TestAnalyze runs them at the
@@ -391,12 +452,12 @@ class TestResidualCheck:
 
         ratios = []
 
-        def checked(c, A, b, tol, fixed=None, feas=simplex._TOL):
-            sol, active = generate_rows(c, A, b, tol, fixed, feas)
-            scale = np.abs(A[active]) @ sol.x + np.abs(b[active])
-            bound = 10.0 * (feas + simplex._TOL * scale)
-            ratios.append(np.max((A[active] @ sol.x - b[active]) / bound))
-            return sol, active
+        def checked(c, A, b, more, fixed=None, feas=simplex._TOL):
+            sol, A_held, b_held = generate_rows(c, A, b, more, fixed, feas)
+            if sol.status == "optimal":  # a search LP may be infeasible
+                bound = 10.0 * (feas + simplex._TOL * (np.abs(A_held) @ sol.x + np.abs(b_held)))
+                ratios.append(np.max((A_held @ sol.x - b_held) / bound))
+            return sol, A_held, b_held
 
         monkeypatch.setattr(zf_search, "generate_rows", checked)
         monkeypatch.setattr(duality_lp, "generate_rows", checked)

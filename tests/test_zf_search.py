@@ -1,4 +1,4 @@
-"""Grid-LP multiplier search, its warm-started rounds and the primal slope bisection."""
+"""Multiplier search by the exchange method, its warm-started rounds and the slope bisection."""
 
 import math
 from pathlib import Path
@@ -21,7 +21,7 @@ from zflim.lti_core import (
 )
 from zflim.phase_limits import scan_upper_bound
 from zflim.rational_core import MONOTONE, ODD, FirMultiplier
-from zflim.zf_search import DEFAULT_GRID_SIZE, SearchConfig, bisect_lower_bound, find_multiplier
+from zflim.zf_search import SearchConfig, bisect_lower_bound, find_multiplier
 
 
 def constant(value):
@@ -30,24 +30,24 @@ def constant(value):
 
 class TestSearchConfig:
     def test_validation(self):
-        for n_z, grid_size in [(0, 2000), (1, 1)]:
-            with pytest.raises(ValueError, match="n_z >= 1 and grid_size >= 2"):
-                SearchConfig(n_z=n_z, grid_size=grid_size)
+        for n_z in (0, -1):
+            with pytest.raises(ValueError, match="n_z >= 1"):
+                SearchConfig(n_z=n_z)
 
 
 class TestFindMultiplier:
     def test_passive_plant_trivial_multiplier(self):
-        m = find_multiplier(constant(1.0), SearchConfig(n_z=4, grid_size=400), MONOTONE)
+        m = find_multiplier(constant(1.0), SearchConfig(n_z=4), MONOTONE)
         assert m is not None
         assert m.taps == {}
 
     def test_negative_plant_has_none(self):
         for cls in (MONOTONE, ODD):
-            assert find_multiplier(constant(-1.0), SearchConfig(n_z=4, grid_size=400), cls) is None
+            assert find_multiplier(constant(-1.0), SearchConfig(n_z=4), cls) is None
 
     def test_ex2_below_limit_finds_multiplier(self, plants):
         shifted = shift_by_inverse_gain(plants["ex2"], 3.80)
-        m = find_multiplier(shifted, SearchConfig(n_z=5, grid_size=2000), MONOTONE)
+        m = find_multiplier(shifted, SearchConfig(n_z=5), MONOTONE)
         assert m is not None
         assert m.class_tag == MONOTONE
         assert all(v >= 0.0 for v in m.taps.values())
@@ -55,21 +55,21 @@ class TestFindMultiplier:
 
     def test_returned_multiplier_is_grid_positive(self, plants):
         shifted = shift_by_inverse_gain(plants["ex6"], 12.0)
-        config = SearchConfig(n_z=8, grid_size=1200)
+        config = SearchConfig(n_z=8)
         m = find_multiplier(shifted, config, MONOTONE)
         assert m is not None
-        w = np.linspace(0.0, math.pi, 10 * config.grid_size)
+        w = np.linspace(0.0, math.pi, 12000)
         vals = (m.response(w) * frequency_response(shifted, w)).real
         assert float(np.min(vals)) >= 0.0
 
     def test_odd_class_allows_signed_taps(self, plants):
         shifted = shift_by_inverse_gain(plants["ex3"], 1.05)
-        m = find_multiplier(shifted, SearchConfig(n_z=2, grid_size=1500), ODD)
+        m = find_multiplier(shifted, SearchConfig(n_z=2), ODD)
         assert m is not None
         assert m.class_tag == ODD
         assert m.l1_norm <= 1.0 - 1e-6 + 1e-12
         # oddness is required here: the monotone class cannot reach this slope
-        assert find_multiplier(shifted, SearchConfig(n_z=8, grid_size=1500), MONOTONE) is None
+        assert find_multiplier(shifted, SearchConfig(n_z=8), MONOTONE) is None
 
 
 class TestBisectLowerBound:
@@ -88,7 +88,7 @@ class TestBisectLowerBound:
     def test_passive_plant_rejects_bracket(self):
         with pytest.raises(BracketInvalid):
             bisect_lower_bound(
-                constant(1.0), SearchConfig(n_z=3, grid_size=300), MONOTONE,
+                constant(1.0), SearchConfig(n_z=3), MONOTONE,
                 k_lo=1.0, k_hi=10.0, tol_k=1e-2,
             )
 
@@ -164,12 +164,14 @@ class TestBisectLowerBound:
 class TestWarmStartedRounds:
     @pytest.mark.parametrize("name, cls", sorted(KNOWN_SINGLE_FREQ))
     def test_final_margin_matches_cold_solve(self, plants, monkeypatch, name, cls):
-        # each round appends rows to the solved tableau; the margin it ends
-        # with must be the optimum of a cold solve on the final active set
+        # each exchange round appends rows to the solved tableau; the margin
+        # every LP of a bisection ends with must be the optimum of a cold solve
+        # on its final rows, some of which can have a negative rhs (the LPs of
+        # ex4/monotone need no row beyond the seed, so there the check is of
+        # the seed solves alone)
         cold_solve, add_rows, solve = (
             simplex.simplex_max_leq, simplex.Tableau.add_rows, simplex.Tableau.solve)
         lps = {}  # tableau -> [c, A, b, latest solution]
-        added = []
 
         def recording(c, A, b, maxiter=100000):
             sol = cold_solve(c, A, b, maxiter)
@@ -179,7 +181,6 @@ class TestWarmStartedRounds:
         def appending(self, A, b):
             lp = lps[self]
             lp[1], lp[2] = np.vstack([lp[1], A]), np.concatenate([lp[2], b])
-            added.append(len(b))
             add_rows(self, A, b)
 
         def resolving(self, maxiter=100000, feas=simplex._TOL):
@@ -191,12 +192,58 @@ class TestWarmStartedRounds:
         monkeypatch.setattr(simplex, "simplex_max_leq", recording)
         monkeypatch.setattr(simplex.Tableau, "add_rows", appending)
         monkeypatch.setattr(simplex.Tableau, "solve", resolving)
-        k = 0.98 * KNOWN_SINGLE_FREQ[(name, cls)][0]
-        find_multiplier(shift_by_inverse_gain(plants[name], k), SearchConfig(n_z=8), cls)
-        [(c, A, b, warm)] = lps.values()
-        assert added
-        assert warm.status == "optimal"
-        assert warm.objective == pytest.approx(cold_solve(c, A, b).objective, abs=1e-9)
+        bisect_lower_bound(plants[name], SearchConfig(n_z=8), cls,
+                           *analyze_bracket(plants[name], cls), 1e-4)
+        assert lps
+        for c, A, b, warm in lps.values():
+            cold = cold_solve(c, A, b)
+            assert warm.status == cold.status
+            if warm.status == "optimal":
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+    def test_cold_restarts_give_the_same_results(self, plants, monkeypatch):
+        # every warm re-solve forced to restart cold: the same verdicts and
+        # margins, and the same k_lower from each bisection (taps need not
+        # match: ex6/monotone's margin has a degenerate optimum, and the two
+        # paths end on different vertices of it)
+        def margins():
+            out = []
+            for (name, cls), (k_scan, _) in sorted(KNOWN_SINGLE_FREQ.items()):
+                for factor in (0.5, 0.98, 0.999, 1.0):
+                    step, _ = zf_search._search(plants[name], SearchConfig(n_z=8), cls)
+                    out.append((step(1.0 / (factor * k_scan)) is None, margin[-1]))
+                out.append(bisect_lower_bound(plants[name], SearchConfig(n_z=8), cls,
+                                              *analyze_bracket(plants[name], cls), 1e-4))
+            return out
+
+        margin, restarts = [], []
+        generate_rows, add_rows = zf_search.generate_rows, simplex.Tableau.add_rows
+
+        def recording(*args):
+            sol, A, b = generate_rows(*args)
+            margin.append(sol.objective)
+            return sol, A, b
+
+        def stalling(self, A, b):
+            add_rows(self, A, b)
+
+            def solve(maxiter, feas):
+                restarts.append(maxiter)
+                raise LpNumericalFailure("forced cold restart")
+
+            self.solve = solve
+
+        monkeypatch.setattr(zf_search, "generate_rows", recording)
+        warm = margins()
+        monkeypatch.setattr(simplex.Tableau, "add_rows", stalling)
+        forced = margins()
+        assert len(restarts) > 20
+        for got, want in zip(forced, warm):
+            if isinstance(want, float):
+                assert got == want  # k_lower
+            else:
+                assert got[0] == want[0]
+                assert got[1] == want[1] or got[1] == pytest.approx(want[1], abs=1e-9)
 
     def test_dual_degenerate_rounds_terminate(self):
         # a random plant on which a plain minimum-ratio dual rule cycled: all
@@ -239,11 +286,6 @@ def horner_p(h, num, den, w):
     return (m * Polynomial(num)(z) * np.conj(Polynomial(den)(z))).real
 
 
-def horner_recheck(h, num, den):
-    # the re-check `_circle_min` replaced: a grid ten times denser than the search grid
-    return float(np.min(horner_p(h, num, den, zf_search._search_grid(10 * DEFAULT_GRID_SIZE))))
-
-
 class TestRecheckTable:
     """The candidate re-check: `_circle_min`, the minimum of p on the whole circle."""
 
@@ -270,46 +312,55 @@ class TestRecheckTable:
                 assert got >= p.min() - 1e-9 * scale, (name, draw)
 
     @pytest.mark.parametrize("name, cls", sorted(KNOWN_SINGLE_FREQ))
-    def test_same_verdicts_as_horner(self, plants, monkeypatch, name, cls):
+    def test_same_verdicts_as_horner(self, plants, name, cls):
+        # accepted taps keep p >= 0 at 200,001 Horner samples, and the verdicts
+        # at 0.98, 1.0 and 1.02x the scan bound stay as pinned
         tf = plants[name]
         k_scan = scan_upper_bound(tf, cls).k_upper
         config = SearchConfig(n_z=8)
-        for factor in (0.98, 1.0, 1.02):
+        w = np.linspace(0.0, math.pi, 200_001)
+        for factor, found in ((0.98, True), (1.0, False), (1.02, False)):
             shifted = shift_by_inverse_gain(tf, factor * k_scan)
             got = find_multiplier(shifted, config, cls)
-            with monkeypatch.context() as m:
-                m.setattr(zf_search, "_circle_min", horner_recheck)
-                want = find_multiplier(shifted, config, cls)
-            assert (got is None) == (want is None), (name, cls, factor)
+            assert (got is not None) == found, (name, cls, factor)
             if got is not None:
-                assert got.taps == want.taps
+                h = taps_of(got, config.n_z)
+                assert float(np.min(horner_p(h, shifted.num.coeffs, shifted.den.coeffs, w))) >= 0.0
 
     def test_bisection_resamples_nothing(self, plants, monkeypatch):
-        # the re-check evaluates no M on a grid, and G is sampled once
-        responses, samples = [], []
+        # no M is evaluated on a grid; G is sampled once at the seed
+        # frequencies, then once per exchange round at the rows it adds
+        responses, samples, added = [], [], []
         response, sample = FirMultiplier.response, zf_search.frequency_response
+        add_rows = simplex.Tableau.add_rows
 
         def counting_response(self, omega):
             responses.append(omega)
             return response(self, omega)
 
         def counting_sample(tf, omegas):
-            samples.append(omegas)
+            samples.append(omegas.size)
             return sample(tf, omegas)
+
+        def counting_rows(self, A, b):
+            added.append(b.size)
+            add_rows(self, A, b)
 
         monkeypatch.setattr(FirMultiplier, "response", counting_response)
         monkeypatch.setattr(zf_search, "frequency_response", counting_sample)
+        monkeypatch.setattr(simplex.Tableau, "add_rows", counting_rows)
         k_hi = KNOWN_SINGLE_FREQ[("ex2", MONOTONE)][0]
         bisect_lower_bound(plants["ex2"], SearchConfig(n_z=8), MONOTONE, 1.9, k_hi, 5e-3)
         assert responses == []
-        assert len(samples) == 1
+        assert added
+        assert samples == [zf_search.SEED_SIZE] + added
 
 
 class TestTapBudget:
     @pytest.fixture
     def over_budget(self, monkeypatch):
         # the LP's x breaks the l1-budget row: taps summing to 1.0001 and a
-        # margin low enough that no grid row is violated
+        # margin low enough that no seed row is violated
         solve = simplex.Tableau.solve
 
         def breaking(self, maxiter=100000):
@@ -412,22 +463,16 @@ class TestWitnessReach:
 
     @pytest.mark.parametrize("name, cls", sorted(KNOWN_SINGLE_FREQ))
     def test_weighted_lp_keeps_grid_feasibility(self, plants, name, cls):
-        # weighting the margin by Re{M} > 0 moves the vertex, never the verdict
+        # weighting the margin by Re{M_last} > 0 moves the vertex, never the
+        # verdict: each weighted exchange step agrees with an unweighted one
         config = SearchConfig(n_z=8)
         k_scan = KNOWN_SINGLE_FREQ[(name, cls)][0]
-        w = zf_search._search_grid(config.grid_size)
-        idx = np.concatenate([np.arange(-config.n_z, 0), np.arange(1, config.n_z + 1)])
-        basis = np.exp(-1j * np.outer(w, idx))
-        g = frequency_response(plants[name], w)
-        ones = np.ones(w.size)
-        h = zf_search._grid_lp(basis, g + 2.0 / k_scan, ones, cls)
-        for factor in (0.5, 0.9, 0.99, 1.01):
-            weight = (1.0 - basis @ h).real
-            assert weight.min() >= zf_search.DELTA_NORM
-            weighted = zf_search._grid_lp(basis, g + 1.0 / (factor * k_scan), weight, cls)
-            plain = zf_search._grid_lp(basis, g + 1.0 / (factor * k_scan), ones, cls)
-            assert (weighted is None) == (plain is None), factor
-            h = h if weighted is None else weighted
+        weighted, _ = zf_search._search(plants[name], config, cls)
+        assert weighted(2.0 / k_scan) is not None
+        for factor in (0.5, 0.9, 0.99, 0.999, 1.0, 1.01):
+            plain, _ = zf_search._search(plants[name], config, cls)  # no taps yet: all ones
+            s = 1.0 / (factor * k_scan)
+            assert (weighted(s) is None) == (plain(s) is None), factor
 
     def test_reach_stays_below_k_hi(self, plants):
         step, reach = zf_search._search(plants["ex2"], SearchConfig(n_z=5), MONOTONE)
