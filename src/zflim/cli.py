@@ -328,10 +328,9 @@ def cmd_analyze(args) -> int:
         t0 = time.perf_counter()
         if exit_code == EXIT_OK:
             try:
-                k_hi = cap
                 report.k_upper_lp = bisect_upper_bound(
                     tf, args.lp_beta, args.class_tag,
-                    report.k_lower * (1.0 - 1e-9), k_hi, args.tol_k,
+                    report.k_lower * (1.0 - 1e-9), cap, args.tol_k,
                 )
             except BracketInvalid as exc:
                 report.note = f"upper-bound bracket failed: {exc}"

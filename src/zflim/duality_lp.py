@@ -6,7 +6,8 @@ restores positivity for the given (already loop-shifted) plant.  Existence
 of such weights is decided by a matrix-game LP solved by row generation, and
 every returned certificate is re-verified on all rows before being
 accepted.  Weights that certify one slope certify every slope above the
-exact threshold k(lambda) they prove, which the slope bisection uses.
+exact threshold k(lambda) they prove, and the upper bound steps down
+through those thresholds (Dinkelbach, Mgmt. Sci. 13(7), 1967).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import BracketInvalid, LpNumericalFailure, NotStable
 from .lti_core import TransferFunction, frequency_response, is_stable
-from .lti_core import _bisect, _check_bracket
+from .lti_core import _check_bracket
 from .rational_core import CLASS_TAGS, MONOTONE
 from .simplex import generate_rows, simplex_max_leq  # noqa: F401 (perfbench traces this binding)
 
@@ -168,10 +169,11 @@ def bisect_upper_bound(
     rows of G and D those of the constant 1, Re{(1 -+ e^{-j*omega_r*i})} =
     1 -+ cos(omega_r*i) >= 0.  So weights lambda >= 0 keep every row
     non-positive exactly at the slopes k >= k(lambda) = max_i D_i lambda /
-    (-A_i lambda) (`_certified_slope`): the added term D lambda/k is non-negative and falls as k grows.  Each
-    certificate found settles, without an LP, every midpoint at or above the
-    smallest k(lambda) found so far, and that k(lambda) is returned when it is
-    below the bisection's final k_hi; both bracket ends still run their own LP.
+    (-A_i lambda) (`_certified_slope`): the added term D lambda/k is
+    non-negative and falls as k grows.  So each certificate, first at k_hi,
+    moves the bound to min(probe, k(lambda)), and the next LP probes tol_k
+    below it (at most down to k_lo, where a certificate fails the bracket)
+    until a probe finds none.
     """
     _check_bracket(k_lo, k_hi, tol_k)
     if class_tag not in CLASS_TAGS:
@@ -179,17 +181,14 @@ def bisect_upper_bound(
     g = _grid_samples(G, beta)
     A = _certificate_rows(g, beta, class_tag)
     D = _certificate_rows(np.ones(g.size), beta, class_tag)
-    best = math.inf  # the smallest k(lambda) of the certificates found so far
-
-    def certify(k):
-        nonlocal best
-        cert = _certificate(A + D / k, beta, class_tag)
-        if cert is not None:
-            best = min(best, _certified_slope(A, D, cert.lambdas))
-        return cert is not None
-
-    if not certify(k_hi):
-        raise BracketInvalid(f"no certificate at k_hi={k_hi}")
-    if certify(k_lo):
-        raise BracketInvalid(f"certificate already exists at k_lo={k_lo}")
-    return min(_bisect(lambda k: k >= best or certify(k), k_lo, k_hi, tol_k)[1], best)
+    probe = k_hi
+    while True:
+        cert = _certificate(A + D / probe, beta, class_tag)
+        if cert is None:
+            if probe == k_hi:
+                raise BracketInvalid(f"no certificate at k_hi={k_hi}")
+            return hi
+        if probe == k_lo:
+            raise BracketInvalid(f"certificate already exists at k_lo={k_lo}")
+        hi = min(probe, _certified_slope(A, D, cert.lambdas))
+        probe = max(hi - tol_k, k_lo)

@@ -262,5 +262,5 @@ def legacy_upper_bound(
     witness = obstruction(k_hi)
     if witness is None:
         return LegacyBoundResult(k_hi, None, class_tag, resolution)
-    _, k_hi, witness = _bisect(obstruction, k_lo, k_hi, tol_k, witness)
+    _, k_hi, witness = _bisect(lambda k: (obstruction(k), k), k_lo, k_hi, tol_k, witness)
     return LegacyBoundResult(k_hi, witness, class_tag, resolution)

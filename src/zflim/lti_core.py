@@ -181,28 +181,29 @@ def shift_by_inverse_gain(tf: TransferFunction, k: float) -> TransferFunction:
 
 
 def _check_bracket(k_lo: float, k_hi: float, tol_k: float):
-    """Reject a bracket or tolerance with which `_bisect` would never stop or
-    would evaluate a slope that is not positive; call before either end."""
+    """Reject a bracket or tolerance with which a bisection would evaluate a
+    slope that is not positive, or never stop: a midpoint, or k - tol_k, must
+    move off k when tol_k exceeds 2 ulp(k_hi).  Call before either end."""
     if not (0.0 < k_lo < k_hi < math.inf):
         raise BracketInvalid(f"need 0 < k_lo < k_hi < inf, got k_lo={k_lo!r}, k_hi={k_hi!r}")
-    if not (0.0 < tol_k < math.inf):
-        raise ValueError(f"tol_k must be positive and finite, got {tol_k!r}")
+    if not (2.0 * math.ulp(k_hi) < tol_k < math.inf):
+        raise ValueError(f"tol_k must be finite and above 2 ulp(k_hi), got {tol_k!r}")
 
 
 def _bisect(test, k_lo: float, k_hi: float, tol_k: float, value=None):
     """Halve [k_lo, k_hi] until it is at most tol_k wide.
 
-    `test` is falsy at k_lo and truthy at k_hi, and the caller has checked
-    both ends.  Returns the final (k_lo, k_hi) and the last truthy result of
-    `test` at k_hi (`value` if no midpoint was truthy).
+    `test(mid)` returns (hit, end): a truthy hit moves k_hi to end <= mid, a
+    falsy one k_lo to end >= mid, the slope its witness proves.  The hit is
+    falsy at k_lo and truthy at k_hi, which the caller has checked.  Returns
+    the final (k_lo, k_hi) and the last truthy hit (`value` if none).
     """
     while k_hi - k_lo > tol_k:
-        mid = 0.5 * (k_lo + k_hi)
-        result = test(mid)
+        result, end = test(0.5 * (k_lo + k_hi))
         if result:
-            k_hi, value = mid, result
+            k_hi, value = end, result
         else:
-            k_lo = mid
+            k_lo = end
     return k_lo, k_hi, value
 
 

@@ -8,11 +8,11 @@ p = Re{M num conj(den)} over the whole circle, which one root solve of p'
 finds, until p has none (positivity is proved on the whole circle) or the
 margin is negative (no taps of the class exist).  A bisection samples G at
 the seed once, each slope k shifting the samples to g + 1/k.  Taps found at
-one slope settle every smaller slope up to their reach without another
-search: the exact slope at which they stay positive on the whole circle, a
-ratio of trigonometric polynomials maximised by one more root solve
-(`_circle_shift`).  Each search after the first weights its margin by the
-last taps' Re{M}, so the taps it finds reach further past its slope.
+one slope move the bracket's lower end to their reach: the exact slope at
+which they stay positive on the whole circle, a ratio of trigonometric
+polynomials maximised by one more root solve (`_circle_shift`).  Each
+search after the first weights its margin by the last taps' Re{M}, so the
+taps it finds reach further past its slope.
 """
 
 from __future__ import annotations
@@ -113,9 +113,9 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     Sci. 13(7), 1967), so its taps reach further past s.  It raises
     LpNumericalFailure when the LP returns taps of l1 norm above 1.
 
-    reach(k_hi) is 1/s* of the last accepted taps (`_circle_shift`), backed
-    off by REACH_BACKOFF and capped below k_hi, and counts only where
-    `_circle_min` proves the taps at that slope (0.0 when that fails)."""
+    reach(k, k_hi) is 1/s* of the taps last accepted, at k (`_circle_shift`),
+    backed off by REACH_BACKOFF and capped below k_hi; it is k unless it is
+    above k and `_circle_min` proves the taps there."""
     if class_tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {class_tag!r}")
     if not is_stable(G):
@@ -174,12 +174,12 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
         last = h
         return FirMultiplier({int(i): float(v) for i, v in zip(idx, h) if v != 0.0}, class_tag)
 
-    def reach(k_hi: float) -> float:
+    def reach(k: float, k_hi: float) -> float:
         s = _circle_shift(last, num, den)
         s += REACH_BACKOFF * abs(s)
         r = 1.0 / s if s > 1.0 / k_hi else float(np.nextafter(k_hi, 0.0))
-        if _circle_min(last, (G.num + G.den.scale(1.0 / r)).coeffs, den) < 0.0:
-            return 0.0
+        if r <= k or _circle_min(last, (G.num + G.den.scale(1.0 / r)).coeffs, den) < 0.0:
+            return k
         return r
 
     return step, reach
@@ -216,26 +216,23 @@ def bisect_lower_bound(
     accepted at one slope are valid at every smaller one: with s = 1/k and
     s' > s, Re{M (G + s')} = Re{M (G + s)} + (s' - s) Re{M}, and Re{M} >=
     1 - |h|_1 >= DELTA_NORM > 0, so Re{M (G + s)} rises on the whole circle.
-    So each accepted search's taps settle, without a search, every midpoint
-    up to their reach (`_search`): the exact slope at which they stay
-    positive on the whole circle, where `_circle_min` proves them.  Each
-    search after the first normalises its margin by the last taps, so the
-    reach jumps toward the bound; both bracket ends still run their own
-    search.
+    So each accepted search, first at k_lo, moves k_lo to its taps' reach
+    (`_search`), proven by `_circle_min`, and a failed one moves k_hi to its
+    slope.  Each search after the first normalises its margin by the last
+    taps, so the reach jumps toward the bound.  The result is the reach of
+    the last accepted taps, and a search fails within tol_k above it.
     """
     _check_bracket(k_lo, k_hi, tol_k)
     step, reach = _search(G, config, class_tag)
-    proven = 0.0  # the largest reach of the taps found so far
-
-    def fails(k):
-        nonlocal proven
-        if step(1.0 / k) is None:
-            return True
-        proven = max(proven, reach(k_hi))
-        return False
-
-    if fails(k_lo):
+    if step(1.0 / k_lo) is None:
         raise BracketInvalid(f"search fails already at k_lo={k_lo}")
-    if not fails(k_hi):
+    k_lo = reach(k_lo, k_hi)
+    if step(1.0 / k_hi) is not None:
         raise BracketInvalid(f"search still succeeds at k_hi={k_hi}")
-    return _bisect(lambda k: k > proven and fails(k), k_lo, k_hi, tol_k)[0]
+
+    def test(k):
+        if step(1.0 / k) is None:
+            return True, k
+        return False, reach(k, k_hi)
+
+    return _bisect(test, k_lo, k_hi, tol_k)[0]

@@ -213,18 +213,18 @@ class TestPlantFiles:
 
 # k_lower / k_upper_lp of `analyze` at default settings, per plant and class
 DEFAULT_ANALYZE_BOUNDS = {
-    ("ex1", "monotone"): (13.0282744, 13.0283737),
-    ("ex1", "odd"): (13.4821329, 13.5122839),
-    ("ex2", "monotone"): (3.8239819, 3.8240402),
-    ("ex2", "odd"): (3.8239819, 3.8240402),
-    ("ex3", "monotone"): (0.8026473, 0.8027452),
-    ("ex3", "odd"): (1.1055812, 1.1056487),
-    ("ex4", "monotone"): (0.8466050, 0.8466566),
-    ("ex4", "odd"): (0.9876104, 0.9876706),
-    ("ex5", "monotone"): (0.3744001, 0.3744914),
-    ("ex5", "odd"): (0.3744001, 0.3744914),
-    ("ex6", "monotone"): (13.2619849, 13.2620354),
-    ("ex6", "odd"): (22.6868208, 22.6869073),
+    ("ex1", "monotone"): (13.0282567, 13.0283737),
+    ("ex1", "odd"): (13.4821646, 13.5122787),
+    ("ex2", "monotone"): (3.8240308, 3.8240402),
+    ("ex2", "odd"): (3.8240083, 3.8240402),
+    ("ex3", "monotone"): (0.8027321, 0.8027452),
+    ("ex3", "odd"): (1.1056414, 1.1056487),
+    ("ex4", "monotone"): (0.8466238, 0.8466566),
+    ("ex4", "odd"): (0.9876631, 0.9876706),
+    ("ex5", "monotone"): (0.3744343, 0.3744914),
+    ("ex5", "odd"): (0.3744206, 0.3744914),
+    ("ex6", "monotone"): (13.2619911, 13.2620354),
+    ("ex6", "odd"): (22.6868983, 22.6869073),
 }
 
 

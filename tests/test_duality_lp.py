@@ -166,6 +166,7 @@ class TestBisectUpperBound:
         (3.9, 0.0, ValueError),
         (3.9, -1.0, ValueError),
         (3.9, math.nan, ValueError),
+        (3.9, 1e-17, ValueError),  # below the spacing of floats at k_hi
         (math.inf, 1e-4, BracketInvalid),
     ])
     def test_unclosable_bracket_rejected_before_any_lp(
@@ -222,7 +223,7 @@ def reference_upper_bound(G, beta, cls, k_lo, k_hi, tol_k):
         return certificate_at(g + 1.0 / k, beta, cls)
 
     assert certify(k_hi) is not None and certify(k_lo) is None
-    return _bisect(certify, k_lo, k_hi, tol_k)[1]
+    return _bisect(lambda k: (certify(k), k), k_lo, k_hi, tol_k)[1]
 
 
 def known_bracket(name, cls):
@@ -256,40 +257,33 @@ class TestCertifiedSlope:
         for name, cls in sorted(KNOWN_SINGLE_FREQ):
             k_lo, k_hi = known_bracket(name, cls)
             got = bisect_upper_bound(plants[name], 60, cls, k_lo, k_hi, 1e-4)
-            assert got <= reference_upper_bound(plants[name], 60, cls, k_lo, k_hi, 1e-4)
+            ref = reference_upper_bound(plants[name], 60, cls, k_lo, k_hi, 1e-4)
+            assert abs(got - ref) <= 1e-4, (name, cls, got, ref)
             shifted = shift_by_inverse_gain(plants[name], got)
             assert lp_certificate(shifted, 60, cls) is not None, (name, cls)
 
     @pytest.mark.parametrize("name, cls", [("ex1", ODD), ("ex2", MONOTONE), ("ex4", ODD)])
-    def test_no_lp_at_a_settled_midpoint(self, plants, monkeypatch, name, cls):
-        lps, slopes, midpoints = [], [], []
-        certificate, certified_slope, bisect = (
-            duality_lp._certificate, duality_lp._certified_slope, duality_lp._bisect)
+    def test_bound_is_certified_and_tight(self, plants, name, cls):
+        # a certificate at the bound, and none tol_k below it (or at k_lo)
+        k_lo, k_hi = known_bracket(name, cls)
+        got = bisect_upper_bound(plants[name], 60, cls, k_lo, k_hi, 1e-4)
+        assert lp_certificate(shift_by_inverse_gain(plants[name], got), 60, cls) is not None
+        below = max(got - 1e-4, k_lo)
+        assert lp_certificate(shift_by_inverse_gain(plants[name], below), 60, cls) is None
+
+    def test_deep_grid_bracket_lp_count(self, plants, monkeypatch):
+        # criterion 3's bracket: each LP lowers the bound by tol_k or more, or ends
+        lps = []
+        certificate = duality_lp._certificate
 
         def counting(*args):
             lps.append(args)
             return certificate(*args)
 
-        def recording(*args):
-            slopes.append(certified_slope(*args))
-            return slopes[-1]
-
-        def spying(test, k_lo, k_hi, tol_k):
-            def spied(k):
-                best, ran = min(slopes, default=math.inf), len(lps)
-                result = test(k)
-                midpoints.append((k, best, len(lps) > ran))
-                return result
-
-            return bisect(spied, k_lo, k_hi, tol_k)
-
         monkeypatch.setattr(duality_lp, "_certificate", counting)
-        monkeypatch.setattr(duality_lp, "_certified_slope", recording)
-        monkeypatch.setattr(duality_lp, "_bisect", spying)
-        bisect_upper_bound(plants[name], 60, cls, *known_bracket(name, cls), 1e-4)
-        # a midpoint runs its LP exactly when no k(lambda) covers it
-        assert all(ran == (k < best) for k, best, ran in midpoints)
-        assert any(not ran for _, _, ran in midpoints)
+        k = bisect_upper_bound(plants["ex1"], 250, ODD, 13.0, 14.0, 1e-4)
+        assert abs(k - 13.5117) <= 5e-4
+        assert len(lps) <= 7
 
 
 class TestRowGeneration:

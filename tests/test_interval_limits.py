@@ -117,7 +117,7 @@ def reference_legacy(G, class_tag, resolution, k_lo, k_hi, tol_k, n_search):
     witness = obstruction(k_hi)
     if witness is None:
         return k_hi, None
-    _, k_hi, witness = _bisect(obstruction, k_lo, k_hi, tol_k, witness)
+    _, k_hi, witness = _bisect(lambda k: (obstruction(k), k), k_lo, k_hi, tol_k, witness)
     return k_hi, witness
 
 

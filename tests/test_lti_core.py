@@ -142,7 +142,7 @@ class TestBisect:
 
         def above(k):
             calls.append(k)
-            return ("above", k) if k >= threshold else None
+            return ("above", k) if k >= threshold else None, k
 
         k_lo, k_hi, value = _bisect(above, 1.0, 5.0, 1e-3, "at k_hi")
         assert k_lo < threshold <= k_hi
@@ -151,9 +151,27 @@ class TestBisect:
         assert value == ("above", k_hi)
 
     def test_no_truthy_midpoint_keeps_initial_value(self):
-        k_lo, k_hi, value = _bisect(lambda k: k >= 5.0, 1.0, 5.0, 1e-3, "at k_hi")
+        k_lo, k_hi, value = _bisect(lambda k: (k >= 5.0, k), 1.0, 5.0, 1e-3, "at k_hi")
         assert k_hi == 5.0 and 5.0 - k_lo <= 1e-3
         assert value == "at k_hi"
+
+    def test_ends_move_past_the_midpoint_to_the_witness(self):
+        # a witness proves more than its midpoint: a hit at k holds from
+        # 0.5 (k + e) down, a miss up to 0.5 (k + e) from below
+        threshold = math.e
+        calls = []
+
+        def witness(k):
+            calls.append(k)
+            end = 0.5 * (k + threshold)
+            return ("above", end) if k >= threshold else None, end
+
+        k_lo, k_hi, value = _bisect(witness, 1.0, 5.0, 1e-3)
+        assert k_lo <= threshold <= k_hi and k_hi - k_lo <= 1e-3
+        # the hit at 3 moved k_hi to 0.5 (3 + e), so the next midpoint is below 2
+        assert calls[:2] == [3.0, 0.5 * (1.0 + 0.5 * (3.0 + threshold))]
+        assert value == ("above", k_hi)
+        assert len(calls) < math.ceil(math.log2((5.0 - 1.0) / 1e-3))
 
 
 class TestPoles:

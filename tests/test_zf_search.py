@@ -96,6 +96,7 @@ class TestBisectLowerBound:
         (3.9, 0.0, ValueError),
         (3.9, -1.0, ValueError),
         (3.9, math.nan, ValueError),
+        (3.9, 1e-17, ValueError),  # below the spacing of floats at k_hi
         (math.inf, 1e-3, BracketInvalid),
     ])
     def test_unclosable_bracket_rejected_before_any_search(
@@ -203,17 +204,22 @@ class TestWarmStartedRounds:
 
     def test_cold_restarts_give_the_same_results(self, plants, monkeypatch):
         # every warm re-solve forced to restart cold: the same verdicts and
-        # margins, and the same k_lower from each bisection (taps need not
-        # match: ex6/monotone's margin has a degenerate optimum, and the two
-        # paths end on different vertices of it)
+        # margins, and k_lower from each bisection within tol_k and proven by
+        # its last taps (taps need not match: ex6/monotone's margin has a
+        # degenerate optimum, the two paths end on different vertices of it,
+        # and k_lower is the reach of those taps)
         def margins():
             out = []
             for (name, cls), (k_scan, _) in sorted(KNOWN_SINGLE_FREQ.items()):
                 for factor in (0.5, 0.98, 0.999, 1.0):
                     step, _ = zf_search._search(plants[name], SearchConfig(n_z=8), cls)
                     out.append((step(1.0 / (factor * k_scan)) is None, margin[-1]))
-                out.append(bisect_lower_bound(plants[name], SearchConfig(n_z=8), cls,
-                                              *analyze_bracket(plants[name], cls), 1e-4))
+                del steps[:]
+                k = bisect_lower_bound(plants[name], SearchConfig(n_z=8), cls,
+                                       *analyze_bracket(plants[name], cls), 1e-4)
+                last = [mult for _, mult in steps if mult is not None][-1]
+                assert proven_at(plants[name], last, 8, k), (name, cls)
+                out.append(k)
             return out
 
         margin, restarts = [], []
@@ -234,13 +240,15 @@ class TestWarmStartedRounds:
             self.solve = solve
 
         monkeypatch.setattr(zf_search, "generate_rows", recording)
+        steps = []
+        recording_search(monkeypatch, steps)
         warm = margins()
         monkeypatch.setattr(simplex.Tableau, "add_rows", stalling)
         forced = margins()
         assert len(restarts) > 20
         for got, want in zip(forced, warm):
             if isinstance(want, float):
-                assert got == want  # k_lower
+                assert got == pytest.approx(want, abs=1e-4)  # k_lower
             else:
                 assert got[0] == want[0]
                 assert got[1] == want[1] or got[1] == pytest.approx(want[1], abs=1e-9)
@@ -398,24 +406,45 @@ def reference_lower_bound(G, config, cls, k_lo, k_hi, tol_k):
         return step(1.0 / k) is None
 
     assert not fails(k_lo) and fails(k_hi)
-    return _bisect(fails, k_lo, k_hi, tol_k)[:2]
+    return _bisect(lambda k: (fails(k), k), k_lo, k_hi, tol_k)[:2]
 
 
 def taps_of(mult, n_z):
     return np.array([mult.taps.get(i, 0.0) for i in list(range(-n_z, 0)) + list(range(1, n_z + 1))])
 
 
+def proven_at(G, mult, n_z, k):
+    """True when the taps of mult keep Re{M (G + 1/k)} >= 0 on the whole circle."""
+    num = (G.num + G.den.scale(1.0 / k)).coeffs
+    return zf_search._circle_min(taps_of(mult, n_z), num, G.den.coeffs) >= 0.0
+
+
+def recording_search(monkeypatch, steps):
+    """Wrap `zf_search._search` so each search step appends (s, result) to steps."""
+    search = zf_search._search
+
+    def recording(*args):
+        step, reach = search(*args)
+
+        def recorded(s):
+            steps.append((s, step(s)))
+            return steps[-1][1]
+
+        return recorded, reach
+
+    monkeypatch.setattr(zf_search, "_search", recording)
+
+
 class TestWitnessReach:
-    """Accepted taps settle every bisection midpoint up to their reach."""
+    """Accepted taps move the bracket's lower end to their reach."""
 
     def test_bundled_pairs_match_plain_bisection(self, plants):
         config = SearchConfig(n_z=8)
         for (name, cls) in sorted(KNOWN_SINGLE_FREQ):
             k_lo, k_hi = analyze_bracket(plants[name], cls)
             got = bisect_lower_bound(plants[name], config, cls, k_lo, k_hi, 1e-4)
-            ref_lo, ref_hi = reference_lower_bound(plants[name], config, cls, k_lo, k_hi, 1e-4)
-            # a witness may settle a midpoint the search rejects, never the reverse
-            assert got == ref_lo or got >= ref_hi, (name, cls, got, ref_lo)
+            ref_lo, _ = reference_lower_bound(plants[name], config, cls, k_lo, k_hi, 1e-4)
+            assert abs(got - ref_lo) <= 1e-4, (name, cls, got, ref_lo)
 
     def test_random_plants_match_plain_bisection(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -428,8 +457,8 @@ class TestWitnessReach:
                 k_lo, k_hi = analyze_bracket(tf, cls)
                 tol_k = 1e-4 * k_hi
                 got = bisect_lower_bound(tf, config, cls, k_lo, k_hi, tol_k)
-                ref_lo, ref_hi = reference_lower_bound(tf, config, cls, k_lo, k_hi, tol_k)
-                assert got == ref_lo or got >= ref_hi, (seed, cls, got, ref_lo)
+                ref_lo, _ = reference_lower_bound(tf, config, cls, k_lo, k_hi, tol_k)
+                assert abs(got - ref_lo) <= tol_k, (seed, cls, got, ref_lo)
 
     @pytest.mark.parametrize("name, cls", [
         ("ex1", ODD), ("ex2", MONOTONE), ("ex3", MONOTONE), ("ex5", ODD), ("ex6", ODD),
@@ -446,8 +475,8 @@ class TestWitnessReach:
         for factor in (0.5, 0.9, 0.99):
             mult = step(1.0 / (factor * k_scan))
             assert mult is not None
-            r = reach(k_hi)
-            assert factor * k_scan * (1 - 1e-9) <= r < k_hi
+            r = reach(factor * k_scan, k_hi)
+            assert factor * k_scan <= r < k_hi
             h = taps_of(mult, config.n_z)
 
             def circle_min(k):
@@ -477,10 +506,11 @@ class TestWitnessReach:
     def test_reach_stays_below_k_hi(self, plants):
         step, reach = zf_search._search(plants["ex2"], SearchConfig(n_z=5), MONOTONE)
         assert step(1.0 / 1.9) is not None
-        assert reach(2.0) == np.nextafter(2.0, 0.0)
+        assert reach(1.9, 2.0) == np.nextafter(2.0, 0.0)
 
     def test_search_count_guard(self, plants, monkeypatch):
-        # 206 searches when every midpoint ran its own search, 136 with the grid-margin reach
+        # 206 searches when every midpoint ran its own search, 136 with the
+        # grid-margin reach, 91 with midpoints settled by the exact reach
         searches = []
         search = zf_search._search
 
@@ -497,39 +527,17 @@ class TestWitnessReach:
         config = SearchConfig(n_z=8)
         for (name, cls) in sorted(KNOWN_SINGLE_FREQ):
             bisect_lower_bound(plants[name], config, cls, *analyze_bracket(plants[name], cls), 1e-4)
-        assert len(searches) <= 100
+        assert len(searches) <= 90
 
     @pytest.mark.parametrize("name, cls", [("ex1", ODD), ("ex5", ODD), ("ex6", MONOTONE)])
-    def test_no_search_at_a_settled_midpoint(self, plants, monkeypatch, name, cls):
-        searches, reaches, midpoints = [], [], []
-        search, bisect = zf_search._search, zf_search._bisect
-
-        def recording(*args):
-            step, reach = search(*args)
-
-            def counted(s):
-                searches.append(s)
-                return step(s)
-
-            def recorded(k_hi):
-                reaches.append(reach(k_hi))
-                return reaches[-1]
-
-            return counted, recorded
-
-        def spying(test, k_lo, k_hi, tol_k):
-            def spied(k):
-                proven, ran = max(reaches, default=0.0), len(searches)
-                result = test(k)
-                midpoints.append((k, proven, len(searches) > ran))
-                return result
-
-            return bisect(spied, k_lo, k_hi, tol_k)
-
-        monkeypatch.setattr(zf_search, "_search", recording)
-        monkeypatch.setattr(zf_search, "_bisect", spying)
+    def test_bound_is_proven_and_tight(self, plants, monkeypatch, name, cls):
+        # the last accepted taps prove k_lower on the whole circle, and the
+        # search failed at a probe within tol_k above it (or at k_hi)
+        steps = []
+        recording_search(monkeypatch, steps)
         k_lo, k_hi = analyze_bracket(plants[name], cls)
-        bisect_lower_bound(plants[name], SearchConfig(n_z=8), cls, k_lo, k_hi, 1e-4)
-        # a midpoint runs its search exactly when no reach covers it
-        assert all(ran == (k > proven) for k, proven, ran in midpoints)
-        assert any(not ran for _, _, ran in midpoints)
+        got = bisect_lower_bound(plants[name], SearchConfig(n_z=8), cls, k_lo, k_hi, 1e-4)
+        last = [mult for _, mult in steps if mult is not None][-1]
+        assert proven_at(plants[name], last, 8, got)
+        failed = [s for s, mult in steps if mult is None]
+        assert any(s >= 1.0 / (got + 1e-4) or s == 1.0 / k_hi for s in failed)
