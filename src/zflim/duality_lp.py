@@ -52,17 +52,23 @@ def _grid_samples(G: TransferFunction, beta: int) -> np.ndarray:
     return frequency_response(G, _grid(beta))
 
 
-def _certificate_rows(g: np.ndarray, beta: int, class_tag: str) -> np.ndarray:
+def _trig_table(beta: int):
+    """cos and sin of omega_r*i, i = 0..2*beta-1 down, grid frequencies across."""
+    theta = np.arange(2 * beta)[:, None] * _grid(beta)[None, :]
+    return np.cos(theta), np.sin(theta)
+
+
+def _certificate_rows(g: np.ndarray, beta: int, class_tag: str, table=None) -> np.ndarray:
     """Constraint rows for i = 0..2*beta-1 from the samples g at r*pi/beta.
 
     Row i of the first block is Re{(1 - e^{-j*omega_r*i}) g_r}; the odd class
     appends a second block with 1 + e^{-j*omega_r*i}.  Both come from one
-    cos/sin table, Re{(1 -+ e^{-j*theta}) g} = (1 -+ cos theta) Re g -+
-    sin theta Im g, so g = 1 gives the rows of the constant exactly.  Rows
-    repeat with period 2*beta in i.
+    cos/sin table (`_trig_table`, built here unless given), Re{(1 -+
+    e^{-j*theta}) g} = (1 -+ cos theta) Re g -+ sin theta Im g, so g = 1 gives
+    the rows of the constant exactly, 1 -+ cos theta.  Rows repeat with
+    period 2*beta in i.
     """
-    theta = np.arange(2 * beta)[:, None] * _grid(beta)[None, :]
-    cos, sin = np.cos(theta), np.sin(theta)
+    cos, sin = _trig_table(beta) if table is None else table
     v_minus = (1.0 - cos) * g.real - sin * g.imag
     if class_tag == MONOTONE:
         return v_minus
@@ -164,23 +170,26 @@ def bisect_upper_bound(
     smaller slope its weights prove.
 
     The caller establishes the bracket: a certificate must exist at k_hi and
-    must not at k_lo.  G is sampled and its rows built once: slope k runs
-    the certificate LP on the rows of g + 1/k, W(k) = A + D/k, with A the
-    rows of G and D those of the constant 1, Re{(1 -+ e^{-j*omega_r*i})} =
-    1 -+ cos(omega_r*i) >= 0.  So weights lambda >= 0 keep every row
-    non-positive exactly at the slopes k >= k(lambda) = max_i D_i lambda /
-    (-A_i lambda) (`_certified_slope`): the added term D lambda/k is
-    non-negative and falls as k grows.  So each certificate, first at k_hi,
-    moves the bound to min(probe, k(lambda)), and the next LP probes tol_k
-    below it (at most down to k_lo, where a certificate fails the bracket)
-    until a probe finds none.
+    must not at k_lo.  G is sampled and its rows built once, from one
+    cos/sin table: slope k runs the certificate LP on the rows of g + 1/k,
+    W(k) = A + D/k, with A the rows of G and D those of the constant 1,
+    Re{(1 -+ e^{-j*omega_r*i})} = 1 -+ cos(omega_r*i) >= 0.  So weights
+    lambda >= 0 keep every row non-positive exactly at the slopes k >=
+    k(lambda) = max_i D_i lambda / (-A_i lambda) (`_certified_slope`): the
+    added term D lambda/k is non-negative and falls as k grows.  So each
+    certificate, first at k_hi, moves the bound to min(probe, k(lambda)),
+    and the next LP probes tol_k below it (at most down to k_lo, where a
+    certificate fails the bracket) until a probe finds none.
     """
     _check_bracket(k_lo, k_hi, tol_k)
     if class_tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {class_tag!r}")
     g = _grid_samples(G, beta)
-    A = _certificate_rows(g, beta, class_tag)
-    D = _certificate_rows(np.ones(g.size), beta, class_tag)
+    table = _trig_table(beta)
+    A = _certificate_rows(g, beta, class_tag, table)
+    cos = table[0]
+    D = 1.0 - cos if class_tag == MONOTONE else np.vstack([1.0 - cos, 1.0 + cos])
+    del table, cos  # the LPs below need only A and D
     probe = k_hi
     while True:
         cert = _certificate(A + D / probe, beta, class_tag)

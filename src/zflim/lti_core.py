@@ -84,7 +84,7 @@ class Polynomial:
 class TransferFunction:
     """Proper real rational function num(z)/den(z) with no structural pole at infinity."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_stable")
 
     def __init__(self, num, den):
         num = num if isinstance(num, Polynomial) else Polynomial(num)
@@ -95,6 +95,7 @@ class TransferFunction:
             raise ValueError("improper transfer function: deg(num) > deg(den)")
         self.num = num
         self.den = den
+        self._stable = None  # the verdict of `is_stable`, once it has one
 
     def __repr__(self) -> str:
         return f"TransferFunction(num={self.num.coeffs.tolist()}, den={self.den.coeffs.tolist()})"
@@ -167,8 +168,16 @@ def poles(tf: TransferFunction) -> list[complex]:
 
 
 def is_stable(tf: TransferFunction) -> bool:
-    """True when every pole lies strictly inside the unit disk (with margin)."""
-    return all(abs(p) < 1.0 - STABILITY_MARGIN for p in poles(tf))
+    """True when every pole lies strictly inside the unit disk (with margin).
+
+    The first call stores the verdict on tf, and later calls return it
+    without computing the poles again: the coefficients of num and den are
+    read-only, so it cannot go stale.  RootFindingFailed is not stored:
+    every call raises it again.
+    """
+    if tf._stable is None:
+        tf._stable = all(abs(p) < 1.0 - STABILITY_MARGIN for p in poles(tf))
+    return tf._stable
 
 
 def shift_by_inverse_gain(tf: TransferFunction, k: float) -> TransferFunction:

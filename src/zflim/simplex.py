@@ -95,14 +95,13 @@ class Tableau:
         """Exchange the basic variable of row r with the nonbasic one of column j."""
         T = self.T
         pivot = T[r, j]
-        row = T[r] / pivot
-        T[r] = row
+        row = T[r]
+        row /= pivot
         colv = T[:, j].copy()
         colv[r] = 0.0
-        np.outer(colv, row, out=self.update)
-        T -= self.update
+        T -= np.multiply(colv[:, None], row, out=self.update)
         inv = 1.0 / pivot
-        T[:, j] = -colv * inv
+        np.multiply(colv, -inv, out=T[:, j])
         T[r, j] = inv
         self.basis[r], self.nonbasic[j] = self.nonbasic[j], self.basis[r]
 
@@ -116,23 +115,24 @@ class Tableau:
         T = self.T
         m, n = self.basis.size, self.nonbasic.size
         rhs, red = T[:m, -1], T[m, :n]
+        ratios = np.empty(m)  # the primal ratio test's buffer
         shifted = False
         for it in range(maxiter):  # dual rule, while added rows leave some rhs < 0
-            r = int(np.argmin(rhs)) if m else 0
+            r = rhs.argmin() if m else 0
             if not m or rhs[r] >= -feas:
                 break
             row = T[r, :n]
-            candidates = np.flatnonzero(row < -_TOL)
+            candidates = (row < -_TOL).nonzero()[0]
             if candidates.size == 0:
                 if rhs[r] >= -_TOL:
                     break
                 return LpSolution("infeasible", None, None, it, self)
-            if np.any(red < -_TOL):  # shift the costs
+            if (red < -_TOL).any():  # shift the costs
                 np.maximum(red, 0.0, out=red)
                 shifted = True
             slack, size = np.maximum(red[candidates], 0.0), -row[candidates]
-            near = candidates[slack / size <= np.min((slack + _TOL) / size)]
-            self._pivot(r, int(near[np.argmin(row[near])]))
+            near = candidates[slack / size <= ((slack + _TOL) / size).min()]
+            self._pivot(r, near[row[near].argmin()])
         else:
             raise LpNumericalFailure(f"simplex did not converge within {maxiter} pivots")
         if shifted:  # restore them for the primal rule
@@ -141,19 +141,19 @@ class Tableau:
             T[m, -1] = cost[self.basis] @ rhs
         for it in range(it, maxiter):  # primal rule
             np.maximum(rhs, 0.0, out=rhs)
-            candidates = np.flatnonzero(red < -_TOL)
+            candidates = (red < -_TOL).nonzero()[0]
             if candidates.size == 0:
                 break
             norms = np.einsum("ij,ij->j", T[:m, :n], T[:m, :n])
             score = red[candidates] ** 2 / (1.0 + norms[candidates])
-            j = int(candidates[np.argmax(score)])
+            j = candidates[score.argmax()]
             col = T[:m, j]
             positive = col > _TOL
-            if not np.any(positive):
+            if not positive.any():
                 return LpSolution("unbounded", None, None, it, self)
-            ratios = np.full(m, np.inf)
-            ratios[positive] = rhs[positive] / col[positive]
-            self._pivot(int(np.argmin(ratios)), j)
+            ratios.fill(np.inf)
+            np.divide(rhs, col, out=ratios, where=positive)
+            self._pivot(ratios.argmin(), j)
         else:
             raise LpNumericalFailure(f"simplex did not converge within {maxiter} pivots")
 

@@ -123,17 +123,18 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     w_seed = np.linspace(0.0, math.pi, SEED_SIZE)
     g_seed = frequency_response(G, w_seed)
     idx = np.concatenate([np.arange(-config.n_z, 0), np.arange(1, config.n_z + 1)])
+    seed_basis = np.exp(-1j * np.outer(w_seed, idx))
     n_taps = idx.size if class_tag == MONOTONE else 2 * idx.size
     cost = np.append(np.zeros(n_taps), 1.0)  # the taps, then the margin
     budget = (np.append(np.ones(n_taps), 0.0)[None, :], 1.0 - DELTA_NORM)  # the l1 budget
     num, den = G.num.coeffs, G.den.coeffs
     last = None  # taps of the last accepted step
 
-    def rows(w, g):
-        """Rows a h + Re{M_last} t <= Re{g} - EPS_POS (1 + |g|) at the angles w."""
-        basis = np.exp(-1j * np.outer(w, idx))
+    def rows(basis, g):
+        """Rows a h + Re{M_last} t <= Re{g} - EPS_POS (1 + |g|) at the angles w of
+        the tap basis exp(-j w idx)."""
         a = (basis * g[:, None]).real
-        weight = np.ones(w.size) if last is None else (1.0 - basis @ last).real
+        weight = np.ones(g.size) if last is None else (1.0 - basis @ last).real
         A = a if class_tag == MONOTONE else np.hstack([a, -a])
         return np.column_stack((A, weight)), g.real - EPS_POS * (1.0 + np.abs(g))
 
@@ -143,7 +144,7 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     def step(s: float) -> Optional[FirMultiplier]:
         nonlocal last
         shifted = (G.num + G.den.scale(s)).coeffs
-        A, b = rows(w_seed, g_seed + s)
+        A, b = rows(seed_basis, g_seed + s)
         # the LP's variable is t + shift >= 0, so the slack basis is feasible on the seed
         shift = 1.0 + max(0.0, float(np.max(-b / A[:, -1])))
 
@@ -159,7 +160,7 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
             w = w[(p < 0.0) & (p <= np.append(p[1:], np.inf)) & (p <= np.append(np.inf, p[:-1]))]
             if not w.size:
                 return A[:0], b[:0]
-            A_new, b_new = rows(w, frequency_response(G, w) + s)
+            A_new, b_new = rows(np.exp(-1j * np.outer(w, idx)), frequency_response(G, w) + s)
             return A_new, b_new + shift * A_new[:, -1]
 
         sol, _, _ = generate_rows(cost, A, b + shift * A[:, -1], minima, budget)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from zflim import lti_core
 from zflim.cli import build_parser, main
 from zflim.plants import BUILTIN, dump_plant, load_plant, parse_plant
 
@@ -239,6 +240,22 @@ class TestAnalyze:
         tol_k = payload["k_upper_lp"]["tol_k"]
         assert payload["k_lower"]["value"] == pytest.approx(k_lower, abs=tol_k)
         assert payload["k_upper_lp"]["value"] == pytest.approx(k_upper_lp, abs=tol_k)
+
+    def test_poles_computed_once(self, tmp_path, monkeypatch):
+        # Nyquist, the scan, the search and the certificate rows each check the
+        # plant's stability; the verdict stays on the plant, so one pole solve
+        calls = []
+        poles = lti_core.poles
+
+        def counting(tf):
+            calls.append(tf)
+            return poles(tf)
+
+        monkeypatch.setattr(lti_core, "poles", counting)
+        code = run(["analyze", "--example", "ex2", "--class", "monotone",
+                    "--lp-beta", "60", "--out", str(tmp_path / "report.json")])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_ex2_monotone_report(self, tmp_path):
         out = tmp_path / "report.json"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from zflim import duality_lp
+from zflim import duality_lp, lti_core
 from zflim.duality_lp import (
     bisect_upper_bound,
     certificate_residual,
@@ -84,8 +84,36 @@ class TestBuildVectors:
         assert odd.shape == (4 * beta, beta - 1)
         assert np.array_equal(odd[: 2 * beta], certificate_rows(g, beta, MONOTONE))
 
+    def test_rows_of_the_constant_are_one_minus_plus_cos(self):
+        # `bisect_upper_bound` builds the shift's rows D as 1 -+ cos from the
+        # table of G's rows; they are those of g = 1, bit for bit
+        for beta in (7, 60, 210):
+            cos, _ = duality_lp._trig_table(beta)
+            ones = np.ones(beta - 1)
+            assert np.array_equal(duality_lp._certificate_rows(ones, beta, MONOTONE), 1.0 - cos)
+            assert np.array_equal(
+                duality_lp._certificate_rows(ones, beta, ODD), np.vstack([1.0 - cos, 1.0 + cos])
+            )
+
 
 class TestLpCertificate:
+    def test_poles_computed_once_per_plant(self, plants, monkeypatch):
+        # lp_certificate and certificate_residual both check the plant's
+        # stability; the verdict stays on the plant
+        calls = []
+        poles = lti_core.poles
+
+        def counting(tf):
+            calls.append(tf)
+            return poles(tf)
+
+        monkeypatch.setattr(lti_core, "poles", counting)
+        shifted = shift_by_inverse_gain(plants["ex2"], 3.9)
+        cert = lp_certificate(shifted, 40, MONOTONE)
+        assert cert is not None
+        assert certificate_residual(shifted, cert) <= duality_lp.TOL_LP
+        assert calls == [shifted]
+
     def test_negative_constant_certified(self):
         for cls in (MONOTONE, ODD):
             cert = lp_certificate(constant(-1.0), beta=6, class_tag=cls)

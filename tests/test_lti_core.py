@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from zflim import lti_core
 from zflim.errors import InvalidGain, NotStable, PoleOnUnitCircle, RootFindingFailed
 from zflim.lti_core import (
     NEWTON_STEPS,
@@ -263,6 +264,37 @@ class TestStability:
     def test_all_bundled_plants_stable(self, plants):
         for tf in plants.values():
             assert is_stable(tf)
+
+    def test_verdict_kept_on_the_plant(self, monkeypatch):
+        # both verdicts are stored on first use; a fresh plant with the same
+        # coefficients computes its own
+        calls = []
+
+        def counting(tf):
+            calls.append(tf)
+            return poles(tf)
+
+        monkeypatch.setattr(lti_core, "poles", counting)
+        stable, unstable = unit(0.5), TransferFunction([1.0], [-1.0, 1.0])
+        assert [is_stable(tf) for tf in (stable, unstable, stable, unstable)] == [
+            True, False, True, False
+        ]
+        assert calls == [stable, unstable]
+        assert is_stable(unit(0.5)) and len(calls) == 3
+
+    def test_root_finding_failure_not_kept(self):
+        # a denominator on which root polishing fails raises on every call
+        for den in seeded_denominators(15, 600):
+            tf = TransferFunction([1.0], den)
+            try:
+                poles(tf)
+            except RootFindingFailed:
+                break
+        else:
+            pytest.fail("no seeded denominator fails root finding")
+        for _ in range(2):
+            with pytest.raises(RootFindingFailed):
+                is_stable(tf)
 
 
 class TestShiftByInverseGain:

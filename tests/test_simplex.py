@@ -12,7 +12,7 @@ from zflim.errors import LpNumericalFailure
 from zflim.lti_core import frequency_response, shift_by_inverse_gain
 from zflim.plants import BUILTIN, dump_plant
 from zflim.rational_core import MONOTONE, ODD
-from zflim.simplex import generate_rows, simplex_max_leq
+from zflim.simplex import _TOL, LpSolution, generate_rows, simplex_max_leq
 
 
 def test_two_variable_box():
@@ -473,3 +473,140 @@ class TestResidualCheck:
                 assert code in (cli.EXIT_OK, cli.EXIT_BRACKET), (plant, cls)
         assert len(ratios) > 150
         assert max(ratios) <= 0.5
+
+
+class ReferenceTableau(simplex.Tableau):
+    """`Tableau` with `_pivot` and `solve` as they were before the pivot loop
+    was cut to fewer numpy calls (np.outer, np.flatnonzero, np.full and a
+    boolean-indexed ratio test), copied verbatim: the arithmetic the kernel
+    must keep bit for bit."""
+
+    def _pivot(self, r: int, j: int) -> None:
+        """Exchange the basic variable of row r with the nonbasic one of column j."""
+        T = self.T
+        pivot = T[r, j]
+        row = T[r] / pivot
+        T[r] = row
+        colv = T[:, j].copy()
+        colv[r] = 0.0
+        np.outer(colv, row, out=self.update)
+        T -= self.update
+        inv = 1.0 / pivot
+        T[:, j] = -colv * inv
+        T[r, j] = inv
+        self.basis[r], self.nonbasic[j] = self.nonbasic[j], self.basis[r]
+
+    def solve(self, maxiter: int = 100000, feas: float = _TOL) -> LpSolution:
+        """Optimise from the current basis.
+
+        Dual pivots run while some rhs < -feas; x reads off the rhs, so its
+        rows hold to about feas.  Raises LpNumericalFailure when ``maxiter``
+        pivots reach no optimum.
+        """
+        T = self.T
+        m, n = self.basis.size, self.nonbasic.size
+        rhs, red = T[:m, -1], T[m, :n]
+        shifted = False
+        for it in range(maxiter):  # dual rule, while added rows leave some rhs < 0
+            r = int(np.argmin(rhs)) if m else 0
+            if not m or rhs[r] >= -feas:
+                break
+            row = T[r, :n]
+            candidates = np.flatnonzero(row < -_TOL)
+            if candidates.size == 0:
+                if rhs[r] >= -_TOL:
+                    break
+                return LpSolution("infeasible", None, None, it, self)
+            if np.any(red < -_TOL):  # shift the costs
+                np.maximum(red, 0.0, out=red)
+                shifted = True
+            slack, size = np.maximum(red[candidates], 0.0), -row[candidates]
+            near = candidates[slack / size <= np.min((slack + _TOL) / size)]
+            self._pivot(r, int(near[np.argmin(row[near])]))
+        else:
+            raise LpNumericalFailure(f"simplex did not converge within {maxiter} pivots")
+        if shifted:  # restore them for the primal rule
+            cost = np.concatenate((self.c, np.zeros(m)))
+            red[:] = cost[self.basis] @ T[:m, :n] - cost[self.nonbasic]
+            T[m, -1] = cost[self.basis] @ rhs
+        for it in range(it, maxiter):  # primal rule
+            np.maximum(rhs, 0.0, out=rhs)
+            candidates = np.flatnonzero(red < -_TOL)
+            if candidates.size == 0:
+                break
+            norms = np.einsum("ij,ij->j", T[:m, :n], T[:m, :n])
+            score = red[candidates] ** 2 / (1.0 + norms[candidates])
+            j = int(candidates[np.argmax(score)])
+            col = T[:m, j]
+            positive = col > _TOL
+            if not np.any(positive):
+                return LpSolution("unbounded", None, None, it, self)
+            ratios = np.full(m, np.inf)
+            ratios[positive] = rhs[positive] / col[positive]
+            self._pivot(int(np.argmin(ratios)), j)
+        else:
+            raise LpNumericalFailure(f"simplex did not converge within {maxiter} pivots")
+
+        x_full = np.zeros(n + m)
+        x_full[self.basis] = rhs
+        x = x_full[:n]
+        return LpSolution("optimal", x, float(self.c @ x), it, self)
+
+
+
+def _recorded(tableau):
+    """The tableau, recording each (row, column) it pivots on in ``pivots``."""
+    tableau.pivots = []
+    pivot = tableau._pivot
+
+    def recording(r, j):
+        tableau.pivots.append((int(r), int(j)))
+        pivot(r, j)
+
+    tableau._pivot = recording
+    return tableau
+
+
+def _bits(sol):
+    """Everything a solve returns, with floats as bytes (so -0.0 != 0.0)."""
+    x = None if sol.x is None else sol.x.tobytes()
+    objective = None if sol.objective is None else np.float64(sol.objective).tobytes()
+    return sol.status, sol.iterations, x, objective, sol.tableau.T.tobytes()
+
+
+def test_kernel_matches_the_reference_bit_for_bit():
+    # 320 seeded LPs, a third with some b < 0 under a budget row (the dual rule
+    # with the costs shifted, as c has positive entries), each solved cold and
+    # then after two rounds of added rows of either sign of b: the same pivots,
+    # x, objective and tableau as the reference pivot loop
+    rng = np.random.default_rng(16)
+    kinds = ["real", "integer", "game", "integer game"]
+    statuses, negative_b, rounds = {"optimal": 0, "infeasible": 0, "unbounded": 0}, 0, 0
+    for trial in range(320):
+        if trial % 3 == 0:
+            m, n = int(rng.integers(1, 25)), int(rng.integers(1, 20))
+            A = np.vstack([np.ones(n), rng.normal(size=(m, n))])
+            b = np.append(rng.uniform(1.0, 3.0), rng.normal(size=m))
+            c = rng.normal(size=n)
+            negative_b += bool(np.any(b < 0.0) and np.any(c > 0.0))
+        elif trial % 3 == 1:
+            c, A, b = _degenerate_lp(rng)
+        else:
+            c, A, b = _random_lp(rng, kinds[trial % 4])
+        new = _recorded(simplex.Tableau(c, A, b))
+        ref = _recorded(ReferenceTableau(c, A, b))
+        for round_ in range(3):
+            if round_:
+                A_new = rng.normal(size=(int(rng.integers(1, 6)), c.size))
+                b_new = A_new @ sol.x - rng.uniform(-0.5, 1.0, size=A_new.shape[0])
+                new.add_rows(A_new, b_new)
+                ref.add_rows(A_new, b_new)
+                rounds += 1
+            sol = new.solve(maxiter=5000)
+            assert _bits(sol) == _bits(ref.solve(maxiter=5000)), (trial, round_)
+            assert new.pivots == ref.pivots, (trial, round_)
+            statuses[sol.status] += 1
+            if sol.status != "optimal":
+                break
+    assert negative_b >= 80 and rounds >= 200, (negative_b, rounds)
+    assert min(statuses.values()) >= 20, statuses

@@ -1,0 +1,93 @@
+"""Digests that pin zflim's results: every simplex pivot and every report.
+
+    python3 tools/digest.py [SRC]
+
+Imports zflim from SRC (default: the src/ of this checkout), runs `zflim
+analyze` on the 12 bundled plant x class pairs at --lp-beta 60 and 210,
+then the two certificate LPs of the `certify-deep` benchmark workload (ex1,
+odd class, beta 160, k 13.46 and 13.56), and prints two sha256 digests:
+
+  pivots   every (row, column) pivot of every `simplex.Tableau`, in order;
+  reports  each analyze exit code and report without its wall_times, and
+           each certificate's weights, byte for byte.
+
+It also prints, per --lp-beta, the `Tableau.solve` calls, the pivots and the
+`lti_core.poles` calls of the 12 analyze runs.  Two commits that print the
+same digests pivoted identically and reported the same numbers.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread, set before numpy loads, as the benchmark runs
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from collections import Counter
+
+LP_BETAS = (60, 210)
+CERTIFY_DEEP = ("ex1", 160, (13.46, 13.56))
+
+
+def main(argv) -> int:
+    src = argv[0] if argv else os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    sys.path.insert(0, os.path.abspath(src))
+    from zflim import cli, duality_lp, lti_core, simplex
+    from zflim.plants import BUILTIN
+    from zflim.rational_core import MONOTONE, ODD
+
+    pivots, reports = hashlib.sha256(), hashlib.sha256()
+    counts = Counter()
+    pivot, solve, poles = simplex.Tableau._pivot, simplex.Tableau.solve, lti_core.poles
+
+    def counted_pivot(self, r, j):
+        pivots.update(f"{r},{j};".encode())
+        counts["pivots"] += 1
+        return pivot(self, r, j)
+
+    def counted_solve(self, *args, **kwargs):
+        counts["solve"] += 1
+        return solve(self, *args, **kwargs)
+
+    def counted_poles(tf):
+        counts["poles"] += 1
+        return poles(tf)
+
+    simplex.Tableau._pivot, simplex.Tableau.solve = counted_pivot, counted_solve
+    lti_core.poles = counted_poles
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        for lp_beta in LP_BETAS:
+            counts.clear()
+            for name in sorted(BUILTIN):
+                for cls in (MONOTONE, ODD):
+                    argv = ["analyze", "--example", name, "--class", cls,
+                            "--lp-beta", str(lp_beta), "--out", out]
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        code = cli.main(argv)
+                    with open(out, encoding="utf-8") as fh:
+                        report = json.load(fh)
+                    report.pop("wall_times")
+                    reports.update(json.dumps([code, report], sort_keys=True).encode())
+            print(f"analyze --lp-beta {lp_beta}: {counts['solve']} Tableau.solve calls, "
+                  f"{counts['pivots']} pivots, {counts['poles']} poles calls")
+
+    name, beta, slopes = CERTIFY_DEEP
+    for k in slopes:
+        shifted = lti_core.shift_by_inverse_gain(BUILTIN[name].tf(), k)
+        cert = duality_lp.lp_certificate(shifted, beta, ODD)
+        reports.update(b"none" if cert is None else cert.lambdas.tobytes())
+    print(f"pivots  {pivots.hexdigest()}")
+    print(f"reports {reports.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
