@@ -12,13 +12,13 @@ and finite), 4 bisection bracket failure (a partial report is still written),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .continuous_duality import CtCertificateInput, ct_check_nonodd, ct_check_odd
@@ -45,61 +45,6 @@ EXIT_CHAIN = 5
 
 SCHEMA_VERSION = 2
 CHAIN_SLACK = 1e-6
-
-
-@dataclass
-class AnalysisReport:
-    """Per-plant result bundle with method attribution and stage timings."""
-
-    plant_name: str
-    class_tag: str
-    k_nyquist: float = math.inf
-    k_lower: float = math.inf
-    k_lower_n_z: Optional[int] = None
-    k_upper_single: float = math.inf
-    witness_alpha: Optional[int] = None
-    witness_beta: Optional[int] = None
-    k_upper_lp: float = math.inf
-    lp_beta: Optional[int] = None
-    lp_tol_k: Optional[float] = None
-    dual_gap_percent: Optional[float] = None
-    wall_times: dict = field(default_factory=dict)
-    note: Optional[str] = None
-
-    def chain_violations(self) -> list[str]:
-        out = []
-        if self.k_lower > self.k_upper_single + CHAIN_SLACK:
-            out.append("k_lower exceeds single-frequency upper bound")
-        if self.k_lower > self.k_upper_lp + CHAIN_SLACK:
-            out.append("k_lower exceeds LP upper bound")
-        if min(self.k_upper_single, self.k_upper_lp) > self.k_nyquist + CHAIN_SLACK:
-            out.append("upper bound exceeds the linear stability gain")
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "plant": self.plant_name,
-            "class": self.class_tag,
-            "k_nyquist": self.k_nyquist,
-            "k_lower": {
-                "value": self.k_lower,
-                "n_z": self.k_lower_n_z,
-            },
-            "k_upper_single": {
-                "value": self.k_upper_single,
-                "alpha": self.witness_alpha,
-                "beta": self.witness_beta,
-            },
-            "k_upper_lp": {
-                "value": self.k_upper_lp,
-                "beta": self.lp_beta,
-                "tol_k": self.lp_tol_k,
-            },
-            "dual_gap_percent": self.dual_gap_percent,
-            "wall_times": self.wall_times,
-            "note": self.note,
-        }
 
 
 def _jsonable(obj):
@@ -289,65 +234,86 @@ def cmd_ct_check(args) -> int:
     return EXIT_OK if holds else EXIT_NOT_FOUND
 
 
+@contextlib.contextmanager
+def _stage(wall_times: dict, name: str):
+    """Record the with-block's wall time as wall_times[name]."""
+    t0 = time.perf_counter()
+    yield
+    wall_times[name] = time.perf_counter() - t0
+
+
 def cmd_analyze(args) -> int:
     record = _resolve_plant(args)
     tf = record.tf()
-    report = AnalysisReport(plant_name=record.name, class_tag=args.class_tag)
+    wall_times = {}
+    with _stage(wall_times, "nyquist"):
+        k_nyquist = nyquist_value(tf)
+    with _stage(wall_times, "scan_upper"):
+        scan = scan_upper_bound(tf, args.class_tag, args.beta_max)
+    witness = scan.witness_freq
+    report = {
+        "schema": SCHEMA_VERSION,
+        "plant": record.name,
+        "class": args.class_tag,
+        "k_nyquist": k_nyquist,
+        "k_lower": {"value": math.inf, "n_z": None},
+        "k_upper_single": {
+            "value": scan.k_upper,
+            "alpha": witness.alpha if witness else None,
+            "beta": witness.beta if witness else None,
+        },
+        "k_upper_lp": {"value": math.inf, "beta": None, "tol_k": None},
+        "dual_gap_percent": None,
+        "wall_times": wall_times,
+        "note": None,
+    }
+    k_lower, k_upper_lp = report["k_lower"], report["k_upper_lp"]
     exit_code = EXIT_OK
 
-    t0 = time.perf_counter()
-    report.k_nyquist = nyquist_value(tf)
-    report.wall_times["nyquist"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    scan = scan_upper_bound(tf, args.class_tag, args.beta_max)
-    report.wall_times["scan_upper"] = time.perf_counter() - t0
-    report.k_upper_single = scan.k_upper
-    if scan.witness_freq is not None:
-        report.witness_alpha = scan.witness_freq.alpha
-        report.witness_beta = scan.witness_freq.beta
-
-    cap = min(report.k_upper_single, report.k_nyquist)
+    cap = min(scan.k_upper, k_nyquist)
     if math.isinf(cap):
-        report.note = "passive regime: no finite upper bound, any slope admits the trivial multiplier"
-        report.k_lower = math.inf
+        report["note"] = "passive regime: no finite upper bound, any slope admits the trivial multiplier"
     else:
-        config = SearchConfig(n_z=args.nz)
-        report.k_lower_n_z = args.nz
-        t0 = time.perf_counter()
-        try:
-            report.k_lower = bisect_lower_bound(
-                tf, config, args.class_tag, cap / 1000.0, cap, args.tol_k
-            )
-        except BracketInvalid as exc:
-            report.note = f"lower-bound bracket failed: {exc}"
-            exit_code = EXIT_BRACKET
-        report.wall_times["lower_bound"] = time.perf_counter() - t0
-
-        report.lp_beta = args.lp_beta
-        report.lp_tol_k = args.tol_k
-        t0 = time.perf_counter()
-        if exit_code == EXIT_OK:
+        k_lower["n_z"] = args.nz
+        with _stage(wall_times, "lower_bound"):
             try:
-                report.k_upper_lp = bisect_upper_bound(
-                    tf, args.lp_beta, args.class_tag,
-                    report.k_lower * (1.0 - 1e-9), cap, args.tol_k,
+                k_lower["value"] = bisect_lower_bound(
+                    tf, SearchConfig(n_z=args.nz), args.class_tag, cap / 1000.0, cap, args.tol_k
                 )
             except BracketInvalid as exc:
-                report.note = f"upper-bound bracket failed: {exc}"
+                report["note"] = f"lower-bound bracket failed: {exc}"
                 exit_code = EXIT_BRACKET
-        report.wall_times["lp_upper"] = time.perf_counter() - t0
 
-    if math.isfinite(report.k_lower) and report.k_lower > 0:
-        best_upper = min(report.k_upper_single, report.k_upper_lp)
-        if math.isfinite(best_upper):
-            report.dual_gap_percent = 100.0 * (best_upper - report.k_lower) / report.k_lower
+        k_upper_lp.update(beta=args.lp_beta, tol_k=args.tol_k)
+        with _stage(wall_times, "lp_upper"):
+            if exit_code == EXIT_OK:
+                try:
+                    k_upper_lp["value"] = bisect_upper_bound(
+                        tf, args.lp_beta, args.class_tag,
+                        k_lower["value"] * (1.0 - 1e-9), cap, args.tol_k,
+                    )
+                except BracketInvalid as exc:
+                    report["note"] = f"upper-bound bracket failed: {exc}"
+                    exit_code = EXIT_BRACKET
 
-    violations = report.chain_violations()
+    lower, lp = k_lower["value"], k_upper_lp["value"]
+    best_upper = min(scan.k_upper, lp)
+    if math.isfinite(lower) and lower > 0 and math.isfinite(best_upper):
+        report["dual_gap_percent"] = 100.0 * (best_upper - lower) / lower
+
+    # a failed LP bracket leaves k_upper_lp = inf, and the scan bound alone may
+    # exceed k_nyquist: both are upper bounds, and the pipeline caps at the smaller
+    violations = [message for broken, message in (
+        (lower > scan.k_upper + CHAIN_SLACK, "k_lower exceeds single-frequency upper bound"),
+        (lower > lp + CHAIN_SLACK, "k_lower exceeds LP upper bound"),
+        (math.isfinite(lp) and lp > k_nyquist + CHAIN_SLACK,
+         "upper bound exceeds the linear stability gain"),
+    ) if broken]
     if violations and exit_code == EXIT_OK:
-        report.note = "; ".join(violations)
+        report["note"] = "; ".join(violations)
         exit_code = EXIT_CHAIN
 
-    write_json(args.out, report.to_json_dict())
+    write_json(args.out, report)
     _print_report(report)
     if violations:
         print("chain violation: " + "; ".join(violations), file=sys.stderr)
@@ -358,19 +324,19 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}" if math.isfinite(x) else "inf"
 
 
-def _print_report(r: AnalysisReport):
-    wit = (f"({r.witness_alpha}/{r.witness_beta})*pi"
-           if r.witness_alpha is not None else "-")
-    gap = f"{r.dual_gap_percent:.4f}%" if r.dual_gap_percent is not None else "-"
-    print(f"plant            {r.plant_name}")
-    print(f"class            {r.class_tag}")
-    print(f"k_nyquist        {_fmt(r.k_nyquist)}")
-    print(f"k_lower          {_fmt(r.k_lower)}  (n_z={r.k_lower_n_z})")
-    print(f"k_upper_single   {_fmt(r.k_upper_single)}  at {wit}")
-    print(f"k_upper_lp       {_fmt(r.k_upper_lp)}  (beta={r.lp_beta})")
+def _print_report(r: dict):
+    single, lp = r["k_upper_single"], r["k_upper_lp"]
+    wit = f"({single['alpha']}/{single['beta']})*pi" if single["alpha"] is not None else "-"
+    gap = f"{r['dual_gap_percent']:.4f}%" if r["dual_gap_percent"] is not None else "-"
+    print(f"plant            {r['plant']}")
+    print(f"class            {r['class']}")
+    print(f"k_nyquist        {_fmt(r['k_nyquist'])}")
+    print(f"k_lower          {_fmt(r['k_lower']['value'])}  (n_z={r['k_lower']['n_z']})")
+    print(f"k_upper_single   {_fmt(single['value'])}  at {wit}")
+    print(f"k_upper_lp       {_fmt(lp['value'])}  (beta={lp['beta']})")
     print(f"dual_gap         {gap}")
-    if r.note:
-        print(f"note             {r.note}")
+    if r["note"]:
+        print(f"note             {r['note']}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -120,13 +120,13 @@ def _certificate(W: np.ndarray, beta: int, class_tag: str) -> Optional[DualityCe
         raise LpNumericalFailure("certificate LP returned a zero weight vector")
     lambdas = x / total
 
-    # independent re-verification on all rows, including i = 0
-    residual = float(np.max(W @ lambdas))
+    # independent re-verification on all rows; the zero i = 0 row cannot
+    # decide it, as TOL_LP > 0
+    residual = float(np.max(W_lp @ lambdas))
     lp_value = 1.0 / total - shift
     if residual <= TOL_LP:
-        margin = -float(np.max(W_lp @ lambdas))
         return DualityCertificate(
-            beta=beta, freqs=_grid(beta), lambdas=lambdas, class_tag=class_tag, margin=margin
+            beta=beta, freqs=_grid(beta), lambdas=lambdas, class_tag=class_tag, margin=-residual
         )
     if lp_value <= TOL_LP:
         raise LpNumericalFailure(
@@ -148,8 +148,8 @@ def lp_certificate(
     with every (m // 64)-th of the m rows and the last, it adds the most
     violated rows until none is, as only a few hundred rows bind.  The i = 0 difference
     row is identically zero and is left out of the LP (it can never be
-    interior).  Acceptance is the residual re-verification on all rows,
-    including i = 0, which does not depend on the solver or the rows it saw.
+    interior).  Acceptance is the residual re-verification on all rows (the
+    i = 0 row adds a zero), which does not depend on the solver or the rows it saw.
     """
     if class_tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {class_tag!r}")

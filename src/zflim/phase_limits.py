@@ -9,17 +9,15 @@ G + 1/k still escapes the cone.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateDenominator, NotStable
 from .lti_core import TransferFunction, evaluate, frequency_response, is_stable
-from .rational_core import ODD, CLASS_TAGS, RationalFrequency, _bound_fraction, period
+from .rational_core import MONOTONE, ODD, CLASS_TAGS, RationalFrequency, _bound_fraction, period
 
 DEFAULT_BETA_MAX = 50
 
@@ -42,12 +40,13 @@ def phase_bound(rf: RationalFrequency, class_tag: str) -> float:
     return math.pi * f.numerator / f.denominator
 
 
-def _cone_half_angle(rf: RationalFrequency, class_tag: str) -> float:
-    """Half-angle pi*(1/2 - bound fraction) of the cone around the negative
-    real axis that G + 1/k must leave (pi/2 at omega = pi).  1/2 minus the
-    bound fraction always has numerator 1, so the product with pi is exact."""
-    h = Fraction(1, 2) - _bound_fraction(rf, class_tag)
-    return math.pi * h.numerator / h.denominator
+def _cone_half_angle(alpha, beta, class_tag: str):
+    """Half-angle pi/2 - `phase_bound` of the cone around the negative real
+    axis that G + 1/k must leave at omega = (alpha/beta)*pi: pi/d with d =
+    beta for the monotone class at even alpha and d = 2*beta otherwise (pi/2
+    at omega = pi).  alpha and beta may be integers or integer arrays."""
+    d = np.where((class_tag == MONOTONE) & (alpha % 2 == 0), beta, 2 * beta)
+    return math.pi / d
 
 
 def _cone_slopes(g, half_angle) -> np.ndarray:
@@ -121,7 +120,7 @@ def single_freq_upper_bound(
         raise ValueError(f"unknown class tag {class_tag!r}")
     if not is_stable(G):
         raise NotStable("bound applies to stable plants")
-    k = float(_cone_slopes(evaluate(G, rf.omega), _cone_half_angle(rf, class_tag)))
+    k = float(_cone_slopes(evaluate(G, rf.omega), _cone_half_angle(rf.alpha, rf.beta, class_tag)))
     return k if k > 0.0 else None
 
 
@@ -135,26 +134,16 @@ def coprime_pairs(beta_max: int) -> list[RationalFrequency]:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _scan_table(beta_max: int, class_tag: str):
-    """`coprime_pairs(beta_max)` as a tuple, with their omegas and their
-    `_cone_half_angle`s as read-only arrays: the scan's slope-free part."""
-    pairs = tuple(coprime_pairs(beta_max))
-    table = np.array([(rf.omega, _cone_half_angle(rf, class_tag)) for rf in pairs])
-    table.flags.writeable = False
-    return pairs, table[:, 0], table[:, 1]
-
-
 def scan_upper_bound(
     G: TransferFunction, class_tag: str, beta_max: int = DEFAULT_BETA_MAX
 ) -> SlopeBoundResult:
     """Minimum single-frequency bound over all rational frequencies up to beta_max.
 
-    The same closed form as `single_freq_upper_bound` at every frequency: the
-    cone slope of `_cone_slopes` at the exact half-angle of
-    `_cone_half_angle`, with one vectorised response evaluation for the
-    whole grid and one stability check, not one per frequency; the exact
-    half-angles are computed once per (beta_max, class) by `_scan_table`.
+    The same closed form as `single_freq_upper_bound` at every frequency of
+    `coprime_pairs(beta_max)`, in its order: the cone slope of `_cone_slopes`
+    at the half-angle of `_cone_half_angle`, with one vectorised response
+    evaluation for the whole grid and one stability check, not one per
+    frequency.  The first of equal minima is the witness.
     """
     if class_tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {class_tag!r}")
@@ -162,8 +151,13 @@ def scan_upper_bound(
         raise ValueError("beta_max must be at least 2")
     if not is_stable(G):
         raise NotStable("scan applies to stable plants")
-    pairs, omega, half_angle = _scan_table(beta_max, class_tag)
-    k_all = _cone_slopes(frequency_response(G, omega), half_angle)
+    # rows beta, columns alpha <= beta: (1, 1), then each beta's coprime alphas
+    beta, alpha = np.tril_indices(beta_max + 1)
+    keep = (alpha > 0) & (np.gcd(alpha, beta) == 1)
+    alpha, beta = alpha[keep], beta[keep]
+    omega = alpha * math.pi / beta  # as `RationalFrequency.omega`
+    k_all = _cone_slopes(frequency_response(G, omega), _cone_half_angle(alpha, beta, class_tag))
     k_all = np.where(k_all > 0.0, k_all, math.inf)  # NaN and k <= 0 bound nothing
     i = int(np.argmin(k_all))  # the first of equal minima
-    return SlopeBoundResult(float(k_all[i]), pairs[i] if k_all[i] < math.inf else None, class_tag)
+    witness = RationalFrequency(int(alpha[i]), int(beta[i])) if k_all[i] < math.inf else None
+    return SlopeBoundResult(float(k_all[i]), witness, class_tag)

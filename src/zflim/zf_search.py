@@ -57,11 +57,11 @@ def _laurent(h: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
     conj(den(z))} = c_0 + 2 sum_{j>0} c_j cos(jw) on |z| = 1, taps h at -n_z..-1,
     1..n_z, ascending num and den with deg num <= deg den."""
     n_z = h.size // 2
-    m = np.insert(-h[::-1], n_z, 1.0)  # z^n_z M(z), ascending
+    m = np.concatenate([-h[n_z:][::-1], [1.0], -h[:n_z][::-1]])  # z^n_z M(z), ascending
     q = np.convolve(np.convolve(m, num), den[::-1])
-    n = n_z + den.size - 1
-    q = np.pad(q, (0, 2 * n + 1 - q.size))
-    return 0.5 * (q + q[::-1])
+    c = np.zeros(2 * (n_z + den.size - 1) + 1)
+    c[:q.size] = q
+    return 0.5 * (c + c[::-1])
 
 
 def _cos_sum(c: np.ndarray, w: np.ndarray) -> np.ndarray:

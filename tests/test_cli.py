@@ -277,12 +277,62 @@ class TestAnalyze:
         assert lower <= payload["k_upper_lp"]["value"] + 1e-6
         assert set(payload["wall_times"]) >= {"nyquist", "scan_upper", "lower_bound", "lp_upper"}
 
-    def test_passive_plant_notes_trivial_regime(self, tmp_path):
+    def test_ex1_monotone_report_at_beta_60(self, tmp_path, capsys):
+        # the scan witness (2/7)*pi is not on the beta = 60 grid, so no
+        # certificate exists at the cap and the LP bracket fails
+        out = tmp_path / "report.json"
+        code = run(["analyze", "--example", "ex1", "--class", "monotone",
+                    "--lp-beta", "60", "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().out.splitlines() == [
+            "plant            ex1",
+            "class            monotone",
+            "k_nyquist        36.100000",
+            "k_lower          13.028257  (n_z=8)",
+            "k_upper_single   13.028374  at (2/7)*pi",
+            "k_upper_lp       inf  (beta=60)",
+            "dual_gap         0.0009%",
+            "note             upper-bound bracket failed: "
+            "no certificate at k_hi=13.028373692567094",
+        ]
+        payload = json.loads(out.read_text())
+        assert payload["k_upper_lp"] == {"value": "inf", "beta": 60, "tol_k": 0.0001}
+        assert list(payload["wall_times"]) == ["nyquist", "scan_upper", "lower_bound", "lp_upper"]
+
+    def test_scan_bound_above_nyquist_is_no_chain_violation(self, tmp_path, capsys):
+        # perfbench.workloads.random_plant(default_rng(2)): k_nyquist 1.00233
+        # caps the monotone scan bound 1.01588, and no certificate exists at
+        # the cap; the scan bound is a looser upper bound, not a violation
+        path = tmp_path / "plant.json"
+        path.write_text(json.dumps({
+            "name": "rand2",
+            "num": [0.356574925484507, 0.6847291724466128, 0.247024291268094,
+                    -0.14032025714997784, -0.05225425906847654, 0.009749913046510187],
+            "den": [1.0, 0.8017346530015825, 0.542450973014058, -0.03427240424658186,
+                    0.035776300343025896, -0.020929840951778536, 0.006927729642513331],
+        }))
+        out = tmp_path / "report.json"
+        run(["analyze", "--plant", str(path), "--class", "monotone", "--out", str(out)])
+        assert "chain violation" not in capsys.readouterr().err
+        assert json.loads(out.read_text())["note"].startswith("upper-bound bracket failed")
+
+    def test_passive_plant_notes_trivial_regime(self, tmp_path, capsys):
         plant = tmp_path / "p.json"
         plant.write_text(json.dumps({"name": "unit", "num": [1.0], "den": [1.0]}))
         out = tmp_path / "r.json"
         code = run(["analyze", "--plant", str(plant), "--class", "monotone", "--out", str(out)])
         assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "plant            unit",
+            "class            monotone",
+            "k_nyquist        inf",
+            "k_lower          inf  (n_z=None)",
+            "k_upper_single   inf  at -",
+            "k_upper_lp       inf  (beta=None)",
+            "dual_gap         -",
+            "note             passive regime: no finite upper bound, "
+            "any slope admits the trivial multiplier",
+        ]
         payload = json.loads(out.read_text())
         assert payload["k_nyquist"] == "inf"
         assert payload["k_upper_single"]["value"] == "inf"

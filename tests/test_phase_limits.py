@@ -1,6 +1,7 @@
 """Phase caps, single-frequency certificates and the slope-bound scan."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from zflim import phase_limits
 from zflim.errors import DegenerateDenominator, NotStable
 from zflim.lti_core import TransferFunction, evaluate, shift_by_inverse_gain
 from zflim.phase_limits import (
-    _scan_table,
+    _cone_half_angle,
     cone_slope_bound,
     coprime_pairs,
     phase_bound,
@@ -18,7 +19,13 @@ from zflim.phase_limits import (
     single_freq_certificate,
     single_freq_upper_bound,
 )
-from zflim.rational_core import MONOTONE, ODD, RationalFrequency, construct_tight_multiplier
+from zflim.rational_core import (
+    MONOTONE,
+    ODD,
+    RationalFrequency,
+    _bound_fraction,
+    construct_tight_multiplier,
+)
 
 
 def constant(value):
@@ -48,6 +55,18 @@ class TestPhaseBound:
             assert phase_bound(rf, MONOTONE) <= phase_bound(rf, ODD) + 1e-15
             if rf.alpha % 2 == 1:
                 assert phase_bound(rf, MONOTONE) == phase_bound(rf, ODD)
+
+    def test_cone_half_angle_complements_the_bound(self):
+        # the closed form pi/d, for integers and arrays alike, is pi times the
+        # exact 1/2 - _bound_fraction, whose numerator is always 1
+        pairs = coprime_pairs(60)
+        alpha = np.array([rf.alpha for rf in pairs])
+        beta = np.array([rf.beta for rf in pairs])
+        for cls in (MONOTONE, ODD):
+            halves = [Fraction(1, 2) - _bound_fraction(rf, cls) for rf in pairs]
+            exact = [math.pi * h.numerator / h.denominator for h in halves]
+            assert [_cone_half_angle(rf.alpha, rf.beta, cls) for rf in pairs] == exact
+            assert _cone_half_angle(alpha, beta, cls).tolist() == exact
 
 
 class TestSingleFreqCertificate:
@@ -142,21 +161,27 @@ class TestScanUpperBound:
         assert res.k_upper == k
         assert res.witness_freq == rf
 
-    def test_cached_table_is_read_only(self):
-        pairs, omega, half_angle = _scan_table(50, ODD)
-        assert pairs == tuple(coprime_pairs(50))
-        assert _scan_table(50, ODD)[2] is half_angle
-        for array in (omega, half_angle):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+    def test_matches_the_single_frequency_loop(self, plants):
+        # bit for bit, witness included: the first strict minimum in
+        # coprime_pairs order, as the scan's closed-form grid must reproduce;
+        # the constant -1 ties every frequency at k = 1, so (1, 1) must win
+        for tf in [*plants.values(), constant(-1.0)]:
+            for cls in (MONOTONE, ODD):
+                for beta_max in (2, 3, 50, 97):
+                    k, witness = math.inf, None
+                    for rf in coprime_pairs(beta_max):
+                        bound = single_freq_upper_bound(tf, rf, cls)
+                        if bound is not None and bound < k:
+                            k, witness = bound, rf
+                    res = scan_upper_bound(tf, cls, beta_max)
+                    assert (res.k_upper, res.witness_freq) == (k, witness), (cls, beta_max)
 
     def test_second_scan_does_no_fraction_work(self, plants, monkeypatch):
-        first = scan_upper_bound(plants["ex1"], MONOTONE, 37)
-
         def exact(*args):
-            raise AssertionError("half-angle recomputed")
+            raise AssertionError("exact fraction arithmetic in the scan")
 
-        monkeypatch.setattr(phase_limits, "_cone_half_angle", exact)
+        monkeypatch.setattr(phase_limits, "_bound_fraction", exact)
+        first = scan_upper_bound(plants["ex1"], MONOTONE, 37)
         assert scan_upper_bound(plants["ex1"], MONOTONE, 37) == first
 
 

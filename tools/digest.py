@@ -5,11 +5,12 @@
 Imports zflim from SRC (default: the src/ of this checkout), runs `zflim
 analyze` on the 12 bundled plant x class pairs at --lp-beta 60 and 210,
 then the two certificate LPs of the `certify-deep` benchmark workload (ex1,
-odd class, beta 160, k 13.46 and 13.56), and prints two sha256 digests:
+odd class, beta 160, k 13.46 and 13.56), and prints three sha256 digests:
 
   pivots   every (row, column) pivot of every `simplex.Tableau`, in order;
   reports  each analyze exit code and report without its wall_times, and
-           each certificate's weights, byte for byte.
+           each certificate's weights, byte for byte;
+  stdout   each analyze exit code, stdout and stderr.
 
 It also prints, per --lp-beta, the `Tableau.solve` calls, the pivots and the
 `lti_core.poles` calls of the 12 analyze runs.  Two commits that print the
@@ -43,7 +44,7 @@ def main(argv) -> int:
     from zflim.plants import BUILTIN
     from zflim.rational_core import MONOTONE, ODD
 
-    pivots, reports = hashlib.sha256(), hashlib.sha256()
+    pivots, reports, printed = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     counts = Counter()
     pivot, solve, poles = simplex.Tableau._pivot, simplex.Tableau.solve, lti_core.poles
 
@@ -70,8 +71,11 @@ def main(argv) -> int:
                 for cls in (MONOTONE, ODD):
                     argv = ["analyze", "--example", name, "--class", cls,
                             "--lp-beta", str(lp_beta), "--out", out]
-                    with contextlib.redirect_stdout(io.StringIO()):
+                    out_buf, err_buf = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out_buf), contextlib.redirect_stderr(err_buf):
                         code = cli.main(argv)
+                    printed.update(json.dumps(
+                        [code, out_buf.getvalue(), err_buf.getvalue()]).encode())
                     with open(out, encoding="utf-8") as fh:
                         report = json.load(fh)
                     report.pop("wall_times")
@@ -86,6 +90,7 @@ def main(argv) -> int:
         reports.update(b"none" if cert is None else cert.lambdas.tobytes())
     print(f"pivots  {pivots.hexdigest()}")
     print(f"reports {reports.hexdigest()}")
+    print(f"stdout  {printed.hexdigest()}")
     return 0
 
 
