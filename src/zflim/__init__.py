@@ -9,7 +9,6 @@ limitations plus LP duality certificates from above.
 
 from .errors import (
     BracketInvalid,
-    DegenerateDenominator,
     InvalidGain,
     InvalidInterval,
     LpNumericalFailure,
@@ -46,7 +45,6 @@ from .rational_core import (
 from .phase_limits import (
     SlopeBoundResult,
     coprime_pairs,
-    cone_slope_bound,
     phase_bound,
     scan_upper_bound,
     single_freq_certificate,
@@ -60,9 +58,7 @@ from .duality_lp import (
 )
 from .zf_search import SearchConfig, bisect_lower_bound, find_multiplier
 from .interval_limits import (
-    IntervalLimitation,
     LegacyBoundResult,
-    interval_limitation,
     interval_slope_bound,
     legacy_upper_bound,
 )

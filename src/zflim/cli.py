@@ -218,6 +218,23 @@ def cmd_legacy(args) -> int:
 def cmd_ct_check(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    keys = ("freqs", "values", "lambdas")
+    if not (isinstance(data, dict) and all(isinstance(data.get(key), list) for key in keys)):
+        raise ValueError("ct-check file must be a JSON object with lists " + ", ".join(keys))
+
+    def number(x):  # a float, or an integer a float holds (float() refuses a bad string)
+        return isinstance(x, float) or isinstance(x, int) and abs(x) <= sys.float_info.max
+
+    if not all(number(x) or isinstance(x, str) for x in data["freqs"] + data["lambdas"]):
+        raise ValueError("each of freqs and lambdas must be a number")
+    if not all(number(v) or isinstance(v, str) or isinstance(v, list) and len(v) == 2
+               and all(map(number, v)) for v in data["values"]):
+        raise ValueError("each of values must be a number or an [re, im] pair")
+    if not all(data.get(k) is None or number(data[k]) for k in ("t_horizon", "t_step")):
+        raise ValueError("t_horizon and t_step must be numbers")
+    check = args.check or data.get("check", "odd")
+    if check not in ("odd", "nonodd"):
+        raise ValueError(f"unknown check {check!r}; have odd and nonodd")
     freqs = [math.inf if f == "inf" else float(f) for f in data["freqs"]]
     values = [complex(v[0], v[1]) if isinstance(v, list) else complex(v) for v in data["values"]]
     inp = CtCertificateInput(
@@ -227,7 +244,6 @@ def cmd_ct_check(args) -> int:
         t_horizon=data.get("t_horizon"),
         t_step=data.get("t_step"),
     )
-    check = args.check or data.get("check", "odd")
     holds = ct_check_odd(inp) if check == "odd" else ct_check_nonodd(inp)
     print(f"ct-check {check}: {'holds' if holds else 'does not hold'}")
     write_json(args.out, {"check": check, "holds": holds})

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import BracketInvalid, LpNumericalFailure, NotStable
 from .lti_core import TransferFunction, frequency_response, is_stable
 from .lti_core import _check_bracket
-from .rational_core import CLASS_TAGS, MONOTONE
-from .simplex import generate_rows, simplex_max_leq  # noqa: F401 (perfbench traces this binding)
+from .rational_core import MONOTONE, _check_class
+from .simplex import generate_rows, simplex_max_leq  # noqa: F401 (perfbench/selftest.py checks it)
 
 # largest re-verified residual (and LP value) accepted as a certificate
 TOL_LP = 1e-9
@@ -151,8 +151,7 @@ def lp_certificate(
     interior).  Acceptance is the residual re-verification on all rows (the
     i = 0 row adds a zero), which does not depend on the solver or the rows it saw.
     """
-    if class_tag not in CLASS_TAGS:
-        raise ValueError(f"unknown class tag {class_tag!r}")
+    _check_class(class_tag)
     return _certificate(
         _certificate_rows(_grid_samples(G_tilde, beta), beta, class_tag), beta, class_tag
     )
@@ -182,14 +181,12 @@ def bisect_upper_bound(
     certificate fails the bracket) until a probe finds none.
     """
     _check_bracket(k_lo, k_hi, tol_k)
-    if class_tag not in CLASS_TAGS:
-        raise ValueError(f"unknown class tag {class_tag!r}")
+    _check_class(class_tag)
     g = _grid_samples(G, beta)
     table = _trig_table(beta)
     A = _certificate_rows(g, beta, class_tag, table)
-    cos = table[0]
-    D = 1.0 - cos if class_tag == MONOTONE else np.vstack([1.0 - cos, 1.0 + cos])
-    del table, cos  # the LPs below need only A and D
+    D = _certificate_rows(np.ones(beta - 1), beta, class_tag, table)
+    del table  # the LPs below need only A and D
     probe = k_hi
     while True:
         cert = _certificate(A + D / probe, beta, class_tag)

@@ -29,10 +29,6 @@ class PrecisionExhausted(ZflimError):
     """Requested approximation is finer than the float input can support."""
 
 
-class DegenerateDenominator(ZflimError):
-    """Slope-bound formula denominator vanished; the bound is unbounded there."""
-
-
 class LpNumericalFailure(ZflimError):
     """LP solver stalled, cycled, or its solution failed independent re-verification."""
 

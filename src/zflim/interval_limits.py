@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BracketInvalid, InvalidInterval, NotStable
 from .lti_core import TransferFunction, _bisect, _check_bracket, frequency_response, is_stable
-from .rational_core import CLASS_TAGS, MONOTONE
+from .rational_core import MONOTONE, _check_class
 
 DEFAULT_N_SEARCH = 100000
 _CHEAP_N = 32
@@ -37,16 +37,6 @@ _FIRST_BLOCK = 64
 _BLOCK = 20000
 _ROWS = 64
 _TABLE_BYTES = 32 << 20
-
-
-@dataclass(frozen=True)
-class IntervalLimitation:
-    """Slope limits over [a, b] for both multiplier classes."""
-
-    a: float
-    b: float
-    rho: float
-    rho_odd: float
 
 
 @dataclass(frozen=True)
@@ -64,6 +54,13 @@ def _check_interval(a: float, b: float):
         raise InvalidInterval(f"need 0 <= a < b <= pi, got [{a}, {b}]")
 
 
+def _slope_ratios(psi_d, phi_d, width, class_tag: str) -> np.ndarray:
+    """|psi_d| / (width + phi_d), or / (width - |phi_d|) for the odd class;
+    0 where that denominator is at most 1e-12."""
+    den = width + phi_d if class_tag == MONOTONE else width - np.abs(phi_d)
+    return np.abs(psi_d) / np.where(den > 1e-12, den, np.inf)
+
+
 def interval_slope_bound(
     a: float, b: float, class_tag: str, n_search: int = DEFAULT_N_SEARCH
 ) -> float:
@@ -76,8 +73,7 @@ def interval_slope_bound(
     longer beat the running maximum.
     """
     _check_interval(a, b)
-    if class_tag not in CLASS_TAGS:
-        raise ValueError(f"unknown class tag {class_tag!r}")
+    _check_class(class_tag)
     if n_search < 1:
         raise ValueError("n_search must be positive")
     width = b - a
@@ -88,10 +84,7 @@ def interval_slope_bound(
         n = np.arange(start, stop + 1, dtype=float)
         psi_d = (np.cos(a * n) - np.cos(b * n)) / n
         phi_d = (np.sin(a * n) - np.sin(b * n)) / n
-        den = width + phi_d if class_tag == MONOTONE else width - np.abs(phi_d)
-        ok = den > 1e-12
-        if np.any(ok):
-            best = max(best, float(np.max(np.abs(psi_d[ok]) / den[ok])))
+        best = max(best, float(np.max(_slope_ratios(psi_d, phi_d, width, class_tag))))
         start = stop + 1
         size = min(2 * size, _BLOCK)
         if width > 2.0 / start:
@@ -99,14 +92,6 @@ def interval_slope_bound(
             if envelope < best:
                 break
     return best
-
-
-def interval_limitation(a: float, b: float, n_search: int = DEFAULT_N_SEARCH) -> IntervalLimitation:
-    return IntervalLimitation(
-        a, b,
-        interval_slope_bound(a, b, MONOTONE, n_search),
-        interval_slope_bound(a, b, "odd", n_search),
-    )
 
 
 def _runs_with_consistent_side(g: np.ndarray, selected: np.ndarray):
@@ -151,8 +136,7 @@ class _PairTable:
             n = float(m + 1)
             psi_d = (self.cosm[m, r0:r1, None] - self.cosm[m, None, c0:c1]) / n
             phi_d = (self.sinm[m, r0:r1, None] - self.sinm[m, None, c0:c1]) / n
-            den = widths + phi_d if self.class_tag == MONOTONE else widths - np.abs(phi_d)
-            np.maximum(ratios, np.abs(psi_d) / np.where(den > 1e-12, den, np.inf), out=ratios)
+            np.maximum(ratios, _slope_ratios(psi_d, phi_d, widths, self.class_tag), out=ratios)
         return ratios
 
     def _block(self, r0: int, stop: int) -> np.ndarray:
@@ -240,8 +224,7 @@ def legacy_upper_bound(
     unchanged with no witness.  An obstruction already present at k_lo
     invalidates the bracket.
     """
-    if class_tag not in CLASS_TAGS:
-        raise ValueError(f"unknown class tag {class_tag!r}")
+    _check_class(class_tag)
     if not is_stable(G):
         raise NotStable("legacy bound requires a stable plant")
     _check_bracket(k_lo, k_hi, tol_k)

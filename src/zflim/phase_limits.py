@@ -4,7 +4,9 @@ At a rational frequency the phase any multiplier of a class can reach is
 capped in closed form; a plant whose shifted response leaves the reachable
 cone at one such frequency therefore admits no multiplier of that class.
 Both directions are used: the cap itself, and the largest slope k for which
-G + 1/k still escapes the cone.
+G + 1/k still escapes the cone.  The class rule lives in one place,
+`rational_core._cone_denominator`: the cap is pi/2 - pi/d and the cone
+around the negative real axis has half-angle pi/d.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateDenominator, NotStable
+from .errors import NotStable
 from .lti_core import TransferFunction, evaluate, frequency_response, is_stable
-from .rational_core import MONOTONE, ODD, CLASS_TAGS, RationalFrequency, _bound_fraction, period
+from .rational_core import ODD, RationalFrequency, period
+from .rational_core import _bound_fraction, _check_class, _cone_denominator
 
 DEFAULT_BETA_MAX = 50
 
@@ -34,19 +37,9 @@ class SlopeBoundResult:
 def phase_bound(rf: RationalFrequency, class_tag: str) -> float:
     """Largest |phase| reachable at omega by a multiplier of the class:
     pi times the exact `rational_core._bound_fraction` (0 at omega = pi)."""
-    if class_tag not in CLASS_TAGS:
-        raise ValueError(f"unknown class tag {class_tag!r}")
+    _check_class(class_tag)
     f = _bound_fraction(rf, class_tag)
     return math.pi * f.numerator / f.denominator
-
-
-def _cone_half_angle(alpha, beta, class_tag: str):
-    """Half-angle pi/2 - `phase_bound` of the cone around the negative real
-    axis that G + 1/k must leave at omega = (alpha/beta)*pi: pi/d with d =
-    beta for the monotone class at even alpha and d = 2*beta otherwise (pi/2
-    at omega = pi).  alpha and beta may be integers or integer arrays."""
-    d = np.where((class_tag == MONOTONE) & (alpha % 2 == 0), beta, 2 * beta)
-    return math.pi / d
 
 
 def _cone_slopes(g, half_angle) -> np.ndarray:
@@ -77,8 +70,7 @@ def single_freq_certificate(
     the exact non-strict condition; a small positive tol only serves to
     reproduce boundary cases in floating point.
     """
-    if class_tag not in CLASS_TAGS:
-        raise ValueError(f"unknown class tag {class_tag!r}")
+    _check_class(class_tag)
     if not is_stable(G):
         raise NotStable("certificate applies to stable plants")
     g = evaluate(G, rf.omega)
@@ -92,21 +84,6 @@ def single_freq_certificate(
     return True
 
 
-def cone_slope_bound(G: TransferFunction, omega: float, beta_eff: int) -> float:
-    """Slope k placing G + 1/k on the boundary of the half-angle pi/beta_eff
-    cone around the negative real axis (see `_cone_slopes`).
-
-    A positive value certifies that no multiplier of the matching class
-    exists for G + 1/k.
-    """
-    if beta_eff < 2:
-        raise ValueError("beta_eff must be at least 2")
-    k = float(_cone_slopes(evaluate(G, omega), math.pi / beta_eff))
-    if math.isnan(k):
-        raise DegenerateDenominator(f"cone boundary degenerate at omega={omega!r}")
-    return k
-
-
 def single_freq_upper_bound(
     G: TransferFunction, rf: RationalFrequency, class_tag: str
 ) -> Optional[float]:
@@ -116,22 +93,27 @@ def single_freq_upper_bound(
     or None when this frequency yields no positive bound.  At omega = pi the
     response is real and the bound reduces to -1/Re{G} when Re{G} < 0.
     """
-    if class_tag not in CLASS_TAGS:
-        raise ValueError(f"unknown class tag {class_tag!r}")
+    _check_class(class_tag)
     if not is_stable(G):
         raise NotStable("bound applies to stable plants")
-    k = float(_cone_slopes(evaluate(G, rf.omega), _cone_half_angle(rf.alpha, rf.beta, class_tag)))
+    half_angle = math.pi / _cone_denominator(rf.alpha, rf.beta, class_tag)
+    k = float(_cone_slopes(evaluate(G, rf.omega), half_angle))
     return k if k > 0.0 else None
+
+
+def _coprime_grid(beta_max: int):
+    """Integer arrays alpha, beta of (1, 1), then each beta's coprime alphas
+    < beta, for beta = 2..beta_max: the rows beta and columns alpha <= beta
+    of a lower triangle, in row order."""
+    beta, alpha = np.tril_indices(max(beta_max, 1) + 1)
+    keep = (alpha > 0) & (np.gcd(alpha, beta) == 1)
+    return alpha[keep], beta[keep]
 
 
 def coprime_pairs(beta_max: int) -> list[RationalFrequency]:
     """(1,1) plus every coprime (alpha, beta) with alpha < beta <= beta_max."""
-    out = [RationalFrequency(1, 1)]
-    for beta in range(2, beta_max + 1):
-        for alpha in range(1, beta):
-            if math.gcd(alpha, beta) == 1:
-                out.append(RationalFrequency(alpha, beta))
-    return out
+    alpha, beta = _coprime_grid(beta_max)
+    return [RationalFrequency(a, b) for a, b in zip(alpha.tolist(), beta.tolist())]
 
 
 def scan_upper_bound(
@@ -141,22 +123,19 @@ def scan_upper_bound(
 
     The same closed form as `single_freq_upper_bound` at every frequency of
     `coprime_pairs(beta_max)`, in its order: the cone slope of `_cone_slopes`
-    at the half-angle of `_cone_half_angle`, with one vectorised response
+    at the half-angle pi/`_cone_denominator`, with one vectorised response
     evaluation for the whole grid and one stability check, not one per
     frequency.  The first of equal minima is the witness.
     """
-    if class_tag not in CLASS_TAGS:
-        raise ValueError(f"unknown class tag {class_tag!r}")
+    _check_class(class_tag)
     if beta_max < 2:
         raise ValueError("beta_max must be at least 2")
     if not is_stable(G):
         raise NotStable("scan applies to stable plants")
-    # rows beta, columns alpha <= beta: (1, 1), then each beta's coprime alphas
-    beta, alpha = np.tril_indices(beta_max + 1)
-    keep = (alpha > 0) & (np.gcd(alpha, beta) == 1)
-    alpha, beta = alpha[keep], beta[keep]
+    alpha, beta = _coprime_grid(beta_max)
     omega = alpha * math.pi / beta  # as `RationalFrequency.omega`
-    k_all = _cone_slopes(frequency_response(G, omega), _cone_half_angle(alpha, beta, class_tag))
+    half_angle = math.pi / _cone_denominator(alpha, beta, class_tag)
+    k_all = _cone_slopes(frequency_response(G, omega), half_angle)
     k_all = np.where(k_all > 0.0, k_all, math.inf)  # NaN and k <= 0 bound nothing
     i = int(np.argmin(k_all))  # the first of equal minima
     witness = RationalFrequency(int(alpha[i]), int(beta[i])) if k_all[i] < math.inf else None

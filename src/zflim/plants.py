@@ -9,6 +9,7 @@ arrays are reversed on parse and on emit.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .lti_core import TransferFunction
@@ -62,6 +63,12 @@ def parse_plant(text: str) -> PlantRecord:
     for key in ("name", "num", "den"):
         if key not in data:
             raise ValueError(f"plant file missing field {key!r}")
+    for key in ("num", "den"):
+        coeffs = data[key]
+        # abs(x) <= the largest float also refuses NaN and integers no float holds
+        if not (isinstance(coeffs, list) and coeffs and all(
+                isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in coeffs)):
+            raise ValueError(f"plant field {key!r} must be a non-empty list of finite numbers")
     num = tuple(float(x) for x in data["num"])
     den = tuple(float(x) for x in data["den"])
     return PlantRecord(str(data["name"]), num, den)

@@ -23,6 +23,11 @@ ODD = "odd"
 CLASS_TAGS = (MONOTONE, ODD)
 
 
+def _check_class(class_tag: str):
+    if class_tag not in CLASS_TAGS:
+        raise ValueError(f"unknown class tag {class_tag!r}")
+
+
 @dataclass(frozen=True)
 class RationalFrequency:
     """omega = (alpha/beta)*pi with alpha and beta coprime, 0 < alpha <= beta."""
@@ -71,13 +76,11 @@ class FirMultiplier:
     class_tag: str = MONOTONE
 
     def __post_init__(self):
-        if self.class_tag not in CLASS_TAGS:
-            raise ValueError(f"unknown class tag {self.class_tag!r}")
+        _check_class(self.class_tag)
         if 0 in self.taps:
             raise ValueError("h_0 must be absent")
-        norm = sum(abs(v) for v in self.taps.values())
-        if norm > 1.0 + 1e-12:
-            raise ValueError(f"l1 norm {norm} exceeds 1")
+        if self.l1_norm > 1.0 + 1e-12:
+            raise ValueError(f"l1 norm {self.l1_norm} exceeds 1")
         if self.class_tag == MONOTONE and any(v < 0.0 for v in self.taps.values()):
             raise ValueError("monotone-class taps must be non-negative")
 
@@ -98,9 +101,17 @@ class FirMultiplier:
         return float(np.angle(self.response(omega)))
 
 
+def _cone_denominator(alpha, beta, class_tag: str):
+    """d with the class's |phase| cap pi/2 - pi/d at omega = (alpha/beta)*pi:
+    beta for the monotone class at even alpha and 2*beta otherwise.  alpha
+    and beta may be integers or integer arrays."""
+    return beta * (2 - ((class_tag == MONOTONE) & (alpha % 2 == 0)))
+
+
 def period(rf: RationalFrequency) -> int:
-    """Minimal period of i -> exp(-j*omega*i): 2*beta for odd alpha, beta for even."""
-    return 2 * rf.beta if rf.alpha % 2 == 1 else rf.beta
+    """Minimal period of i -> exp(-j*omega*i), the monotone class's
+    `_cone_denominator`: 2*beta for odd alpha, beta for even."""
+    return _cone_denominator(rf.alpha, rf.beta, MONOTONE)
 
 
 def phase_set(rf: RationalFrequency) -> list[float]:
@@ -146,12 +157,10 @@ def _phase_fraction(tap_sign: int, exponent: int, rf: RationalFrequency):
 
 
 def _bound_fraction(rf: RationalFrequency, class_tag: str) -> Fraction:
-    """Largest attainable |phase|/pi for the class at this frequency."""
-    if rf.beta == 1:
-        return Fraction(0)
-    if class_tag == MONOTONE and rf.alpha % 2 == 0:
-        return Fraction(rf.beta - 2, 2 * rf.beta)
-    return Fraction(rf.beta - 1, 2 * rf.beta)
+    """Largest attainable |phase|/pi for the class at this frequency,
+    1/2 - 1/d with d the `_cone_denominator` (0 at omega = pi)."""
+    d = _cone_denominator(rf.alpha, rf.beta, class_tag)
+    return Fraction(d - 2, 2 * d)
 
 
 def _one_tap(tap_sign: int, exponent: int, class_tag: str) -> FirMultiplier:
@@ -167,8 +176,7 @@ def construct_tight_multiplier(rf: RationalFrequency, class_tag: str, sign: int 
     is admitted only for the odd class.  Selection is by exact evaluation, so
     the returned phase matches the bound identically.
     """
-    if class_tag not in CLASS_TAGS:
-        raise ValueError(f"unknown class tag {class_tag!r}")
+    _check_class(class_tag)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     nb = stern_brocot_neighbors(rf)

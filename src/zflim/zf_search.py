@@ -26,8 +26,8 @@ import numpy as np
 from .errors import BracketInvalid, LpNumericalFailure, NotStable
 from .lti_core import Polynomial, TransferFunction, frequency_response, is_stable
 from .lti_core import _bisect, _check_bracket, _companion_roots
-from .rational_core import CLASS_TAGS, MONOTONE, FirMultiplier
-from .simplex import generate_rows, simplex_max_leq  # noqa: F401 (perfbench traces this binding)
+from .rational_core import MONOTONE, FirMultiplier, _check_class
+from .simplex import generate_rows, simplex_max_leq  # noqa: F401 (perfbench/selftest.py checks it)
 
 # equispaced frequencies in [0, pi] the exchange starts from
 SEED_SIZE = 64
@@ -116,8 +116,7 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     reach(k, k_hi) is 1/s* of the taps last accepted, at k (`_circle_shift`),
     backed off by REACH_BACKOFF and capped below k_hi; it is k unless it is
     above k and `_circle_min` proves the taps there."""
-    if class_tag not in CLASS_TAGS:
-        raise ValueError(f"unknown class tag {class_tag!r}")
+    _check_class(class_tag)
     if not is_stable(G):
         raise NotStable("multiplier search requires a stable plant")
     w_seed = np.linspace(0.0, math.pi, SEED_SIZE)

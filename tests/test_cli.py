@@ -188,6 +188,35 @@ class TestCtCheck:
         assert run(["ct-check", "--input", str(inp), "--check", "odd"]) == 1
 
 
+PLANT = {"name": "p", "num": [1.0], "den": [1.0, -0.5]}
+CT_INPUT = {"freqs": [1.0], "values": [[-1.0, 0.0]], "lambdas": [1.0]}
+ANALYZE_PLANT = ["analyze", "--class", "monotone", "--plant"]
+CT_CHECK = ["ct-check", "--input"]
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param(ANALYZE_PLANT, json.dumps(dict(PLANT, num=5)), id="plant-num-number"),
+    pytest.param(ANALYZE_PLANT, json.dumps(dict(PLANT, num=[None])), id="plant-num-null"),
+    pytest.param(ANALYZE_PLANT, json.dumps(dict(PLANT, num=[[1, 2]])), id="plant-num-nested"),
+    pytest.param(ANALYZE_PLANT, json.dumps(dict(PLANT, den=[])), id="plant-den-empty"),
+    pytest.param(ANALYZE_PLANT, json.dumps(dict(PLANT, num=[math.nan])), id="plant-nan"),
+    pytest.param(ANALYZE_PLANT, json.dumps(dict(PLANT, den=[1.0, math.inf])), id="plant-inf"),
+    pytest.param(ANALYZE_PLANT, json.dumps(dict(PLANT, num=[10 ** 400])), id="plant-huge-int"),
+    pytest.param(CT_CHECK, json.dumps({k: v for k, v in CT_INPUT.items() if k != "freqs"}),
+                 id="ct-missing-freqs"),
+    pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, values=[[1]])), id="ct-short-pair"),
+    pytest.param(CT_CHECK, json.dumps([CT_INPUT]), id="ct-top-level-list"),
+    pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, t_step="x")), id="ct-string-t-step"),
+    pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, check="foo")), id="ct-unknown-check"),
+    pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, lambdas=[10 ** 400])), id="ct-huge-int"),
+])
+def test_malformed_file_exits_three(tmp_path, capsys, command, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert run(command + [str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 class TestPlantFiles:
     def test_round_trip_bit_for_bit(self, tmp_path):
         path = tmp_path / "plant.json"

@@ -9,7 +9,6 @@ from zflim import interval_limits
 from zflim.errors import BracketInvalid, InvalidInterval
 from zflim.interval_limits import (
     DEFAULT_N_SEARCH,
-    interval_limitation,
     interval_slope_bound,
     legacy_upper_bound,
 )
@@ -160,11 +159,9 @@ class TestIntervalSlopeBound:
 
     def test_bundle_and_first_term_lower_bound(self):
         for a, b in COMPARISON_PAIRS:
-            lim = interval_limitation(a, b)
-            mu1 = interval_slope_bound(a, b, MONOTONE, n_search=1)
-            mu1_odd = interval_slope_bound(a, b, ODD, n_search=1)
-            assert math.isfinite(lim.rho) and lim.rho >= mu1
-            assert math.isfinite(lim.rho_odd) and lim.rho_odd >= mu1_odd
+            for cls in (MONOTONE, ODD):
+                rho = interval_slope_bound(a, b, cls)
+                assert math.isfinite(rho) and rho >= interval_slope_bound(a, b, cls, n_search=1)
 
     def test_tail_terms_become_negligible(self):
         n_search = 100000

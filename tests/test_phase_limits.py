@@ -8,11 +8,10 @@ import pytest
 
 from conftest import KNOWN_SINGLE_FREQ
 from zflim import phase_limits
-from zflim.errors import DegenerateDenominator, NotStable
+from zflim.errors import NotStable
 from zflim.lti_core import TransferFunction, evaluate, shift_by_inverse_gain
 from zflim.phase_limits import (
-    _cone_half_angle,
-    cone_slope_bound,
+    _cone_slopes,
     coprime_pairs,
     phase_bound,
     scan_upper_bound,
@@ -24,6 +23,7 @@ from zflim.rational_core import (
     ODD,
     RationalFrequency,
     _bound_fraction,
+    _cone_denominator,
     construct_tight_multiplier,
 )
 
@@ -57,16 +57,27 @@ class TestPhaseBound:
                 assert phase_bound(rf, MONOTONE) == phase_bound(rf, ODD)
 
     def test_cone_half_angle_complements_the_bound(self):
-        # the closed form pi/d, for integers and arrays alike, is pi times the
-        # exact 1/2 - _bound_fraction, whose numerator is always 1
+        # the half-angle pi/_cone_denominator, for integers and arrays alike, is
+        # pi times the exact 1/2 - _bound_fraction, whose numerator is always 1
         pairs = coprime_pairs(60)
         alpha = np.array([rf.alpha for rf in pairs])
         beta = np.array([rf.beta for rf in pairs])
         for cls in (MONOTONE, ODD):
             halves = [Fraction(1, 2) - _bound_fraction(rf, cls) for rf in pairs]
+            assert all(h.numerator == 1 for h in halves)
             exact = [math.pi * h.numerator / h.denominator for h in halves]
-            assert [_cone_half_angle(rf.alpha, rf.beta, cls) for rf in pairs] == exact
-            assert _cone_half_angle(alpha, beta, cls).tolist() == exact
+            dens = [_cone_denominator(rf.alpha, rf.beta, cls) for rf in pairs]
+            assert all(type(d) is int for d in dens)
+            assert [math.pi / d for d in dens] == exact
+            assert (math.pi / _cone_denominator(alpha, beta, cls)).tolist() == exact
+
+    @pytest.mark.parametrize("beta_max", [-3, 0, 1, 2, 7, 50])
+    def test_coprime_pairs_match_a_gcd_loop(self, beta_max):
+        expected = [(1, 1)] + [(a, b) for b in range(2, beta_max + 1)
+                               for a in range(1, b) if math.gcd(a, b) == 1]
+        pairs = coprime_pairs(beta_max)
+        assert [(rf.alpha, rf.beta) for rf in pairs] == expected
+        assert all(type(rf.alpha) is int and type(rf.beta) is int for rf in pairs)
 
 
 class TestSingleFreqCertificate:
@@ -93,24 +104,26 @@ class TestSingleFreqCertificate:
             single_freq_certificate(unstable, RationalFrequency(1, 2), MONOTONE)
 
 
-class TestConeSlopeBound:
+class TestConeSlopes:
     def test_negative_real_axis(self):
-        # R = -1, I = 0: bound reduces to -1/R = 1 for any cone
-        assert cone_slope_bound(constant(-1.0), 0.9, 4) == pytest.approx(1.0, abs=1e-12)
+        # R = -1, I = 0: the slope is -1/R = 1 at every half-angle, pi/2 included
+        got = _cone_slopes(-1.0, math.pi / np.array([2, 3, 4, 5, 8]))
+        assert got == pytest.approx(np.ones(5), abs=1e-12)
 
     def test_ex2_quarter_turn(self, plants):
-        got = cone_slope_bound(plants["ex2"], math.pi / 2, 4)
+        got = float(_cone_slopes(evaluate(plants["ex2"], math.pi / 2), math.pi / 4))
         assert got == pytest.approx(3.824040, abs=1e-5)
 
     def test_real_negative_reduces_to_inverse(self, plants):
         g = evaluate(plants["ex1"], math.pi)
-        for beta_eff in (3, 5, 8):
-            got = cone_slope_bound(plants["ex1"], math.pi, beta_eff)
+        for d in (2, 3, 5, 8):
+            got = float(_cone_slopes(g, math.pi / d))
             assert got == pytest.approx(-1.0 / g.real, rel=1e-9)
 
-    def test_degenerate_denominator(self):
-        with pytest.raises(DegenerateDenominator):
-            cone_slope_bound(constant(0.0), 1.0, 4)
+    def test_degenerate_cone_is_nan(self):
+        # g = 0: R tan(a) + I = 0 below pi/2, and -1/R is infinite at pi/2
+        got = _cone_slopes(0.0, math.pi / np.array([2, 4]))
+        assert np.isnan(got).all()
 
 
 class TestSingleFreqUpperBound:

@@ -5,12 +5,19 @@
 Imports zflim from SRC (default: the src/ of this checkout), runs `zflim
 analyze` on the 12 bundled plant x class pairs at --lp-beta 60 and 210,
 then the two certificate LPs of the `certify-deep` benchmark workload (ex1,
-odd class, beta 160, k 13.46 and 13.56), and prints three sha256 digests:
+odd class, beta 160, k 13.46 and 13.56), and prints four sha256 digests:
 
   pivots   every (row, column) pivot of every `simplex.Tableau`, in order;
   reports  each analyze exit code and report without its wall_times, and
            each certificate's weights, byte for byte;
-  stdout   each analyze exit code, stdout and stderr.
+  stdout   each analyze exit code, stdout and stderr;
+  layers   on the 12 pairs, `legacy_upper_bound` (k_upper in hex and the
+           witness) at the `screen` workload's settings (resolution 1e-2 on
+           [0.5k, 1.5k], tol_k 1e-3*k, k the scan bound at beta_max 50) and
+           at acceptance criterion 8's (1e-3 on [0.5k, 0.995*k_nyquist],
+           tol_k 1e-3), and the scans at beta_max 2, 3, 50 and 97; then
+           `period` and the tight one-tap taps over `coprime_pairs(60)` x
+           class x sign, and the `limits --beta-max 50` CSV.
 
 It also prints, per --lp-beta, the `Tableau.solve` calls, the pivots and the
 `lti_core.poles` calls of the 12 analyze runs.  Two commits that print the
@@ -91,7 +98,46 @@ def main(argv) -> int:
     print(f"pivots  {pivots.hexdigest()}")
     print(f"reports {reports.hexdigest()}")
     print(f"stdout  {printed.hexdigest()}")
+    print(f"layers  {layers_digest(BUILTIN, (MONOTONE, ODD))}")
     return 0
+
+
+def layers_digest(plants, classes) -> str:
+    """The `layers` digest of the module docstring."""
+    from zflim import cli
+    from zflim.interval_limits import legacy_upper_bound
+    from zflim.lti_core import nyquist_value
+    from zflim.phase_limits import coprime_pairs, scan_upper_bound
+    from zflim.rational_core import construct_tight_multiplier, period
+
+    digest = hashlib.sha256()
+
+    def update(*items):
+        digest.update(repr(items).encode())
+
+    for name in sorted(plants):
+        tf = plants[name].tf()
+        k_nyquist = nyquist_value(tf)
+        for cls in classes:
+            k = scan_upper_bound(tf, cls, 50).k_upper
+            for args in ((1e-2, 0.5 * k, 1.5 * k, 1e-3 * k),
+                         (1e-3, 0.5 * k, 0.995 * k_nyquist, 1e-3)):
+                res = legacy_upper_bound(tf, cls, *args)
+                update(name, cls, res.k_upper.hex(),
+                       res.witness and tuple(w.hex() for w in res.witness))
+            for beta_max in (2, 3, 50, 97):
+                scan = scan_upper_bound(tf, cls, beta_max)
+                update(name, cls, beta_max, scan.k_upper.hex(), str(scan.witness_freq))
+    for rf in coprime_pairs(60):
+        update(str(rf), period(rf))
+        for cls in classes:
+            for sign in (+1, -1):
+                update(cls, sign, sorted(construct_tight_multiplier(rf, cls, sign).taps.items()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["limits", "--beta-max", "50"])
+    digest.update(out.getvalue().encode())
+    return digest.hexdigest()
 
 
 if __name__ == "__main__":
