@@ -94,12 +94,12 @@ def _add_plant_args(p):
     p.add_argument("--plant", help="path to a plant JSON file")
 
 
-def _class_arg(p, required=True):
+def _class_arg(p):
     p.add_argument(
         "--class",
         dest="class_tag",
         choices=[MONOTONE, ODD],
-        required=required,
+        required=True,
         help="nonlinearity class the multiplier must respect",
     )
 
@@ -235,12 +235,17 @@ def cmd_ct_check(args) -> int:
     check = args.check or data.get("check", "odd")
     if check not in ("odd", "nonodd"):
         raise ValueError(f"unknown check {check!r}; have odd and nonodd")
-    freqs = [math.inf if f == "inf" else float(f) for f in data["freqs"]]
+    freqs = [float(f) for f in data["freqs"]]
     values = [complex(v[0], v[1]) if isinstance(v, list) else complex(v) for v in data["values"]]
+    lambdas = [float(x) for x in data["lambdas"]]
+    times = [float(data[k]) for k in ("t_horizon", "t_step") if data.get(k) is not None]
+    numbers = (freqs[:-1] if freqs[-1:] == [math.inf] else freqs) + lambdas + times
+    if not all(map(math.isfinite, numbers + [p for v in values for p in (v.real, v.imag)])):
+        raise ValueError("ct-check numbers must be finite, except a last frequency of inf")
     inp = CtCertificateInput(
         freqs=freqs,
         values=values,
-        lambdas=[float(x) for x in data["lambdas"]],
+        lambdas=lambdas,
         t_horizon=data.get("t_horizon"),
         t_step=data.get("t_step"),
     )

@@ -7,16 +7,13 @@ member can sustain on the interval.  Kept for conservativeness and runtime
 comparison against the single-frequency results; it is grid-based and
 resolution-limited by construction.
 
-A bisection tests one grid at many slopes.  The truncated-n ratio that
-screens a pair of grid points, and the full slope bound of the pair,
-depend only on the two grid frequencies, so one `_PairTable` per
-bisection keeps them for every slope.  The slope only moves the phase
-requirement, and the candidate runs are nested in it: the shift 1/k leaves
-Im alone and Re + 1/k <= 0 selects more points as k grows, so a run at one
-slope lies inside a run at any larger slope, and a higher slope reuses the
-rows a lower one computed.  Kept ratio blocks stay within `_TABLE_BYTES`
-(32 MiB, the pairs of a run of about 2,900 grid points); past it, blocks
-are computed for the slope at hand and dropped.
+A truncated-n ratio screens each candidate pair before its full slope
+bound is computed.  The ratio is the maximum of the first terms of the
+series the full bound maximises, computed with the same expressions, so it
+never exceeds the full bound; a pair is reported only when its phase
+requirement reaches the full bound, so every reported pair passes the
+screen.  Pairs are visited in the same order whatever the screen's term
+count, which therefore changes no result, only how many full bounds run.
 """
 
 from __future__ import annotations
@@ -32,11 +29,10 @@ from .lti_core import TransferFunction, _bisect, _check_bracket, frequency_respo
 from .rational_core import MONOTONE, _check_class
 
 DEFAULT_N_SEARCH = 100000
-_CHEAP_N = 32
+_CHEAP_N = 4
 _FIRST_BLOCK = 64
 _BLOCK = 20000
 _ROWS = 64
-_TABLE_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -107,83 +103,30 @@ def _runs_with_consistent_side(g: np.ndarray, selected: np.ndarray):
             yield np.arange(i, j), 1 if upper[i] else -1
 
 
-class _PairTable:
-    """Truncated-n slope ratios and full slope bounds of grid pairs.
-
-    Both depend only on the grid frequencies of a pair, not on the slope,
-    so one table serves every slope of a bisection.  Ratios take the first
-    min(_CHEAP_N, n_search) terms, so they never exceed the full bound.
-    They are computed in blocks of `_ROWS` rows, widened to the right as
-    runs grow, and kept while the kept blocks fit in `_TABLE_BYTES`.
-    """
-
-    def __init__(self, w: np.ndarray, class_tag: str, n_search: int):
-        self.w = w
-        self.class_tag = class_tag
-        self.n_search = n_search
-        n = np.arange(1, min(_CHEAP_N, n_search) + 1, dtype=float)[:, None]
-        self.cosm = np.cos(n * w[None, :])
-        self.sinm = np.sin(n * w[None, :])
-        self.blocks = {}
-        self.nbytes = 0
-        self.bounds = {}
-
-    def _ratios(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        """Truncated-n ratios of the pairs (i, j), r0 <= i < r1, c0 <= j < c1."""
-        widths = self.w[None, c0:c1] - self.w[r0:r1, None]
-        ratios = np.zeros((r1 - r0, c1 - c0))
-        for m in range(self.cosm.shape[0]):
-            n = float(m + 1)
-            psi_d = (self.cosm[m, r0:r1, None] - self.cosm[m, None, c0:c1]) / n
-            phi_d = (self.sinm[m, r0:r1, None] - self.sinm[m, None, c0:c1]) / n
-            np.maximum(ratios, _slope_ratios(psi_d, phi_d, widths, self.class_tag), out=ratios)
-        return ratios
-
-    def _block(self, r0: int, stop: int) -> np.ndarray:
-        """Ratios of the pairs (i, j), r0 <= i < r0 + _ROWS, r0 <= j < stop (or wider)."""
-        kept = self.blocks.get(r0)
-        done = r0 if kept is None else r0 + kept.shape[1]
-        if done >= stop:
-            return kept
-        fresh = self._ratios(r0, min(r0 + _ROWS, self.w.size), done, stop)
-        block = fresh if kept is None else np.hstack((kept, fresh))
-        if self.nbytes + fresh.nbytes <= _TABLE_BYTES:
-            self.blocks[r0] = block
-            self.nbytes += fresh.nbytes
-        return block
-
-    def row_blocks(self, first: int, stop: int):
-        """Truncated-n ratios of the pairs first <= i < j < stop, by row block.
-
-        Yields (q0, q1, ratios): ratios[r, c] belongs to (q0 + r, q0 + c) for
-        q0 <= q0 + r < q1; entries with c <= r are meaningless.
-        """
-        r0 = first // _ROWS * _ROWS
-        while r0 < stop - 1:
-            block = self._block(r0, stop)
-            q0, q1 = max(r0, first), min(r0 + _ROWS, stop - 1)
-            yield q0, q1, block[q0 - r0 : q1 - r0, q0 - r0 : stop - r0]
-            r0 += _ROWS
-
-    def bound(self, i: int, j: int) -> float:
-        key = (i, j)
-        if key not in self.bounds:
-            self.bounds[key] = interval_slope_bound(
-                float(self.w[i]), float(self.w[j]), self.class_tag, self.n_search
-            )
-        return self.bounds[key]
+def _screen_ratios(w, cosm, sinm, q0, q1, stop, class_tag: str) -> np.ndarray:
+    """Truncated-n ratios of the pairs (i, j), q0 <= i < q1, q0 <= j < stop,
+    over the len(cosm) terms of cosm[m] = cos((m + 1) w), sinm[m] = sin((m + 1) w)."""
+    widths = w[None, q0:stop] - w[q0:q1, None]
+    ratios = np.zeros((q1 - q0, stop - q0))
+    for m in range(cosm.shape[0]):
+        n = float(m + 1)
+        psi_d = (cosm[m, q0:q1, None] - cosm[m, None, q0:stop]) / n
+        phi_d = (sinm[m, q0:q1, None] - sinm[m, None, q0:stop]) / n
+        np.maximum(ratios, _slope_ratios(psi_d, phi_d, widths, class_tag), out=ratios)
+    return ratios
 
 
-def _find_obstruction(g: np.ndarray, table: _PairTable) -> Optional[Tuple[float, float]]:
+def _find_obstruction(
+    g: np.ndarray, w: np.ndarray, cosm, sinm, bounds: dict, class_tag: str, n_search: int
+) -> Optional[Tuple[float, float]]:
     """First interval (lexicographic in (a, b)) whose phase requirement exceeds
     the class slope limit, or None.
 
     Only contiguous grid runs with Re <= 0 and a consistent sign of Im are
     considered, so the phase requirement holds across the whole candidate
-    interval.  A truncated-n version of the slope limit acts as a cheap
-    lower bound to discard hopeless pairs before the full evaluation.
+    interval.  The truncated-n ratios of `_screen_ratios` discard hopeless
+    pairs before the full evaluation, whose values `bounds` keeps by pair.
     """
-    w = table.w
     for run, side in _runs_with_consistent_side(g, g.real <= 0.0):
         if run.size < 2:
             continue
@@ -193,7 +136,9 @@ def _find_obstruction(g: np.ndarray, table: _PairTable) -> Optional[Tuple[float,
         else:
             required = np.tan(np.maximum(-sigma - math.pi / 2.0, 0.0))
         first, stop = int(run[0]), int(run[-1]) + 1
-        for q0, q1, cheap in table.row_blocks(first, stop):
+        for q0 in range(first, stop - 1, _ROWS):
+            q1 = min(q0 + _ROWS, stop - 1)
+            cheap = _screen_ratios(w, cosm, sinm, q0, q1, stop, class_tag)
             col = np.arange(stop - q0)
             row = np.arange(q1 - q0)[:, None]
             # req_min[r, c] = min(required over the grid points q0 + r .. q0 + c)
@@ -201,9 +146,12 @@ def _find_obstruction(g: np.ndarray, table: _PairTable) -> Optional[Tuple[float,
                 np.where(col >= row, required[q0 - first :], np.inf), axis=1
             )
             hits = np.nonzero((col > row) & (req_min > 0.0) & (cheap <= req_min))
-            for r, c in zip(*hits):
-                if req_min[r, c] >= table.bound(q0 + r, q0 + c):
-                    return (float(w[q0 + r]), float(w[q0 + c]))
+            for i, j in zip(q0 + hits[0], q0 + hits[1]):
+                a, b = float(w[i]), float(w[j])
+                if (i, j) not in bounds:
+                    bounds[i, j] = interval_slope_bound(a, b, class_tag, n_search)
+                if req_min[i - q0, j - q0] >= bounds[i, j]:
+                    return (a, b)
     return None
 
 
@@ -235,10 +183,11 @@ def legacy_upper_bound(
     w = np.arange(0.0, math.pi + resolution / 2.0, resolution)
     w[-1] = min(w[-1], math.pi)
     g_base = frequency_response(G, w)
-    table = _PairTable(w, class_tag, n_search)
+    n = np.arange(1, min(_CHEAP_N, n_search) + 1, dtype=float)[:, None]
+    cosm, sinm, bounds = np.cos(n * w[None, :]), np.sin(n * w[None, :]), {}
 
     def obstruction(k):
-        return _find_obstruction(g_base + 1.0 / k, table)
+        return _find_obstruction(g_base + 1.0 / k, w, cosm, sinm, bounds, class_tag, n_search)
 
     if obstruction(k_lo) is not None:
         raise BracketInvalid(f"obstruction already present at k_lo={k_lo}")

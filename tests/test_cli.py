@@ -187,6 +187,16 @@ class TestCtCheck:
         }))
         assert run(["ct-check", "--input", str(inp), "--check", "odd"]) == 1
 
+    def test_last_frequency_may_be_infinity(self, tmp_path):
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps({
+            "freqs": [1.0, math.inf],
+            "values": [[0.0, 0.0], [-1.0, 0.0]],
+            "lambdas": [0.0, 1.0],
+        }))
+        assert "Infinity" in inp.read_text()
+        assert run(["ct-check", "--input", str(inp)]) == 0
+
 
 PLANT = {"name": "p", "num": [1.0], "den": [1.0, -0.5]}
 CT_INPUT = {"freqs": [1.0], "values": [[-1.0, 0.0]], "lambdas": [1.0]}
@@ -209,6 +219,17 @@ CT_CHECK = ["ct-check", "--input"]
     pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, t_step="x")), id="ct-string-t-step"),
     pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, check="foo")), id="ct-unknown-check"),
     pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, lambdas=[10 ** 400])), id="ct-huge-int"),
+    pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, freqs=[1.0, math.nan], values=[[-1, 0]] * 2,
+                                           lambdas=[1, 1])), id="ct-nan-freq"),
+    pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, freqs=[math.nan])), id="ct-only-nan-freq"),
+    pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, freqs=[-math.inf])), id="ct-minus-inf-freq"),
+    pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, freqs=["nan"])), id="ct-nan-string-freq"),
+    pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, values=[[math.nan, 0]])), id="ct-nan-value"),
+    pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, values=[[-math.inf, 0]])), id="ct-inf-value"),
+    pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, values=["-1+infj"])), id="ct-inf-string"),
+    pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, lambdas=[math.inf])), id="ct-inf-weight"),
+    pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, t_horizon=math.inf)), id="ct-inf-t-horizon"),
+    pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, t_step=math.nan)), id="ct-nan-t-step"),
 ])
 def test_malformed_file_exits_three(tmp_path, capsys, command, text):
     path = tmp_path / "in.json"

@@ -225,16 +225,38 @@ class TestObstructionSearch:
 
     @pytest.mark.parametrize("n_search", [1, 4, 31])
     def test_short_search_screens_with_its_own_terms(self, plants, n_search):
-        # below 32 terms the screen must use n_search terms: a 32-term ratio
-        # can exceed the n_search-term bound and drop true obstructions
+        # below _CHEAP_N terms the screen must use n_search terms: a longer
+        # screen can exceed the n_search-term bound and drop true obstructions
         k = scan_upper_bound(plants["ex1"], MONOTONE, 50).k_upper
         assert_matches_reference(plants["ex1"], MONOTONE, 1e-2, 0.3 * k, 1.5 * k, 1e-3 * k, n_search)
 
-    def test_dropped_blocks_match_reference(self, plants, monkeypatch):
-        # room for a few row blocks only, so later ones are computed and dropped
-        monkeypatch.setattr(interval_limits, "_TABLE_BYTES", 100_000)
+    def test_long_runs_match_reference(self, plants):
+        # runs of several row blocks, each screened for the slope at hand
         k = scan_upper_bound(plants["ex1"], ODD, 50).k_upper
         assert_matches_reference(plants["ex1"], ODD, 3e-3, 0.5 * k, 1.5 * k, 1e-3 * k)
+
+    @pytest.mark.parametrize("cheap_n", [1, 32])
+    def test_screen_terms_change_no_result(self, plants, monkeypatch, cheap_n):
+        # the screen never exceeds the full bound and pairs are visited in the
+        # same order, so its term count only changes how many full bounds run
+        cases = []
+        for tf in plants.values():
+            for cls in (MONOTONE, ODD):
+                k = scan_upper_bound(tf, cls, 50).k_upper
+                cases.append((tf, cls, 1e-2, 0.5 * k, 1.5 * k, 1e-3 * k))
+        rng, k = np.random.default_rng(4631), math.inf
+        while not math.isfinite(k):
+            tf = random_stable_plant(rng)
+            k = scan_upper_bound(tf, ODD, 50).k_upper
+        cases.append((tf, ODD, 3e-3, 0.5 * k, 1.5 * k, 1e-3 * k))
+
+        def results():
+            return [(r.k_upper.hex(), r.witness)
+                    for r in (legacy_upper_bound(*case) for case in cases)]
+
+        want = results()
+        monkeypatch.setattr(interval_limits, "_CHEAP_N", cheap_n)
+        assert results() == want
 
 
 class TestLegacyUpperBound:

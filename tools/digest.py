@@ -20,8 +20,10 @@ odd class, beta 160, k 13.46 and 13.56), and prints four sha256 digests:
            class x sign, and the `limits --beta-max 50` CSV.
 
 It also prints, per --lp-beta, the `Tableau.solve` calls, the pivots and the
-`lti_core.poles` calls of the 12 analyze runs.  Two commits that print the
-same digests pivoted identically and reported the same numbers.
+`lti_core.poles` calls of the 12 analyze runs, and, per legacy setting, the
+`interval_slope_bound` evaluations of the 12 `legacy_upper_bound` runs.  Two
+commits that print the same digests pivoted identically and reported the
+same numbers.
 """
 
 from __future__ import annotations
@@ -104,13 +106,19 @@ def main(argv) -> int:
 
 def layers_digest(plants, classes) -> str:
     """The `layers` digest of the module docstring."""
-    from zflim import cli
-    from zflim.interval_limits import legacy_upper_bound
+    from zflim import cli, interval_limits
     from zflim.lti_core import nyquist_value
     from zflim.phase_limits import coprime_pairs, scan_upper_bound
     from zflim.rational_core import construct_tight_multiplier, period
 
     digest = hashlib.sha256()
+    evaluations, slope_bound = Counter(), interval_limits.interval_slope_bound
+
+    def counted_slope_bound(*args):
+        evaluations[setting] += 1
+        return slope_bound(*args)
+
+    interval_limits.interval_slope_bound = counted_slope_bound
 
     def update(*items):
         digest.update(repr(items).encode())
@@ -120,14 +128,17 @@ def layers_digest(plants, classes) -> str:
         k_nyquist = nyquist_value(tf)
         for cls in classes:
             k = scan_upper_bound(tf, cls, 50).k_upper
-            for args in ((1e-2, 0.5 * k, 1.5 * k, 1e-3 * k),
-                         (1e-3, 0.5 * k, 0.995 * k_nyquist, 1e-3)):
-                res = legacy_upper_bound(tf, cls, *args)
+            for setting, args in (("screen", (1e-2, 0.5 * k, 1.5 * k, 1e-3 * k)),
+                                  ("criterion 8", (1e-3, 0.5 * k, 0.995 * k_nyquist, 1e-3))):
+                res = interval_limits.legacy_upper_bound(tf, cls, *args)
                 update(name, cls, res.k_upper.hex(),
                        res.witness and tuple(w.hex() for w in res.witness))
             for beta_max in (2, 3, 50, 97):
                 scan = scan_upper_bound(tf, cls, beta_max)
                 update(name, cls, beta_max, scan.k_upper.hex(), str(scan.witness_freq))
+    interval_limits.interval_slope_bound = slope_bound
+    for setting, count in evaluations.items():
+        print(f"legacy at {setting} settings: {count} interval_slope_bound evaluations")
     for rf in coprime_pairs(60):
         update(str(rf), period(rf))
         for cls in classes:
