@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -318,7 +319,7 @@ def cmd_analyze(args) -> int:
                     exit_code = EXIT_BRACKET
 
     lower, lp = k_lower["value"], k_upper_lp["value"]
-    best_upper = min(scan.k_upper, lp)
+    best_upper = min(scan.k_upper, lp, k_nyquist)
     if math.isfinite(lower) and lower > 0 and math.isfinite(best_upper):
         report["dual_gap_percent"] = 100.0 * (best_upper - lower) / lower
 
@@ -360,6 +361,7 @@ def _print_report(r: dict):
         print(f"note             {r['note']}")
 
 
+@functools.cache  # one parser per process; each parse returns a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zflim",
@@ -374,17 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lp-beta", type=int, default=210)
     p.add_argument("--nz", type=int, default=8)
     p.add_argument("--tol-k", type=float, default=1e-4)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("nyquist", help="largest stable linear gain")
     _add_plant_args(p)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_nyquist)
 
     p = sub.add_parser("limits", help="CSV of phase bounds over rational frequencies")
     p.add_argument("--beta-max", type=int, default=DEFAULT_BETA_MAX)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("certify", help="multi-frequency non-existence certificate")
@@ -392,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     _class_arg(p)
     p.add_argument("--k", type=float, help="slope; the plant is shifted to G + 1/k first")
     p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("search", help="FIR multiplier search, positive on the whole circle")
@@ -400,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     _class_arg(p)
     p.add_argument("--k", type=float, help="slope; the plant is shifted to G + 1/k first")
     p.add_argument("--nz", type=int, default=8)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("construct", help="one-tap multiplier meeting the phase bound")
@@ -408,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=int, required=True)
     _class_arg(p)
     p.add_argument("--sign", choices=["+", "-"], default="+")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("legacy", help="interval-limitation upper bound (comparison method)")
@@ -419,19 +415,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-hi", type=float, required=True)
     p.add_argument("--tol-k", type=float, default=1e-3)
     p.add_argument("--n-search", type=int, default=DEFAULT_N_SEARCH)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_legacy)
 
     p = sub.add_parser("ct-check", help="continuous-time non-existence check from samples")
     p.add_argument("--input", required=True, help="JSON file matching CtCertificateInput")
     p.add_argument("--check", choices=["odd", "nonodd"])
-    p.add_argument("--out")
     p.set_defaults(func=cmd_ct_check)
+
+    for p in sub.choices.values():
+        p.add_argument("--out")
 
     p = sub.add_parser("show-plant", help="re-emit a plant record as JSON")
     _add_plant_args(p)
     p.set_defaults(func=cmd_show_plant)
-
     return parser
 
 

@@ -3,11 +3,12 @@
 A non-negative weight vector over the grid frequencies r*pi/beta that keeps
 every constraint row non-positive proves that no multiplier of the class
 restores positivity for the given (already loop-shifted) plant.  Existence
-of such weights is decided by a matrix-game LP solved by row generation, and
-every returned certificate is re-verified on all rows before being
-accepted.  Weights that certify one slope certify every slope above the
-exact threshold k(lambda) they prove, and the upper bound steps down
-through those thresholds (Dinkelbach, Mgmt. Sci. 13(7), 1967).
+of such weights is decided by a matrix-game LP, a large one on only the rows
+and frequencies that bind, with row values and prices by FFT (row i is the
+real part of a DFT), and every returned certificate is re-verified on all
+rows before being accepted.  Weights that certify one slope certify every
+slope above the exact threshold k(lambda) they prove, and the upper bound
+steps down through those thresholds (Dinkelbach, Mgmt. Sci. 13(7), 1967).
 """
 
 from __future__ import annotations
@@ -52,82 +53,103 @@ def _grid_samples(G: TransferFunction, beta: int) -> np.ndarray:
     return frequency_response(G, _grid(beta))
 
 
-def _trig_table(beta: int):
-    """cos and sin of omega_r*i, i = 0..2*beta-1 down, grid frequencies across."""
-    theta = np.arange(2 * beta)[:, None] * _grid(beta)[None, :]
-    return np.cos(theta), np.sin(theta)
+def _entries(g: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """A and D, the rows of the samples g and of 1, at rows and grid columns: row i < 2*beta is
+    Re{(1 - e^{-j*omega_r*i}) g_r} = (1 - cos) Re g - sin Im g; row 2*beta + i takes 1 + e^...."""
+    beta = g.size + 1
+    theta = (rows % (2 * beta))[:, None] * _grid(beta)[cols]
+    sign = np.where(rows < 2 * beta, -1.0, 1.0)[:, None]
+    D = 1.0 + sign * np.cos(theta)
+    return D * g[cols].real + sign * np.sin(theta) * g[cols].imag, D
 
 
-def _certificate_rows(g: np.ndarray, beta: int, class_tag: str, table=None) -> np.ndarray:
-    """Constraint rows for i = 0..2*beta-1 from the samples g at r*pi/beta.
-
-    Row i of the first block is Re{(1 - e^{-j*omega_r*i}) g_r}; the odd class
-    appends a second block with 1 + e^{-j*omega_r*i}.  Both come from one
-    cos/sin table (`_trig_table`, built here unless given), Re{(1 -+
-    e^{-j*theta}) g} = (1 -+ cos theta) Re g -+ sin theta Im g, so g = 1 gives
-    the rows of the constant exactly, 1 -+ cos theta.  Rows repeat with
-    period 2*beta in i.
-    """
-    cos, sin = _trig_table(beta) if table is None else table
-    v_minus = (1.0 - cos) * g.real - sin * g.imag
-    if class_tag == MONOTONE:
-        return v_minus
-    return np.vstack([v_minus, (1.0 + cos) * g.real + sin * g.imag])
+def _products(g: np.ndarray, x: np.ndarray, class_tag: str) -> np.ndarray:
+    """W @ x on every row, (x . Re g) -+ Re FFT(x g)[i] with one FFT of length 2*beta."""
+    u = np.fft.fft(np.append(0.0, x * g), 2 * g.size + 2).real
+    base = x @ g.real
+    return base - u if class_tag == MONOTONE else np.concatenate((base - u, base + u))
 
 
-def _certified_slope(A: np.ndarray, D: np.ndarray, lambdas: np.ndarray) -> float:
-    """k(lambda), the smallest slope at which the weights keep every row of
-    A + D/k non-positive (inf if none); rows with D lambda = 0 do not depend
-    on k and are left out, as the residual gate of `_certificate` covers them."""
-    a, d = A @ lambdas, D @ lambdas
-    s = float(np.min(-a[d > 0.0] / d[d > 0.0]))
+def _prices(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """W^T y for y on the 4*beta rows of both blocks, Re g sum(y) - Re{g FFT(y_- - y_+)[r]}."""
+    half = y.size // 2
+    return g.real * y.sum() - (g * np.fft.fft(y[:half] - y[half:])[1 : g.size + 1]).real
+
+
+def _certified_slope(a: np.ndarray, d: np.ndarray) -> float:
+    """k(lambda), the smallest slope at which the weights keep every row of A + D/k
+    non-positive (inf if none), from a = A lambda and d = D lambda; rows with d = 0
+    (to FFT rounding) do not depend on k, and the residual gate of `_certificate` covers them."""
+    on = d > 1e-12 * d.max()
+    s = float(np.min(-a[on] / d[on]))
     return 1.0 / s if s > 0.0 else math.inf
 
 
 def certificate_residual(G_tilde: TransferFunction, cert: DualityCertificate) -> float:
     """Largest constraint value of the certificate, recomputed from scratch."""
-    W = _certificate_rows(_grid_samples(G_tilde, cert.beta), cert.beta, cert.class_tag)
-    return float(np.max(W @ cert.lambdas))
+    return float(np.max(_products(_grid_samples(G_tilde, cert.beta), cert.lambdas, cert.class_tag)))
 
 
-def _certificate(W: np.ndarray, beta: int, class_tag: str) -> Optional[DualityCertificate]:
-    """The certificate LP on the rows W of `_certificate_rows` (see `lp_certificate`)."""
-    W_lp = W[1:]  # drop the all-zero i = 0 row
-    m, n = W_lp.shape
-    shift = 1.0 - float(W_lp.min())
-    A, b = W_lp + shift, np.ones(m)
-    # seed every (m // 64)-th row and the last; every row when m < 256, where
-    # rounds cost more than they skip
-    active = np.zeros(m, dtype=bool)
-    active[np.arange(0, m, m // 64 if m >= 256 else 1)] = active[-1] = True
+def _whole_game(g: np.ndarray, class_tag: str):
+    """A and D on every row, for a game of fewer than 256 LP rows (i = 0 is left out); else None."""
+    rows = np.arange((2 if class_tag == MONOTONE else 4) * (g.size + 1))
+    return _entries(g, rows, np.arange(g.size)) if rows.size <= 256 else None
+
+
+def _certificate(g: np.ndarray, k: float, class_tag: str, whole) -> Optional[DualityCertificate]:
+    """The certificate LP on the rows A + D/k (`lp_certificate`); whole from `_whole_game`."""
+    n, size, g_k = g.size, (2 if class_tag == MONOTONE else 4) * (g.size + 1), g + 1.0 / k
+    if whole is not None:  # every row and column, with the exact shift
+        W = (whole[0] + whole[1] / k)[1:]
+        shift = 1.0 - float(W.min())
+        rows, cols, price = np.arange(1, size), np.arange(n), None
+    else:  # every row is at least Re g_k - |g_k|
+        shift = 1.0 - float(np.min(g_k.real - np.abs(g_k)))
+        rows = np.unique(np.append(np.arange(1, size, (size - 1) // 64), size - 1))
+        cols = np.arange(7, n, 8)  # r = 8, 16, ...
+
+        def price(y):  # the row duals y price every column by one FFT
+            nonlocal cols
+            reduced = _prices(g_k, np.bincount(rows, y, 4 * (n + 1))) + (shift * y.sum() - 1.0)
+            reduced[cols] = np.inf
+            new = np.argsort(reduced)[: min(8, np.count_nonzero(reduced < -1e-12))]
+            cols = np.append(cols, new)
+            return entries(rows, new), np.ones(new.size)
+
+    def entries(q, r):
+        A, D = _entries(g, q, r)
+        return A + D / k + shift
 
     def worst_rows(x):
         """The 24 rows x violates most, beyond rounding level (b = 1)."""
-        violations = np.where(active, -np.inf, A @ x - b)
+        nonlocal rows
+        violations = _products(g_k, np.bincount(cols, x, n), class_tag) + (shift * x.sum() - 1.0)
+        violations[0] = violations[rows] = -np.inf
         worst = np.argsort(violations)[-24:]
-        worst = worst[violations[worst] > 1e-14]
-        active[worst] = True
-        return A[worst], b[worst]
+        worst = worst[violations[worst] > 0.0]
+        A_new = entries(worst, cols)  # decided on the entries the LP holds, not the FFT's
+        held = A_new @ x - 1.0 > 1e-14
+        rows = np.append(rows, worst[held])
+        return A_new[held], np.ones(np.count_nonzero(held))
 
     # rows held to rounding level keep rounding-level weights below 1e-12 of the largest
-    sol, _, _ = generate_rows(np.ones(n), A[active], b[active], worst_rows, feas=1e-14)
+    A = W + shift if whole is not None else entries(rows, cols)
+    sol, _, _ = generate_rows(np.ones(cols.size), A, np.ones(rows.size), worst_rows,
+                              feas=1e-14, price=price)
     if sol.status != "optimal":
         raise LpNumericalFailure(f"certificate LP ended with status {sol.status}")
-    x = np.maximum(sol.x, 0.0)
+    x = np.bincount(cols, np.maximum(sol.x, 0.0), n)
     x[x <= 1e-12 * x.max()] = 0.0  # weights at rounding level
     total = float(np.sum(x))
     if not (total > 0.0):
         raise LpNumericalFailure("certificate LP returned a zero weight vector")
     lambdas = x / total
 
-    # independent re-verification on all rows; the zero i = 0 row cannot
-    # decide it, as TOL_LP > 0
-    residual = float(np.max(W_lp @ lambdas))
+    # independent re-verification on all rows but the zero i = 0 one
+    residual = float(np.max(W @ lambdas if whole else _products(g_k, lambdas, class_tag)[1:]))
     lp_value = 1.0 / total - shift
     if residual <= TOL_LP:
-        return DualityCertificate(
-            beta=beta, freqs=_grid(beta), lambdas=lambdas, class_tag=class_tag, margin=-residual
-        )
+        return DualityCertificate(n + 1, _grid(n + 1), lambdas, class_tag, margin=-residual)
     if lp_value <= TOL_LP:
         raise LpNumericalFailure(
             f"LP value {lp_value:.3e} passed but residual {residual:.3e} failed re-verification"
@@ -136,65 +158,54 @@ def _certificate(W: np.ndarray, beta: int, class_tag: str) -> Optional[DualityCe
 
 
 def lp_certificate(
-    G_tilde: TransferFunction,
-    beta: int,
-    class_tag: str,
+    G_tilde: TransferFunction, beta: int, class_tag: str
 ) -> Optional[DualityCertificate]:
     """Search for certificate weights on the r*pi/beta grid.
 
     The weight cone is normalised to sum 1 and the most-interior weights are
     found by minimising the worst constraint row, a matrix game solved in
-    its positively-shifted LP form by row generation (`generate_rows`): seeded
-    with every (m // 64)-th of the m rows and the last, it adds the most
-    violated rows until none is, as only a few hundred rows bind.  The i = 0 difference
-    row is identically zero and is left out of the LP (it can never be
-    interior).  Acceptance is the residual re-verification on all rows (the
-    i = 0 row adds a zero), which does not depend on the solver or the rows it saw.
+    its positively-shifted LP form without the zero i = 0 row.  A game of
+    256 rows or more holds every (m // 64)-th of its m rows and the
+    last and every 8th frequency, and adds the 24 most violated rows and the
+    8 most negatively priced frequencies per round (`generate_rows`).
+    Acceptance is the re-verification on all rows, which does not depend on
+    the solver or the rows it saw.
     """
     _check_class(class_tag)
-    return _certificate(
-        _certificate_rows(_grid_samples(G_tilde, beta), beta, class_tag), beta, class_tag
-    )
+    g = _grid_samples(G_tilde, beta)
+    return _certificate(g, math.inf, class_tag, _whole_game(g, class_tag))
 
 
 def bisect_upper_bound(
-    G: TransferFunction,
-    beta: int,
-    class_tag: str,
-    k_lo: float,
-    k_hi: float,
-    tol_k: float,
+    G: TransferFunction, beta: int, class_tag: str, k_lo: float, k_hi: float, tol_k: float
 ) -> float:
     """Smallest gain (within tol_k) at which a certificate is found, or the
     smaller slope its weights prove.
 
     The caller establishes the bracket: a certificate must exist at k_hi and
-    must not at k_lo.  G is sampled and its rows built once, from one
-    cos/sin table: slope k runs the certificate LP on the rows of g + 1/k,
-    W(k) = A + D/k, with A the rows of G and D those of the constant 1,
-    Re{(1 -+ e^{-j*omega_r*i})} = 1 -+ cos(omega_r*i) >= 0.  So weights
+    must not at k_lo.  Slope k runs the certificate LP on the rows W(k) = A +
+    D/k of g + 1/k, A those of G and D those of the constant 1, 1 -+
+    cos(omega_r*i) >= 0 (built once for a game solved whole).  So weights
     lambda >= 0 keep every row non-positive exactly at the slopes k >=
-    k(lambda) = max_i D_i lambda / (-A_i lambda) (`_certified_slope`): the
-    added term D lambda/k is non-negative and falls as k grows.  So each
-    certificate, first at k_hi, moves the bound to min(probe, k(lambda)),
-    and the next LP probes tol_k below it (at most down to k_lo, where a
+    k(lambda) = max_i D_i lambda / (-A_i lambda) (`_certified_slope`).  Each
+    certificate, first at k_hi, moves the bound to min(probe, k(lambda)), and
+    the next LP probes tol_k below it (at most down to k_lo, where a
     certificate fails the bracket) until a probe finds none.
     """
     _check_bracket(k_lo, k_hi, tol_k)
     _check_class(class_tag)
     g = _grid_samples(G, beta)
-    table = _trig_table(beta)
-    A = _certificate_rows(g, beta, class_tag, table)
-    D = _certificate_rows(np.ones(beta - 1), beta, class_tag, table)
-    del table  # the LPs below need only A and D
+    whole = _whole_game(g, class_tag)
     probe = k_hi
     while True:
-        cert = _certificate(A + D / probe, beta, class_tag)
+        cert = _certificate(g, probe, class_tag, whole)
         if cert is None:
             if probe == k_hi:
                 raise BracketInvalid(f"no certificate at k_hi={k_hi}")
             return hi
         if probe == k_lo:
             raise BracketInvalid(f"certificate already exists at k_lo={k_lo}")
-        hi = min(probe, _certified_slope(A, D, cert.lambdas))
+        a, d = (M @ cert.lambdas for M in whole) if whole else (
+            _products(h, cert.lambdas, class_tag) for h in (g, np.ones(g.size)))
+        hi = min(probe, _certified_slope(a, d))
         probe = max(hi - tol_k, k_lo)

@@ -1,4 +1,4 @@
-"""Condensed dense-tableau simplex for small linear programs, re-optimised after added rows.
+"""Condensed dense-tableau simplex for small LPs, re-optimised after added rows and columns.
 
 Solves  max c@x  s.t.  A x <= b,  x >= 0, starting from the slack basis; no
 artificial variables are needed.  When b >= 0 that basis is feasible and the
@@ -28,7 +28,9 @@ c > 0 and some b < 0) the dual rule shifts the costs, clamping the reduced
 costs at 0, and once the rhs is feasible the true costs are restored, red =
 c[basis] @ T[:m, :n] - c[nonbasic] with c = 0 on slacks (cost shifting,
 Koberstein, The dual simplex method, 2005, ch. 4).  Both rules share one
-pivot.  `generate_rows` solves an LP whose rows an oracle supplies this way.
+pivot.  Columns a with cost c enter nonbasic (Gilmore and Gomory, Oper.
+Res. 9(6), 1961), with B^-1 a and red = y a - c read off the slack columns
+(`inverse`).  `generate_rows` solves an LP whose rows and columns oracles supply.
 """
 
 from __future__ import annotations
@@ -90,6 +92,29 @@ class Tableau:
         self.T = np.vstack((self.T[:m], rows, self.T[m:]))
         self.update = np.empty_like(self.T)
         self.basis = np.concatenate((self.basis, np.arange(n + m, n + m + b.size)))
+
+    def inverse(self) -> np.ndarray:
+        """B^-1 above the row duals y, a column per row: its slack's, or e_p if basic in row p."""
+        m, n = self.basis.size, self.nonbasic.size
+        inv = np.zeros((m + 1, m))
+        slack, basic = self.nonbasic >= n, (self.basis >= n).nonzero()[0]
+        inv[:, self.nonbasic[slack] - n] = self.T[:, :n][:, slack]
+        inv[basic, self.basis[basic] - n] = 1.0
+        return inv
+
+    def add_cols(self, A, c) -> None:
+        """Append variables, nonbasic, with columns A (rows in order) and costs c."""
+        m, n = self.basis.size, self.nonbasic.size
+        if c.ndim != 1 or A.shape != (m, c.size) or not np.isfinite(A).all() & np.isfinite(c).all():
+            raise ValueError("LP columns must be finite, one entry per row")
+        cols = self.inverse() @ A
+        cols[m] -= c
+        self.T = np.hstack((self.T[:, :n], cols, self.T[:, n:]))
+        self.update = np.empty_like(self.T)
+        for labels in (self.basis, self.nonbasic):  # slack labels move up past the new variables
+            labels[labels >= n] += c.size
+        self.nonbasic = np.concatenate((self.nonbasic, np.arange(n, n + c.size)))
+        self.c = np.concatenate((self.c, c))
 
     def _pivot(self, r: int, j: int) -> None:
         """Exchange the basic variable of row r with the nonbasic one of column j."""
@@ -174,35 +199,43 @@ def simplex_max_leq(c, A, b, maxiter: int = 100000) -> LpSolution:
     return Tableau(c, A, b).solve(maxiter)
 
 
-def generate_rows(c, A, b, more, fixed=None, feas=_TOL):
-    """Maximise c@x s.t. A x <= b, the rows that ``more`` adds, and ``fixed =
-    (A_f, b_f)``, x >= 0.  Solves on A, b and fixed, then appends the rows
-    ``more(x) -> (A_new, b_new)`` returns for the optimal x and re-solves warm
-    (`Tableau.solve` with ``feas``) until it returns none; a re-solve past 4
-    pivots per row (dual degenerate rounds stall) restarts cold on the same
-    rows.  Returns the solution and the rows it holds, fixed left out; raises
-    LpNumericalFailure when x breaks one of those rows by more than ten times
-    feas + _TOL (|A_i| x + |b_i|), which rounding in the pivots does not
-    reach.  The fixed rows are not checked, so their caller can."""
-    A_f, b_f = (A[:0], b[:0]) if fixed is None else fixed
+def generate_rows(c, A, b, more, fixed=None, feas=_TOL, price=None):
+    """Maximise c@x s.t. A x <= b, the rows that ``more`` adds, and ``fixed = (A_f, b_f)``,
+    x >= 0, over the columns of A and those ``price`` adds.  Solves on A, b and fixed,
+    appends the rows ``more(x) -> (A_new, b_new)`` returns for the optimal x and the
+    columns ``price(y) -> (A_new, c_new)`` returns for the row duals y (no fixed rows
+    then), and re-solves warm (`Tableau.solve` with ``feas``) until neither adds any.
+    A re-solve past 4 pivots per row (dual degenerate rounds stall), or whose x breaks a
+    held row by over ten times feas + _TOL (|A_i| x + |b_i|), which rounding in the
+    pivots does not reach, restarts cold; a cold one that does raises LpNumericalFailure.
+    Returns the solution and the rows it holds but the fixed ones."""
 
     def cold():
+        A_f, b_f = (A[:0], b[:0]) if fixed is None else fixed
         return simplex_max_leq(c, np.vstack([A, A_f]), np.append(b, b_f))
 
-    sol = cold()
+    sol, warm = cold(), False
     while sol.status == "optimal":
         # x holds its rows to feas, and to _TOL relative to |A_i| x + |b_i| for
         # rounding in the pivots; past ten times that the tableau has drifted
         held = A @ sol.x - b
         if np.any(held > 10.0 * (feas + _TOL * (np.abs(A) @ sol.x + np.abs(b)))):
-            raise LpNumericalFailure(f"an active row is violated by {float(held.max())!r}")
+            if not warm:
+                raise LpNumericalFailure(f"an active row is violated by {float(held.max())!r}")
+            sol, warm = cold(), False
+            continue
         A_new, b_new = more(sol.x)
-        if b_new.size == 0:
+        if b_new.size:
+            A, b = np.vstack([A, A_new]), np.append(b, b_new)
+            sol.tableau.add_rows(A_new, b_new)
+        A_col, c_col = (A[:, :0], c[:0]) if price is None else price(sol.tableau.inverse()[-1])
+        if b_new.size == c_col.size == 0:
             break
-        A, b = np.vstack([A, A_new]), np.append(b, b_new)
-        sol.tableau.add_rows(A_new, b_new)
+        if c_col.size:
+            A, c = np.hstack([A, A_col]), np.append(c, c_col)
+            sol.tableau.add_cols(A_col, c_col)
         try:
-            sol = sol.tableau.solve(4 * b.size, feas)
+            sol, warm = sol.tableau.solve(4 * b.size, feas), True
         except LpNumericalFailure:
-            sol = cold()
+            sol, warm = cold(), False
     return sol, A, b

@@ -1,5 +1,8 @@
 """Shared fixtures: bundled plants and their reference values."""
 
+import math
+
+import numpy as np
 import pytest
 
 from zflim.plants import BUILTIN
@@ -51,3 +54,15 @@ KNOWN_LOWER = {
 @pytest.fixture(scope="session")
 def plants():
     return {name: record.tf() for name, record in BUILTIN.items()}
+
+
+def dense_rows(g, beta, class_tag):
+    """Every certificate row i = 0..2*beta-1 at the samples g (the odd class
+    stacks a second block), from one full cos/sin table: the dense game whose
+    rows `duality_lp` builds on demand and multiplies by FFT."""
+    theta = np.arange(2 * beta)[:, None] * (np.arange(1, beta) * math.pi / beta)[None, :]
+    cos, sin = np.cos(theta), np.sin(theta)
+    minus = (1.0 - cos) * g.real - sin * g.imag
+    if class_tag == MONOTONE:
+        return minus
+    return np.vstack([minus, (1.0 + cos) * g.real + sin * g.imag])

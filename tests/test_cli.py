@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zflim import lti_core
@@ -145,6 +146,28 @@ SUBCOMMAND_FLAGS = {
     "ct-check": {"--input", "--check", "--out"},
     "show-plant": {"--example", "--plant"},
 }
+
+
+def test_one_parser_serves_every_command(tmp_path, monkeypatch):
+    # `main` builds its parser once per process; two commands in a row each
+    # see only their own options
+    parsed = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        namespace = parse_args(self, *args, **kwargs)
+        parsed.append((self, set(vars(namespace))))
+        return namespace
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    assert main(["certify", "--example", "ex4", "--class", "odd", "--k", "1.2",
+                 "--beta", "12", "--out", str(tmp_path / "c.json")]) == 0
+    assert main(["nyquist", "--example", "ex3"]) == 0
+    (first, certify), (second, nyquist) = parsed
+    assert first is second
+    common = {"command", "func", "example", "plant", "out"}
+    assert certify == common | {"class_tag", "k", "beta"}
+    assert nyquist == common
 
 
 def test_subcommand_flags_are_pinned():
@@ -365,6 +388,23 @@ class TestAnalyze:
         run(["analyze", "--plant", str(path), "--class", "monotone", "--out", str(out)])
         assert "chain violation" not in capsys.readouterr().err
         assert json.loads(out.read_text())["note"].startswith("upper-bound bracket failed")
+
+    def test_nyquist_capped_gap_is_taken_against_k_nyquist(self, tmp_path, monkeypatch):
+        # perfbench.workloads.random_plant(default_rng(2)), monotone class:
+        # k_nyquist 1.00233 caps the scan bound 1.01588, the LP bracket fails
+        # at the cap (exit 4), and the gap is taken against the smallest upper
+        # bound, k_nyquist, not the scan bound
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import random_plant
+
+        path, out = tmp_path / "plant.json", tmp_path / "report.json"
+        path.write_text(dump_plant(random_plant(np.random.default_rng(2), "rand2")))
+        code = run(["analyze", "--plant", str(path), "--class", "monotone", "--out", str(out)])
+        assert code == 4
+        r = json.loads(out.read_text())
+        k_lower, k_nyquist = r["k_lower"]["value"], r["k_nyquist"]
+        assert k_nyquist < r["k_upper_single"]["value"] and r["k_upper_lp"]["value"] == "inf"
+        assert r["dual_gap_percent"] == 100.0 * (k_nyquist - k_lower) / k_lower
 
     def test_passive_plant_notes_trivial_regime(self, tmp_path, capsys):
         plant = tmp_path / "p.json"

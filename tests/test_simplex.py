@@ -13,6 +13,7 @@ from zflim.lti_core import frequency_response, shift_by_inverse_gain
 from zflim.plants import BUILTIN, dump_plant
 from zflim.rational_core import MONOTONE, ODD
 from zflim.simplex import _TOL, LpSolution, generate_rows, simplex_max_leq
+from conftest import dense_rows
 
 
 def test_two_variable_box():
@@ -134,9 +135,9 @@ def test_random_problems_match_vertex_enumeration():
 
 
 def _certificate_game(plant, k, beta, class_tag):
-    """The full game LP of `lp_certificate` at slope k: every row but i = 0, shifted positive."""
+    """The full game LP of a certificate at slope k: every row but i = 0, shifted positive."""
     g = duality_lp._grid_samples(shift_by_inverse_gain(plant, k), beta)
-    W = duality_lp._certificate_rows(g, beta, class_tag)[1:]
+    W = dense_rows(g, beta, class_tag)[1:]
     m, n = W.shape
     return np.ones(n), W + (1.0 - float(W.min())), np.ones(m)
 
@@ -144,7 +145,7 @@ def _certificate_game(plant, k, beta, class_tag):
 def test_pivot_sequence_degenerate_game(plants):
     # 119x59 game at the LP bound itself, where many degenerate pivots tie;
     # rows Re{(1 - e^{-j w i}) g} by complex products, as they were pinned (the
-    # real-arithmetic rows of `_certificate_rows` differ by rounding, and the
+    # real-arithmetic rows of `dense_rows` differ by rounding, and the
     # tie-breaking with them)
     beta, k = 60, 3.8240401704199645
     g = duality_lp._grid_samples(shift_by_inverse_gain(plants["ex2"], k), beta)
@@ -280,6 +281,55 @@ def test_added_rows_reoptimise_like_a_cold_solve(degenerate):
     assert cut > 100
 
 
+def test_added_columns_reoptimise_like_a_cold_solve():
+    # 300 seeded LPs under a budget row, held on some rows and columns and
+    # grown by interleaved rounds of rows (`add_rows`) and of columns
+    # (`add_cols`, which prices each column with the row duals); after each
+    # round the warm re-solve reaches the optimum of a cold solve and of HiGHS
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(1961)
+    kinds = ["real", "integer", "game", "integer game"]
+    rounds = {"rows": 0, "columns": 0}
+    for trial in range(300):
+        c, A, b = _random_lp(rng, kinds[trial % 4])
+        A, b = np.vstack([np.ones(c.size), A]), np.append(rng.uniform(1.0, 3.0), b)
+        rows = [0] + [i for i in range(1, b.size) if rng.random() < 0.5]
+        cols = [j for j in range(c.size) if rng.random() < 0.5] or [0]
+        tableau = simplex.Tableau(c[cols], A[np.ix_(rows, cols)], b[rows])
+        for round_ in range(4):
+            sol = tableau.solve()
+            cold = simplex_max_leq(c[cols], A[np.ix_(rows, cols)], b[rows])
+            ref = linprog(-c[cols], A_ub=A[np.ix_(rows, cols)], b_ub=b[rows], bounds=(0, None),
+                          method="highs")
+            assert sol.status == cold.status == "optimal" and ref.status == 0, (trial, round_)
+            assert sol.objective == pytest.approx(cold.objective, abs=1e-9), (trial, round_)
+            assert sol.objective == pytest.approx(-ref.fun, abs=1e-7), (trial, round_)
+            assert np.all(A[np.ix_(rows, cols)] @ sol.x <= b[rows] + 1e-8), (trial, round_)
+            assert np.all(sol.x >= 0.0), (trial, round_)
+            new_rows = [i for i in range(b.size) if i not in rows and rng.random() < 0.3]
+            new_cols = [j for j in range(c.size) if j not in cols and rng.random() < 0.3]
+            if round_ % 2 and new_rows:
+                tableau.add_rows(A[np.ix_(new_rows, cols)], b[new_rows])
+                rows += new_rows
+                rounds["rows"] += 1
+            elif new_cols:
+                tableau.add_cols(A[np.ix_(rows, new_cols)], c[new_cols])
+                cols += new_cols
+                rounds["columns"] += 1
+    assert min(rounds.values()) >= 150, rounds
+
+
+@pytest.mark.parametrize("where", ["A", "c"])
+def test_added_columns_must_be_finite(where):
+    tableau = simplex.Tableau(np.ones(2), np.eye(2), np.ones(2))
+    data = {"A": np.ones((2, 1)), "c": np.ones(1)}
+    data[where].flat[0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        tableau.add_cols(data["A"], data["c"])
+    with pytest.raises(ValueError, match="one entry per row"):
+        tableau.add_cols(np.ones((3, 1)), np.ones(1))
+
+
 @pytest.mark.parametrize("where", ["A", "b"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_added_rows_must_be_finite(where, value):
@@ -380,21 +430,29 @@ def test_generated_rows_reach_the_full_optimum():
 
 
 def test_small_lps_seed_every_row(plants, monkeypatch):
-    # `_certificate` seeds every row of a game under 256 rows, which is then one
-    # cold solve, and every (m // 64)-th row and the last of a larger one
+    # `_certificate` seeds every row and column of a game under 256 rows, with
+    # the exact shift 1 - min W, which is then one cold solve; a larger one
+    # holds every (m // 64)-th row and the last and every 8th frequency, with the
+    # shift 1 - min_r (Re g_r - |g_r|), and prices the rest
     seeds = []
 
-    def spying(c, A, b, more, fixed=None, feas=simplex._TOL):
-        seeds.append(A)
-        return generate_rows(c, A, b, more, fixed, feas)
+    def spying(c, A, b, more, fixed=None, feas=simplex._TOL, price=None):
+        seeds.append((A, price))
+        return generate_rows(c, A, b, more, fixed, feas, price)
 
     monkeypatch.setattr(duality_lp, "generate_rows", spying)
     for beta, cls in [(60, ODD), (160, MONOTONE)]:
         duality_lp.lp_certificate(shift_by_inverse_gain(plants["ex1"], 13.0), beta, cls)
         _, A, _ = _certificate_game(plants["ex1"], 13.0, beta, cls)
         m = A.shape[0]
-        rows = np.unique(np.append(np.arange(0, m, m // 64 if m >= 256 else 1), m - 1))
-        assert np.array_equal(seeds[-1], A[rows]), (beta, m)
+        if m < 256:
+            assert np.array_equal(seeds[-1][0], A) and seeds[-1][1] is None, (beta, m)
+            continue
+        g = duality_lp._grid_samples(shift_by_inverse_gain(plants["ex1"], 13.0), beta)
+        W = dense_rows(g, beta, cls)[1:] + (1.0 - np.min(g.real - np.abs(g)))
+        rows = np.unique(np.append(np.arange(0, m, m // 64), m - 1))
+        assert np.array_equal(seeds[-1][0], W[rows][:, 7::8]), (beta, m)  # r = 8, 16, ...
+        assert seeds[-1][1] is not None
     c, A, b = _game(np.random.default_rng(3))
     sol, _, _ = generate_rows(c, A, b, lambda x: (A[:0], b[:0]))
     assert sol.iterations == simplex_max_leq(c, A, b).iterations
@@ -420,6 +478,33 @@ def test_stalled_warm_resolve_restarts_cold(monkeypatch):
     sol, _, _ = generate_rows(c, A_seed, b_seed, more)
     assert budgets and all(maxiter == 4 * rows for maxiter, rows in budgets)
     assert sol.objective == pytest.approx(simplex_max_leq(c, A, b).objective, abs=1e-9)
+
+
+def test_drifted_warm_resolve_restarts_cold(monkeypatch):
+    # a warm re-solve whose x breaks a held row past the bound is redone cold
+    # on the rows held (a cold solve that does raises, below)
+    drifted = []
+    add_rows = simplex.Tableau.add_rows
+
+    def drifting(self, A, b):
+        add_rows(self, A, b)
+        solve = self.solve
+
+        def solved(*args):
+            sol = solve(*args)
+            sol.x = sol.x * (1.0 + 1e-6)
+            drifted.append(sol.iterations)
+            return sol
+
+        self.solve = solved
+
+    monkeypatch.setattr(simplex.Tableau, "add_rows", drifting)
+    c, A, b = _game(np.random.default_rng(5))
+    A_seed, b_seed, more, _ = _seeded(A, b, 1e-12)
+    sol, A_held, b_held = generate_rows(c, A_seed, b_seed, more)
+    assert drifted
+    assert sol.objective == pytest.approx(simplex_max_leq(c, A, b).objective, abs=1e-9)
+    assert np.all(A @ sol.x <= b + 1e-9)
 
 
 class TestResidualCheck:
@@ -452,8 +537,8 @@ class TestResidualCheck:
 
         ratios = []
 
-        def checked(c, A, b, more, fixed=None, feas=simplex._TOL):
-            sol, A_held, b_held = generate_rows(c, A, b, more, fixed, feas)
+        def checked(c, A, b, more, fixed=None, feas=simplex._TOL, price=None):
+            sol, A_held, b_held = generate_rows(c, A, b, more, fixed, feas, price)
             if sol.status == "optimal":  # a search LP may be infeasible
                 bound = 10.0 * (feas + simplex._TOL * (np.abs(A_held) @ sol.x + np.abs(b_held)))
                 ratios.append(np.max((A_held @ sol.x - b_held) / bound))

@@ -20,7 +20,9 @@ odd class, beta 160, k 13.46 and 13.56), and prints four sha256 digests:
            class x sign, and the `limits --beta-max 50` CSV.
 
 It also prints, per --lp-beta, the `Tableau.solve` calls, the pivots and the
-`lti_core.poles` calls of the 12 analyze runs, and, per legacy setting, the
+`lti_core.poles` calls of the 12 analyze runs; per `certify-deep` LP, the rows
+and columns it held at the end, its pivots, and its cold solves (the first and
+any restart) and warm ones; and, per legacy setting, the
 `interval_slope_bound` evaluations of the 12 `legacy_upper_bound` runs.  Two
 commits that print the same digests pivoted identically and reported the
 same numbers.
@@ -93,10 +95,27 @@ def main(argv) -> int:
                   f"{counts['pivots']} pivots, {counts['poles']} poles calls")
 
     name, beta, slopes = CERTIFY_DEEP
+    generate_rows, cold_solve = duality_lp.generate_rows, simplex.simplex_max_leq
+
+    def held(*args, **kwargs):
+        sol, A, b = generate_rows(*args, **kwargs)
+        counts["held"] = A.shape
+        return sol, A, b
+
+    def counted_cold(*args, **kwargs):
+        counts["cold"] += 1
+        return cold_solve(*args, **kwargs)
+
+    duality_lp.generate_rows, simplex.simplex_max_leq = held, counted_cold
     for k in slopes:
+        counts.clear()
         shifted = lti_core.shift_by_inverse_gain(BUILTIN[name].tf(), k)
         cert = duality_lp.lp_certificate(shifted, beta, ODD)
         reports.update(b"none" if cert is None else cert.lambdas.tobytes())
+        rows, cols = counts["held"]
+        print(f"certify-deep k {k}: {rows} rows x {cols} columns held, {counts['pivots']} "
+              f"pivots, {counts['cold']} cold and {counts['solve'] - counts['cold']} warm solves")
+    duality_lp.generate_rows, simplex.simplex_max_leq = generate_rows, cold_solve
     print(f"pivots  {pivots.hexdigest()}")
     print(f"reports {reports.hexdigest()}")
     print(f"stdout  {printed.hexdigest()}")
