@@ -223,8 +223,8 @@ def cmd_ct_check(args) -> int:
     if not (isinstance(data, dict) and all(isinstance(data.get(key), list) for key in keys)):
         raise ValueError("ct-check file must be a JSON object with lists " + ", ".join(keys))
 
-    def number(x):  # a float, or an integer a float holds (float() refuses a bad string)
-        return isinstance(x, float) or isinstance(x, int) and abs(x) <= sys.float_info.max
+    def number(x):  # a float or a non-bool integer a float holds; float() refuses a bad string
+        return type(x) is float or type(x) is int and abs(x) <= sys.float_info.max
 
     if not all(number(x) or isinstance(x, str) for x in data["freqs"] + data["lambdas"]):
         raise ValueError("each of freqs and lambdas must be a number")
@@ -323,11 +323,13 @@ def cmd_analyze(args) -> int:
     if math.isfinite(lower) and lower > 0 and math.isfinite(best_upper):
         report["dual_gap_percent"] = 100.0 * (best_upper - lower) / lower
 
-    # a failed LP bracket leaves k_upper_lp = inf, and the scan bound alone may
-    # exceed k_nyquist: both are upper bounds, and the pipeline caps at the smaller
+    # a failed bracket leaves k_lower or k_upper_lp = inf, and the scan bound alone
+    # may exceed k_nyquist: both are upper bounds, and the pipeline caps at the smaller
+    found = math.isfinite(lower)
     violations = [message for broken, message in (
-        (lower > scan.k_upper + CHAIN_SLACK, "k_lower exceeds single-frequency upper bound"),
-        (lower > lp + CHAIN_SLACK, "k_lower exceeds LP upper bound"),
+        (found and lower > scan.k_upper + CHAIN_SLACK,
+         "k_lower exceeds single-frequency upper bound"),
+        (found and lower > lp + CHAIN_SLACK, "k_lower exceeds LP upper bound"),
         (math.isfinite(lp) and lp > k_nyquist + CHAIN_SLACK,
          "upper bound exceeds the linear stability gain"),
     ) if broken]

@@ -3,10 +3,10 @@
 A non-negative weight vector over the grid frequencies r*pi/beta that keeps
 every constraint row non-positive proves that no multiplier of the class
 restores positivity for the given (already loop-shifted) plant.  Existence
-of such weights is decided by a matrix-game LP, a large one on only the rows
-and frequencies that bind, with row values and prices by FFT (row i is the
-real part of a DFT), and every returned certificate is re-verified on all
-rows before being accepted.  Weights that certify one slope certify every
+of such weights is decided by a matrix-game LP held on only the rows and
+frequencies that bind, with row values and prices by FFT (row i is the real
+part of a DFT), and every returned certificate is re-verified on all rows
+before being accepted.  Weights that certify one slope certify every
 slope above the exact threshold k(lambda) they prove, and the upper bound
 steps down through those thresholds (Dinkelbach, Mgmt. Sci. 13(7), 1967).
 """
@@ -90,31 +90,20 @@ def certificate_residual(G_tilde: TransferFunction, cert: DualityCertificate) ->
     return float(np.max(_products(_grid_samples(G_tilde, cert.beta), cert.lambdas, cert.class_tag)))
 
 
-def _whole_game(g: np.ndarray, class_tag: str):
-    """A and D on every row, for a game of fewer than 256 LP rows (i = 0 is left out); else None."""
-    rows = np.arange((2 if class_tag == MONOTONE else 4) * (g.size + 1))
-    return _entries(g, rows, np.arange(g.size)) if rows.size <= 256 else None
-
-
-def _certificate(g: np.ndarray, k: float, class_tag: str, whole) -> Optional[DualityCertificate]:
-    """The certificate LP on the rows A + D/k (`lp_certificate`); whole from `_whole_game`."""
+def _certificate(g: np.ndarray, k: float, class_tag: str) -> Optional[DualityCertificate]:
+    """The certificate LP on the rows A + D/k of the samples g (`lp_certificate`)."""
     n, size, g_k = g.size, (2 if class_tag == MONOTONE else 4) * (g.size + 1), g + 1.0 / k
-    if whole is not None:  # every row and column, with the exact shift
-        W = (whole[0] + whole[1] / k)[1:]
-        shift = 1.0 - float(W.min())
-        rows, cols, price = np.arange(1, size), np.arange(n), None
-    else:  # every row is at least Re g_k - |g_k|
-        shift = 1.0 - float(np.min(g_k.real - np.abs(g_k)))
-        rows = np.unique(np.append(np.arange(1, size, (size - 1) // 64), size - 1))
-        cols = np.arange(7, n, 8)  # r = 8, 16, ...
+    shift = 1.0 - float(np.min(g_k.real - np.abs(g_k)))  # every row is at least Re g_k - |g_k|
+    rows = np.unique(np.append(np.arange(1, size, max(1, (size - 1) // 64)), size - 1))
+    cols = np.arange(min(7, n - 1), n, 8)  # r = 8, 16, ..., or r = beta - 1 when beta <= 8
 
-        def price(y):  # the row duals y price every column by one FFT
-            nonlocal cols
-            reduced = _prices(g_k, np.bincount(rows, y, 4 * (n + 1))) + (shift * y.sum() - 1.0)
-            reduced[cols] = np.inf
-            new = np.argsort(reduced)[: min(8, np.count_nonzero(reduced < -1e-12))]
-            cols = np.append(cols, new)
-            return entries(rows, new), np.ones(new.size)
+    def price(y):  # the row duals y price every column by one FFT
+        nonlocal cols
+        reduced = _prices(g_k, np.bincount(rows, y, 4 * (n + 1))) + (shift * y.sum() - 1.0)
+        reduced[cols] = np.inf
+        new = np.argsort(reduced)[: min(8, np.count_nonzero(reduced < -1e-12))]
+        cols = np.append(cols, new)
+        return entries(rows, new), np.ones(new.size)
 
     def entries(q, r):
         A, D = _entries(g, q, r)
@@ -133,9 +122,8 @@ def _certificate(g: np.ndarray, k: float, class_tag: str, whole) -> Optional[Dua
         return A_new[held], np.ones(np.count_nonzero(held))
 
     # rows held to rounding level keep rounding-level weights below 1e-12 of the largest
-    A = W + shift if whole is not None else entries(rows, cols)
-    sol, _, _ = generate_rows(np.ones(cols.size), A, np.ones(rows.size), worst_rows,
-                              feas=1e-14, price=price)
+    sol, _, _ = generate_rows(np.ones(cols.size), entries(rows, cols), np.ones(rows.size),
+                              worst_rows, feas=1e-14, price=price)
     if sol.status != "optimal":
         raise LpNumericalFailure(f"certificate LP ended with status {sol.status}")
     x = np.bincount(cols, np.maximum(sol.x, 0.0), n)
@@ -146,7 +134,7 @@ def _certificate(g: np.ndarray, k: float, class_tag: str, whole) -> Optional[Dua
     lambdas = x / total
 
     # independent re-verification on all rows but the zero i = 0 one
-    residual = float(np.max(W @ lambdas if whole else _products(g_k, lambdas, class_tag)[1:]))
+    residual = float(np.max(_products(g_k, lambdas, class_tag)[1:]))
     lp_value = 1.0 / total - shift
     if residual <= TOL_LP:
         return DualityCertificate(n + 1, _grid(n + 1), lambdas, class_tag, margin=-residual)
@@ -164,16 +152,16 @@ def lp_certificate(
 
     The weight cone is normalised to sum 1 and the most-interior weights are
     found by minimising the worst constraint row, a matrix game solved in
-    its positively-shifted LP form without the zero i = 0 row.  A game of
-    256 rows or more holds every (m // 64)-th of its m rows and the
-    last and every 8th frequency, and adds the 24 most violated rows and the
-    8 most negatively priced frequencies per round (`generate_rows`).
+    its positively-shifted LP form without the zero i = 0 row, shifted by
+    1 - min_r(Re g_r - |g_r|).  The LP holds every (m // 64)-th of its m rows
+    (every row when m < 128) and the last, and every 8th frequency (the
+    last when beta <= 8), and adds the 24 most violated rows and the 8 most
+    negatively priced frequencies per round (`generate_rows`).
     Acceptance is the re-verification on all rows, which does not depend on
     the solver or the rows it saw.
     """
     _check_class(class_tag)
-    g = _grid_samples(G_tilde, beta)
-    return _certificate(g, math.inf, class_tag, _whole_game(g, class_tag))
+    return _certificate(_grid_samples(G_tilde, beta), math.inf, class_tag)
 
 
 def bisect_upper_bound(
@@ -185,9 +173,9 @@ def bisect_upper_bound(
     The caller establishes the bracket: a certificate must exist at k_hi and
     must not at k_lo.  Slope k runs the certificate LP on the rows W(k) = A +
     D/k of g + 1/k, A those of G and D those of the constant 1, 1 -+
-    cos(omega_r*i) >= 0 (built once for a game solved whole).  So weights
-    lambda >= 0 keep every row non-positive exactly at the slopes k >=
-    k(lambda) = max_i D_i lambda / (-A_i lambda) (`_certified_slope`).  Each
+    cos(omega_r*i) >= 0.  So weights lambda >= 0 keep every row non-positive
+    exactly at the slopes k >= k(lambda) = max_i D_i lambda / (-A_i lambda)
+    (`_certified_slope`, from FFT products on all rows).  Each
     certificate, first at k_hi, moves the bound to min(probe, k(lambda)), and
     the next LP probes tol_k below it (at most down to k_lo, where a
     certificate fails the bracket) until a probe finds none.
@@ -195,17 +183,15 @@ def bisect_upper_bound(
     _check_bracket(k_lo, k_hi, tol_k)
     _check_class(class_tag)
     g = _grid_samples(G, beta)
-    whole = _whole_game(g, class_tag)
     probe = k_hi
     while True:
-        cert = _certificate(g, probe, class_tag, whole)
+        cert = _certificate(g, probe, class_tag)
         if cert is None:
             if probe == k_hi:
                 raise BracketInvalid(f"no certificate at k_hi={k_hi}")
             return hi
         if probe == k_lo:
             raise BracketInvalid(f"certificate already exists at k_lo={k_lo}")
-        a, d = (M @ cert.lambdas for M in whole) if whole else (
-            _products(h, cert.lambdas, class_tag) for h in (g, np.ones(g.size)))
+        a, d = (_products(h, cert.lambdas, class_tag) for h in (g, np.ones(g.size)))
         hi = min(probe, _certified_slope(a, d))
         probe = max(hi - tol_k, k_lo)

@@ -65,9 +65,9 @@ def parse_plant(text: str) -> PlantRecord:
             raise ValueError(f"plant file missing field {key!r}")
     for key in ("num", "den"):
         coeffs = data[key]
-        # abs(x) <= the largest float also refuses NaN and integers no float holds
+        # abs(x) <= the largest float also refuses NaN and integers no float holds; no bool
         if not (isinstance(coeffs, list) and coeffs and all(
-                isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in coeffs)):
+                type(x) in (int, float) and abs(x) <= sys.float_info.max for x in coeffs)):
             raise ValueError(f"plant field {key!r} must be a non-empty list of finite numbers")
     num = tuple(float(x) for x in data["num"])
     den = tuple(float(x) for x in data["den"])

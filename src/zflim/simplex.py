@@ -199,22 +199,17 @@ def simplex_max_leq(c, A, b, maxiter: int = 100000) -> LpSolution:
     return Tableau(c, A, b).solve(maxiter)
 
 
-def generate_rows(c, A, b, more, fixed=None, feas=_TOL, price=None):
-    """Maximise c@x s.t. A x <= b, the rows that ``more`` adds, and ``fixed = (A_f, b_f)``,
-    x >= 0, over the columns of A and those ``price`` adds.  Solves on A, b and fixed,
-    appends the rows ``more(x) -> (A_new, b_new)`` returns for the optimal x and the
-    columns ``price(y) -> (A_new, c_new)`` returns for the row duals y (no fixed rows
-    then), and re-solves warm (`Tableau.solve` with ``feas``) until neither adds any.
+def generate_rows(c, A, b, more, feas=_TOL, price=None):
+    """Maximise c@x s.t. A x <= b and the rows that ``more`` adds, x >= 0, over the
+    columns of A and those ``price`` adds.  Solves on A and b, appends the rows
+    ``more(x) -> (A_new, b_new)`` returns for the optimal x and the columns
+    ``price(y) -> (A_new, c_new)`` returns for the row duals y, and re-solves warm
+    (`Tableau.solve` with ``feas``) until neither adds any.
     A re-solve past 4 pivots per row (dual degenerate rounds stall), or whose x breaks a
     held row by over ten times feas + _TOL (|A_i| x + |b_i|), which rounding in the
     pivots does not reach, restarts cold; a cold one that does raises LpNumericalFailure.
-    Returns the solution and the rows it holds but the fixed ones."""
-
-    def cold():
-        A_f, b_f = (A[:0], b[:0]) if fixed is None else fixed
-        return simplex_max_leq(c, np.vstack([A, A_f]), np.append(b, b_f))
-
-    sol, warm = cold(), False
+    Returns the solution and the rows it holds."""
+    sol, warm = simplex_max_leq(c, A, b), False
     while sol.status == "optimal":
         # x holds its rows to feas, and to _TOL relative to |A_i| x + |b_i| for
         # rounding in the pivots; past ten times that the tableau has drifted
@@ -222,7 +217,7 @@ def generate_rows(c, A, b, more, fixed=None, feas=_TOL, price=None):
         if np.any(held > 10.0 * (feas + _TOL * (np.abs(A) @ sol.x + np.abs(b)))):
             if not warm:
                 raise LpNumericalFailure(f"an active row is violated by {float(held.max())!r}")
-            sol, warm = cold(), False
+            sol, warm = simplex_max_leq(c, A, b), False
             continue
         A_new, b_new = more(sol.x)
         if b_new.size:
@@ -237,5 +232,5 @@ def generate_rows(c, A, b, more, fixed=None, feas=_TOL, price=None):
         try:
             sol, warm = sol.tableau.solve(4 * b.size, feas), True
         except LpNumericalFailure:
-            sol, warm = cold(), False
+            sol, warm = simplex_max_leq(c, A, b), False
     return sol, A, b

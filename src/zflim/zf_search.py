@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BracketInvalid, LpNumericalFailure, NotStable
+from .errors import BracketInvalid, NotStable
 from .lti_core import Polynomial, TransferFunction, frequency_response, is_stable
 from .lti_core import _bisect, _check_bracket, _companion_roots
 from .rational_core import MONOTONE, FirMultiplier, _check_class
@@ -110,8 +110,9 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     1 - |h|_1 >= DELTA_NORM > 0, it moves the vertex but not the sign of the
     margin: the vertex maximises the margin normalised as Crouzeix, Ferland
     and Schaible (JOTA 47(1), 1985) normalise the Dinkelbach step (Mgmt.
-    Sci. 13(7), 1967), so its taps reach further past s.  It raises
-    LpNumericalFailure when the LP returns taps of l1 norm above 1.
+    Sci. 13(7), 1967), so its taps reach further past s.  The l1 budget is
+    the last seed row, so `generate_rows` raises LpNumericalFailure when the
+    LP's taps break it.
 
     reach(k, k_hi) is 1/s* of the taps last accepted, at k (`_circle_shift`),
     backed off by REACH_BACKOFF and capped below k_hi; it is k unless it is
@@ -125,7 +126,7 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     seed_basis = np.exp(-1j * np.outer(w_seed, idx))
     n_taps = idx.size if class_tag == MONOTONE else 2 * idx.size
     cost = np.append(np.zeros(n_taps), 1.0)  # the taps, then the margin
-    budget = (np.append(np.ones(n_taps), 0.0)[None, :], 1.0 - DELTA_NORM)  # the l1 budget
+    budget = np.append(np.ones(n_taps), 0.0)  # the l1 budget row, <= 1 - DELTA_NORM
     num, den = G.num.coeffs, G.den.coeffs
     last = None  # taps of the last accepted step
 
@@ -162,13 +163,11 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
             A_new, b_new = rows(np.exp(-1j * np.outer(w, idx)), frequency_response(G, w) + s)
             return A_new, b_new + shift * A_new[:, -1]
 
-        sol, _, _ = generate_rows(cost, A, b + shift * A[:, -1], minima, budget)
+        sol, _, _ = generate_rows(cost, np.vstack([A, budget]),
+                                  np.append(b + shift * A[:, -1], 1.0 - DELTA_NORM), minima)
         if sol.status != "optimal":
             return None
         h = taps(sol.x)
-        norm = float(np.abs(h).sum())
-        if norm > 1.0:
-            raise LpNumericalFailure(f"search LP taps have l1 norm {norm!r} above 1")
         if sol.x[-1] < shift:
             return None
         last = h

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zflim import lti_core
+from zflim import cli, lti_core
 from zflim.cli import build_parser, main
+from zflim.errors import BracketInvalid
 from zflim.plants import BUILTIN, dump_plant, load_plant, parse_plant
 
 
@@ -235,6 +236,7 @@ CT_CHECK = ["ct-check", "--input"]
     pytest.param(ANALYZE_PLANT, json.dumps(dict(PLANT, num=[math.nan])), id="plant-nan"),
     pytest.param(ANALYZE_PLANT, json.dumps(dict(PLANT, den=[1.0, math.inf])), id="plant-inf"),
     pytest.param(ANALYZE_PLANT, json.dumps(dict(PLANT, num=[10 ** 400])), id="plant-huge-int"),
+    pytest.param(ANALYZE_PLANT, json.dumps(dict(PLANT, num=[True])), id="plant-num-bool"),
     pytest.param(CT_CHECK, json.dumps({k: v for k, v in CT_INPUT.items() if k != "freqs"}),
                  id="ct-missing-freqs"),
     pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, values=[[1]])), id="ct-short-pair"),
@@ -242,6 +244,7 @@ CT_CHECK = ["ct-check", "--input"]
     pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, t_step="x")), id="ct-string-t-step"),
     pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, check="foo")), id="ct-unknown-check"),
     pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, lambdas=[10 ** 400])), id="ct-huge-int"),
+    pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, lambdas=[True])), id="ct-bool-weight"),
     pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, freqs=[1.0, math.nan], values=[[-1, 0]] * 2,
                                            lambdas=[1, 1])), id="ct-nan-freq"),
     pytest.param(CT_CHECK, json.dumps(dict(CT_INPUT, freqs=[math.nan])), id="ct-only-nan-freq"),
@@ -388,6 +391,20 @@ class TestAnalyze:
         run(["analyze", "--plant", str(path), "--class", "monotone", "--out", str(out)])
         assert "chain violation" not in capsys.readouterr().err
         assert json.loads(out.read_text())["note"].startswith("upper-bound bracket failed")
+
+    def test_failed_lower_bracket_is_no_chain_violation(self, tmp_path, capsys, monkeypatch):
+        # a failed lower-bound bracket leaves k_lower = inf, which is no bound
+        # to compare with the upper ones
+        def failing(*args):
+            raise BracketInvalid("search fails already at k_lo")
+
+        monkeypatch.setattr(cli, "bisect_lower_bound", failing)
+        out = tmp_path / "report.json"
+        code = run(["analyze", "--example", "ex1", "--class", "odd", "--out", str(out)])
+        assert code == 4
+        assert "chain violation" not in capsys.readouterr().err
+        assert json.loads(out.read_text())["note"] == (
+            "lower-bound bracket failed: search fails already at k_lo")
 
     def test_nyquist_capped_gap_is_taken_against_k_nyquist(self, tmp_path, monkeypatch):
         # perfbench.workloads.random_plant(default_rng(2)), monotone class:

@@ -1,6 +1,7 @@
 """Certificate rows, LP certificates and the slope bisection."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -150,16 +151,17 @@ class TestLpCertificate:
         assert calls == [shifted]
 
     def test_negative_constant_certified(self):
-        for cls in (MONOTONE, ODD):
-            cert = lp_certificate(constant(-1.0), beta=6, class_tag=cls)
-            assert cert is not None
+        # beta 2 and 3 hold fewer than 8 frequencies and 64 rows
+        for beta, cls in itertools.product((2, 3, 6), (MONOTONE, ODD)):
+            cert = lp_certificate(constant(-1.0), beta=beta, class_tag=cls)
+            assert cert is not None, (beta, cls)
             assert cert.margin >= -1e-9
             assert np.all(cert.lambdas >= 0.0)
             assert np.sum(cert.lambdas) == pytest.approx(1.0, abs=1e-12)
 
     def test_positive_constant_not_certified(self):
-        for cls in (MONOTONE, ODD):
-            assert lp_certificate(constant(1.0), beta=6, class_tag=cls) is None
+        for beta, cls in itertools.product((2, 3, 6), (MONOTONE, ODD)):
+            assert lp_certificate(constant(1.0), beta=beta, class_tag=cls) is None, (beta, cls)
 
     def test_nonconvexity_witness(self, plants):
         mix = nonconvexity_plant(plants)
@@ -275,7 +277,7 @@ class TestBisectUpperBound:
 
 def certificate_at(g, beta, cls):
     """The certificate LP on the rows of the samples g, as `lp_certificate` builds them."""
-    return duality_lp._certificate(g, math.inf, cls, duality_lp._whole_game(g, cls))
+    return duality_lp._certificate(g, math.inf, cls)
 
 
 def full_lp_certificate(g, beta, cls, by_rows=False):
@@ -415,7 +417,6 @@ class TestRowGeneration:
     def test_verdicts_match_the_full_lp(self, plants, beta):
         # k at 0.995-1.005x each scan bound and the two certify-deep slopes:
         # the same verdict and weights, and the same k(lambda) within tol_k
-        # (at beta 60 every game has under 256 rows, so both solve all rows)
         cases = [(name, cls, f * k) for (name, cls), (k, _) in sorted(KNOWN_SINGLE_FREQ.items())
                  for f in (0.995, 0.999, 1.0, 1.001, 1.005)]
         cases += [("ex1", ODD, 13.46), ("ex1", ODD, 13.56)]

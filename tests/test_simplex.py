@@ -408,51 +408,56 @@ def _seeded(A, b, tol):
 
 
 def test_generated_rows_reach_the_full_optimum():
-    # games, real and integer (degenerate), with and without a fixed row; the
-    # seed rows stay, the oracle's rows are added, and every row holds at the end
+    # games, real and integer (degenerate), some with a budget row seeded last;
+    # the seed rows stay, the oracle's rows are added, and every row holds at the end
     rng = np.random.default_rng(1960)
     added = 0
     for trial in range(60):
         c, A, b = _game(rng, integer=trial % 2 == 1)
         m, n = A.shape
-        fixed = (np.ones((1, n)), 1.0) if trial % 3 == 0 else None
         A_seed, b_seed, more, active = _seeded(A, b, 1e-12)
-        sol, A_held, b_held = generate_rows(c, A_seed, b_seed, more, fixed)
-        A_all, b_all = (A, b) if fixed is None else (np.vstack([A, fixed[0]]), np.append(b, 1.0))
+        A_all, b_all = A, b
+        if trial % 3 == 0:
+            A_seed, b_seed = np.vstack([A_seed, np.ones(n)]), np.append(b_seed, 1.0)
+            A_all, b_all = np.vstack([A, np.ones(n)]), np.append(b, 1.0)
+        sol, A_held, b_held = generate_rows(c, A_seed, b_seed, more)
         full = simplex_max_leq(c, A_all, b_all)
         assert sol.status == full.status == "optimal", trial
         assert np.array_equal(A_held[: b_seed.size], A_seed), trial
-        assert b_held.size == np.count_nonzero(active), trial
+        assert b_held.size == np.count_nonzero(active) + b_all.size - b.size, trial
         assert sol.objective == pytest.approx(full.objective, abs=1e-9), trial
         assert np.all(A_all @ sol.x <= b_all + 1e-9), trial
         added += b_held.size > b_seed.size
     assert added >= 30
 
 
-def test_small_lps_seed_every_row(plants, monkeypatch):
-    # `_certificate` seeds every row and column of a game under 256 rows, with
-    # the exact shift 1 - min W, which is then one cold solve; a larger one
-    # holds every (m // 64)-th row and the last and every 8th frequency, with the
-    # shift 1 - min_r (Re g_r - |g_r|), and prices the rest
-    seeds = []
+def test_certificate_lps_seed_one_rule(plants, monkeypatch):
+    # every certificate game holds every (m // 64)-th of its m rows and the
+    # last and every 8th frequency (r = 8, 16, ...), with the shift
+    # 1 - min_r (Re g_r - |g_r|); the price oracle adds at most 8 frequencies
+    # a round, each of negative reduced cost under the row duals
+    seeds, priced = [], []
 
-    def spying(c, A, b, more, fixed=None, feas=simplex._TOL, price=None):
-        seeds.append((A, price))
-        return generate_rows(c, A, b, more, fixed, feas, price)
+    def spying(c, A, b, more, feas=simplex._TOL, price=None):
+        def pricing(y):
+            A_col, c_col = price(y)
+            priced.append((y @ A_col - c_col, c_col.size))
+            return A_col, c_col
+
+        seeds.append(A)
+        return generate_rows(c, A, b, more, feas, pricing)
 
     monkeypatch.setattr(duality_lp, "generate_rows", spying)
     for beta, cls in [(60, ODD), (160, MONOTONE)]:
+        priced.clear()
         duality_lp.lp_certificate(shift_by_inverse_gain(plants["ex1"], 13.0), beta, cls)
-        _, A, _ = _certificate_game(plants["ex1"], 13.0, beta, cls)
-        m = A.shape[0]
-        if m < 256:
-            assert np.array_equal(seeds[-1][0], A) and seeds[-1][1] is None, (beta, m)
-            continue
         g = duality_lp._grid_samples(shift_by_inverse_gain(plants["ex1"], 13.0), beta)
         W = dense_rows(g, beta, cls)[1:] + (1.0 - np.min(g.real - np.abs(g)))
+        m = W.shape[0]
         rows = np.unique(np.append(np.arange(0, m, m // 64), m - 1))
-        assert np.array_equal(seeds[-1][0], W[rows][:, 7::8]), (beta, m)  # r = 8, 16, ...
-        assert seeds[-1][1] is not None
+        assert np.array_equal(seeds[-1], W[rows][:, 7::8]), (beta, m)  # r = 8, 16, ...
+        assert sum(size for _, size in priced) > 0, beta
+        assert all(size <= 8 and np.all(reduced < -1e-12) for reduced, size in priced), beta
     c, A, b = _game(np.random.default_rng(3))
     sol, _, _ = generate_rows(c, A, b, lambda x: (A[:0], b[:0]))
     assert sol.iterations == simplex_max_leq(c, A, b).iterations
@@ -537,8 +542,8 @@ class TestResidualCheck:
 
         ratios = []
 
-        def checked(c, A, b, more, fixed=None, feas=simplex._TOL, price=None):
-            sol, A_held, b_held = generate_rows(c, A, b, more, fixed, feas, price)
+        def checked(c, A, b, more, feas=simplex._TOL, price=None):
+            sol, A_held, b_held = generate_rows(c, A, b, more, feas, price)
             if sol.status == "optimal":  # a search LP may be infeasible
                 bound = 10.0 * (feas + simplex._TOL * (np.abs(A_held) @ sol.x + np.abs(b_held)))
                 ratios.append(np.max((A_held @ sol.x - b_held) / bound))

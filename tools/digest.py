@@ -20,9 +20,10 @@ odd class, beta 160, k 13.46 and 13.56), and prints four sha256 digests:
            class x sign, and the `limits --beta-max 50` CSV.
 
 It also prints, per --lp-beta, the `Tableau.solve` calls, the pivots and the
-`lti_core.poles` calls of the 12 analyze runs; per `certify-deep` LP, the rows
-and columns it held at the end, its pivots, and its cold solves (the first and
-any restart) and warm ones; and, per legacy setting, the
+`lti_core.poles` calls of the 12 analyze runs, and their certificate and
+search LPs (`generate_rows` calls) with the cold solves those took (the first
+and any restart); per `certify-deep` LP, the rows and columns it held at the
+end, its pivots, and its cold solves and warm ones; and, per legacy setting, the
 `interval_slope_bound` evaluations of the 12 `legacy_upper_bound` runs.  Two
 commits that print the same digests pivoted identically and reported the
 same numbers.
@@ -51,7 +52,7 @@ CERTIFY_DEEP = ("ex1", 160, (13.46, 13.56))
 def main(argv) -> int:
     src = argv[0] if argv else os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     sys.path.insert(0, os.path.abspath(src))
-    from zflim import cli, duality_lp, lti_core, simplex
+    from zflim import cli, duality_lp, lti_core, simplex, zf_search
     from zflim.plants import BUILTIN
     from zflim.rational_core import MONOTONE, ODD
 
@@ -72,8 +73,31 @@ def main(argv) -> int:
         counts["poles"] += 1
         return poles(tf)
 
-    simplex.Tableau._pivot, simplex.Tableau.solve = counted_pivot, counted_solve
-    lti_core.poles = counted_poles
+    cold_solve = simplex.simplex_max_leq
+
+    def counted_cold(*args, **kwargs):
+        counts["cold"] += 1
+        return cold_solve(*args, **kwargs)
+
+    def counted_lps(generate_rows, layer):
+        def counted(*args, **kwargs):
+            cold = counts["cold"]
+            sol, A, b = generate_rows(*args, **kwargs)
+            counts[layer] += 1
+            counts[layer + " cold"] += counts["cold"] - cold
+            counts["held"] = A.shape
+            return sol, A, b
+
+        return counted
+
+    patched = [(simplex.Tableau, "_pivot", counted_pivot),
+               (simplex.Tableau, "solve", counted_solve), (lti_core, "poles", counted_poles),
+               (simplex, "simplex_max_leq", counted_cold),
+               (duality_lp, "generate_rows", counted_lps(duality_lp.generate_rows, "certificate")),
+               (zf_search, "generate_rows", counted_lps(zf_search.generate_rows, "search"))]
+    originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in patched]
+    for owner, attr, wrapper in patched:
+        setattr(owner, attr, wrapper)
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
         for lp_beta in LP_BETAS:
@@ -93,20 +117,11 @@ def main(argv) -> int:
                     reports.update(json.dumps([code, report], sort_keys=True).encode())
             print(f"analyze --lp-beta {lp_beta}: {counts['solve']} Tableau.solve calls, "
                   f"{counts['pivots']} pivots, {counts['poles']} poles calls")
+            print(f"analyze --lp-beta {lp_beta}: {counts['certificate']} certificate LPs with "
+                  f"{counts['certificate cold']} cold solves, {counts['search']} search LPs with "
+                  f"{counts['search cold']} cold solves")
 
     name, beta, slopes = CERTIFY_DEEP
-    generate_rows, cold_solve = duality_lp.generate_rows, simplex.simplex_max_leq
-
-    def held(*args, **kwargs):
-        sol, A, b = generate_rows(*args, **kwargs)
-        counts["held"] = A.shape
-        return sol, A, b
-
-    def counted_cold(*args, **kwargs):
-        counts["cold"] += 1
-        return cold_solve(*args, **kwargs)
-
-    duality_lp.generate_rows, simplex.simplex_max_leq = held, counted_cold
     for k in slopes:
         counts.clear()
         shifted = lti_core.shift_by_inverse_gain(BUILTIN[name].tf(), k)
@@ -115,7 +130,8 @@ def main(argv) -> int:
         rows, cols = counts["held"]
         print(f"certify-deep k {k}: {rows} rows x {cols} columns held, {counts['pivots']} "
               f"pivots, {counts['cold']} cold and {counts['solve'] - counts['cold']} warm solves")
-    duality_lp.generate_rows, simplex.simplex_max_leq = generate_rows, cold_solve
+    for owner, attr, original in originals:
+        setattr(owner, attr, original)
     print(f"pivots  {pivots.hexdigest()}")
     print(f"reports {reports.hexdigest()}")
     print(f"stdout  {printed.hexdigest()}")
