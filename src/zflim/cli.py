@@ -4,9 +4,10 @@ Machine output is JSON (written atomically when --out is given), human
 output is aligned text on stdout.  Infinities are serialised as the string
 "inf".  Exit codes: 0 success, 1 the requested object does not exist (no
 certificate / no multiplier), 2 unstable plant or internal error, 3 parse
-error or invalid argument (such as a --k or --tol-k that is not positive
-and finite), 4 bisection bracket failure (a partial report is still written),
-5 report chain-inequality violation.
+error, usage error or invalid argument (such as a --k or --tol-k that is
+not positive and finite, or both --example and --plant), 4 bisection
+bracket failure (a partial report is still written), 5 report
+chain-inequality violation.
 """
 
 from __future__ import annotations
@@ -80,19 +81,13 @@ def atomic_write(path: str, text: str):
 
 
 def _resolve_plant(args) -> PlantRecord:
-    if getattr(args, "example", None):
-        name = args.example
-        if name not in BUILTIN:
-            raise ValueError(f"unknown example {name!r}; have {sorted(BUILTIN)}")
-        return BUILTIN[name]
-    if getattr(args, "plant", None):
-        return load_plant(args.plant)
-    raise ValueError("one of --example or --plant is required")
+    return BUILTIN[args.example] if args.example else load_plant(args.plant)
 
 
 def _add_plant_args(p):
-    p.add_argument("--example", help=f"bundled plant name ({', '.join(sorted(BUILTIN))})")
-    p.add_argument("--plant", help="path to a plant JSON file")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--example", choices=sorted(BUILTIN), help="bundled plant name")
+    group.add_argument("--plant", help="path to a plant JSON file")
 
 
 def _class_arg(p):
@@ -440,7 +435,10 @@ def cmd_show_plant(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_PARSE
     try:
         return args.func(args)
     except (ValueError, InvalidGain, json.JSONDecodeError, OSError) as exc:

@@ -85,9 +85,15 @@ def _certified_slope(a: np.ndarray, d: np.ndarray) -> float:
     return 1.0 / s if s > 0.0 else math.inf
 
 
+def _residual(g: np.ndarray, lambdas: np.ndarray, class_tag: str) -> float:
+    """The largest row W @ lambdas on the samples g, over every row but the
+    identically zero i = 0 one: <= 0 (to TOL_LP) is the certificate's proof."""
+    return float(np.max(_products(g, lambdas, class_tag)[1:]))
+
+
 def certificate_residual(G_tilde: TransferFunction, cert: DualityCertificate) -> float:
-    """Largest constraint value of the certificate, recomputed from scratch."""
-    return float(np.max(_products(_grid_samples(G_tilde, cert.beta), cert.lambdas, cert.class_tag)))
+    """The certificate's residual (`_residual`), recomputed from the plant."""
+    return _residual(_grid_samples(G_tilde, cert.beta), cert.lambdas, cert.class_tag)
 
 
 def _certificate(g: np.ndarray, k: float, class_tag: str) -> Optional[DualityCertificate]:
@@ -133,8 +139,7 @@ def _certificate(g: np.ndarray, k: float, class_tag: str) -> Optional[DualityCer
         raise LpNumericalFailure("certificate LP returned a zero weight vector")
     lambdas = x / total
 
-    # independent re-verification on all rows but the zero i = 0 one
-    residual = float(np.max(_products(g_k, lambdas, class_tag)[1:]))
+    residual = _residual(g_k, lambdas, class_tag)  # re-verification, whatever rows the LP held
     lp_value = 1.0 / total - shift
     if residual <= TOL_LP:
         return DualityCertificate(n + 1, _grid(n + 1), lambdas, class_tag, margin=-residual)

@@ -184,8 +184,11 @@ def shift_by_inverse_gain(tf: TransferFunction, k: float) -> TransferFunction:
     """Return tf + 1/k, the loop transformation for a slope restriction of k."""
     if not (0.0 < k < math.inf):
         raise InvalidGain(f"gain must be positive and finite, got {k!r}")
-    num = tf.num.scale(k) + tf.den
-    den = tf.den.scale(k)
+    with np.errstate(over="ignore"):
+        num = tf.num.scale(k) + tf.den
+        den = tf.den.scale(k)
+    if not (math.isfinite(1.0 / k) and np.isfinite(np.append(num.coeffs, den.coeffs)).all()):
+        raise InvalidGain(f"gain {k!r} leaves 1/k or a coefficient of tf + 1/k not finite")
     return TransferFunction(num, den)
 
 

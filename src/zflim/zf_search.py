@@ -4,15 +4,15 @@ Positivity of Re{M(e^{jw}) G(e^{jw})} for all w is a semi-infinite LP in the
 taps, solved by the exchange method (Kelley, 1960; Hettich and Kortanek,
 SIAM Rev. 35, 1993): the LP on SEED_SIZE equispaced frequencies, re-solved
 warm (`simplex.generate_rows`) with rows at the negative local minima of
-p = Re{M num conj(den)} over the whole circle, which one root solve of p'
-finds, until p has none (positivity is proved on the whole circle) or the
-margin is negative (no taps of the class exist).  A bisection samples G at
-the seed once, each slope k shifting the samples to g + 1/k.  Taps found at
-one slope move the bracket's lower end to their reach: the exact slope at
-which they stay positive on the whole circle, a ratio of trigonometric
-polynomials maximised by one more root solve (`_circle_shift`).  Each
-search after the first weights its margin by the last taps' Re{M}, so the
-taps it finds reach further past its slope.
+p = Re{M num conj(den)} over the whole circle, among the critical angles
+one root solve of p' finds (`_extrema`), until p has none (positivity is
+proved on the whole circle) or the margin is negative (no taps of the class
+exist).  A bisection samples G at the seed once, each slope k shifting the
+samples to g + 1/k.  Taps found at one slope move the bracket's lower end
+to their reach: the exact slope at which they stay positive on the whole
+circle, a ratio of trigonometric polynomials maximised, then proven, by
+the same root solve.  Each search after the first weights its margin by
+the last taps' Re{M}, so the taps it finds reach further past its slope.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ SEED_SIZE = 64
 EPS_POS = 1e-7
 # the taps' l1 norm is capped at 1 - DELTA_NORM
 DELTA_NORM = 1e-6
-# relative back-off of the exact shift s* before `_circle_min` proves the reach
+# relative back-off of the exact shift s* before `_extrema` proves the reach
 REACH_BACKOFF = 1e-9
 
 
@@ -70,30 +70,18 @@ def _cos_sum(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     return c[n] + 2.0 * np.cos(np.outer(w, np.arange(1, n + 1))) @ c[n + 1 :]
 
 
-def _angles(r: np.ndarray) -> np.ndarray:
-    """0, pi and the angles of the roots of sum_j r_j z^j (r ascending)."""
-    return np.concatenate([[0.0, math.pi], np.angle(_companion_roots(Polynomial(r).coeffs))])
-
-
-def _circle_min(h: np.ndarray, num: np.ndarray, den: np.ndarray) -> float:
-    """Minimum over |z| = 1 of p = Re{M(z) num(z) conj(den(z))} (`_laurent`); it
-    is at a root of z^N p'(z) ~ sum j c_j z^(j+N).  p is taken at 0, pi and
-    every root's angle, each a true sample, so no root is judged on |z| = 1."""
-    c = _laurent(h, num, den)
-    n = c.size // 2
-    return float(np.min(_cos_sum(c, _angles(np.arange(-n, n + 1) * c))))
-
-
-def _circle_shift(h: np.ndarray, num: np.ndarray, den: np.ndarray) -> float:
-    """s* = max over |z| = 1 of -P/Q, P = Re{M num conj(den)}, Q = Re{M} |den|^2,
-    the smallest shift s with Re{M (num/den + s)} >= 0 on the whole circle
-    when Q > 0.  The maximum is at 0, pi or a root of P'Q - PQ', whose
-    coefficients sum_{j+k=m} (j - k) p_j q_k vanish at m = +-2N; each angle is
-    a true sample, so s* is the maximum of -P/Q up to rounding."""
-    p, q = _laurent(h, num, den), _laurent(h, den, den)
+def _extrema(p: np.ndarray, q: Optional[np.ndarray] = None):
+    """Critical angles w in [0, pi] of the cosine sum P of `_laurent` coefficients
+    p, and P there; given q, of -P/Q and -P/Q there.  They are 0, pi and the
+    angles of the roots of z^N P' ~ sum j p_j z^(j+N), or of P'Q - PQ' (terms
+    sum_{j+k=m} (j - k) p_j q_k, zero at m = +-2N).  Each value is a true sample,
+    so min P (max -P/Q) on the whole circle is the least (largest), to rounding."""
     j = np.arange(p.size) - p.size // 2
-    w = _angles((np.convolve(j * p, q) - np.convolve(p, j * q))[1:-1])
-    return float(np.max(-_cos_sum(p, w) / _cos_sum(q, w)))
+    r = j * p if q is None else (np.convolve(j * p, q) - np.convolve(p, j * q))[1:-1]
+    roots = _companion_roots(Polynomial(r).coeffs)
+    w = np.unique(np.abs(np.concatenate([[0.0, math.pi], np.angle(roots)])))
+    v = _cos_sum(p, w)
+    return w, (v if q is None else -v / _cos_sum(q, w))
 
 
 def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
@@ -114,9 +102,10 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     the last seed row, so `generate_rows` raises LpNumericalFailure when the
     LP's taps break it.
 
-    reach(k, k_hi) is 1/s* of the taps last accepted, at k (`_circle_shift`),
-    backed off by REACH_BACKOFF and capped below k_hi; it is k unless it is
-    above k and `_circle_min` proves the taps there."""
+    reach(k, k_hi) is 1/s*, s* = max -P/Q (`_extrema`) for the last taps' P and
+    Q (`_laurent` of num and of den), backed off by REACH_BACKOFF and capped
+    below k_hi.  It is k unless it is above k and min(P + Q/r) >= 0 proves the
+    taps at r (`_laurent` is linear in num, so P + Q/r is p at slope r)."""
     _check_class(class_tag)
     if not is_stable(G):
         raise NotStable("multiplier search requires a stable plant")
@@ -149,14 +138,12 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
         shift = 1.0 + max(0.0, float(np.max(-b / A[:, -1])))
 
         def minima(x):
-            """Rows at the negative local minima of p over the whole circle, at
-            the angles of the roots of p' (`_circle_min`); none once t < 0."""
+            """Rows at the negative local minima of p over the whole circle, among
+            its critical angles (`_extrema`); none once t < 0."""
             if x[-1] < shift:
                 return A[:0], b[:0]
-            c = _laurent(taps(x), shifted, den)
-            n = c.size // 2
-            w = np.unique(np.abs(_angles(np.arange(-n, n + 1) * c)))
-            p = _cos_sum(c, w)  # a negative local minimum is below its neighbouring angles
+            w, p = _extrema(_laurent(taps(x), shifted, den))
+            # a negative local minimum is below its neighbouring angles
             w = w[(p < 0.0) & (p <= np.append(p[1:], np.inf)) & (p <= np.append(np.inf, p[:-1]))]
             if not w.size:
                 return A[:0], b[:0]
@@ -174,10 +161,11 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
         return FirMultiplier({int(i): float(v) for i, v in zip(idx, h) if v != 0.0}, class_tag)
 
     def reach(k: float, k_hi: float) -> float:
-        s = _circle_shift(last, num, den)
+        P, Q = _laurent(last, num, den), _laurent(last, den, den)
+        s = float(np.max(_extrema(P, Q)[1]))
         s += REACH_BACKOFF * abs(s)
         r = 1.0 / s if s > 1.0 / k_hi else float(np.nextafter(k_hi, 0.0))
-        if r <= k or _circle_min(last, (G.num + G.den.scale(1.0 / r)).coeffs, den) < 0.0:
+        if r <= k or np.min(_extrema(P + Q / r)[1]) < 0.0:
             return k
         return r
 
@@ -216,7 +204,7 @@ def bisect_lower_bound(
     s' > s, Re{M (G + s')} = Re{M (G + s)} + (s' - s) Re{M}, and Re{M} >=
     1 - |h|_1 >= DELTA_NORM > 0, so Re{M (G + s)} rises on the whole circle.
     So each accepted search, first at k_lo, moves k_lo to its taps' reach
-    (`_search`), proven by `_circle_min`, and a failed one moves k_hi to its
+    (`_search`), proven by `_extrema`, and a failed one moves k_hi to its
     slope.  Each search after the first normalises its margin by the last
     taps, so the reach jumps toward the bound.  The result is the reach of
     the last accepted taps, and a search fails within tol_k above it.

@@ -92,6 +92,14 @@ class TestCertify:
         assert len(payload["lambdas"]) == 249
         assert payload["residual_max"] <= 1e-9
 
+    def test_residual_is_minus_the_margin(self, tmp_path):
+        # the residual skips only the zero i = 0 row, as the acceptance gate does
+        out = tmp_path / "cert.json"
+        assert run(["certify", "--example", "ex1", "--k", "13.56", "--beta", "160",
+                    "--class", "monotone", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["residual_max"] == -payload["margin"] < 0.0
+
     def test_no_certificate_exits_one(self):
         code = run([
             "certify", "--example", "ex1", "--k", "5.0", "--beta", "12", "--class", "monotone",
@@ -187,6 +195,37 @@ def test_subcommand_flags_are_pinned():
 def test_invalid_gain_exits_three(command, k, capsys):
     assert run(command + ["--example", "ex2", f"--k={k}", "--class", "monotone"]) == 3
     assert "gain must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["search"], ["certify", "--beta", "12"]],
+                         ids=["search", "certify"])
+@pytest.mark.parametrize("k", ["1e308", "5e-324"])
+def test_gain_whose_shift_is_not_finite_exits_three(command, k, capsys):
+    assert run(command + ["--example", "ex1", f"--k={k}", "--class", "odd"]) == 3
+    assert capsys.readouterr().err.startswith("error: gain")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--example", "ex1", "--class", "bogus"],
+    ["analyze", "--example", "ex1"],
+    ["search", "--example", "ex1", "--class", "odd", "--nz", "abc"],
+    ["bogus"],
+    [],
+    ["search", "--example", "ex1", "--plant", "x.json", "--class", "odd"],
+    ["search", "--class", "odd"],
+    ["show-plant", "--example", "nope"],
+], ids=["bad-class", "no-class", "bad-nz", "unknown-command", "no-command",
+        "example-and-plant", "no-plant", "unknown-example"])
+def test_usage_error_exits_three(argv, capsys):
+    assert run(argv) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["search", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    assert run(argv) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 class TestCtCheck:

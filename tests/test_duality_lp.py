@@ -177,6 +177,18 @@ class TestLpCertificate:
         assert cert is not None
         assert certificate_residual(mix, cert) <= 1e-9
 
+    @pytest.mark.parametrize("name, k, beta", [
+        ("ex1", 13.56, 160), ("ex3", None, 60), ("ex4", None, 60), ("ex6", None, 60),
+    ])
+    @pytest.mark.parametrize("cls", [MONOTONE, ODD])
+    def test_residual_is_the_acceptance_gate(self, plants, name, k, beta, cls):
+        # certificate_residual checks the rows the acceptance gate checked, all but
+        # the i = 0 row that is zero for any weights, so it is -margin exactly
+        shifted = shift_by_inverse_gain(plants[name], k or 1.02 * KNOWN_SINGLE_FREQ[(name, cls)][0])
+        cert = lp_certificate(shifted, beta, cls)
+        assert cert is not None and cert.margin > 0.0
+        assert certificate_residual(shifted, cert) == -cert.margin
+
     def test_extended_rows_add_nothing(self, plants):
         g = shift_by_inverse_gain(plants["ex4"], 0.9)
         beta = 8

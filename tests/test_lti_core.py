@@ -325,6 +325,13 @@ class TestShiftByInverseGain:
         with pytest.raises(InvalidGain, match="finite"):
             shift_by_inverse_gain(plants["ex1"], math.inf)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [1e308, 5e-324], ids=["overflowing-coefficients", "infinite-1/k"])
+    def test_rejects_gain_whose_shift_is_not_finite(self, plants, k):
+        # k num + den overflows at 1e308, and 1/k does at 5e-324, both without a warning
+        with pytest.raises(InvalidGain, match="not finite"):
+            shift_by_inverse_gain(plants["ex1"], k)
+
 
 class TestAffineCombine:
     def test_identity(self, plants):

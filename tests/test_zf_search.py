@@ -287,6 +287,11 @@ def tap_dict(h):
             if v != 0.0}
 
 
+def circle_min(h, num, den):
+    """The minimum of p = Re{M num conj(den)} over the whole circle (`_extrema`)."""
+    return float(np.min(zf_search._extrema(zf_search._laurent(h, num, den))[1]))
+
+
 def horner_p(h, num, den, w):
     """p = Re{M num conj(den)} at frequencies w, M by FirMultiplier.response (Horner)."""
     z = np.exp(1j * w)
@@ -295,7 +300,7 @@ def horner_p(h, num, den, w):
 
 
 class TestRecheckTable:
-    """The candidate re-check: `_circle_min`, the minimum of p on the whole circle."""
+    """The candidate re-check: the minimum of p on the whole circle (`_extrema`)."""
 
     @pytest.mark.parametrize("n_z", [1, 3, 8, 12])
     @pytest.mark.parametrize("cls", [MONOTONE, ODD])
@@ -315,9 +320,42 @@ class TestRecheckTable:
                 h *= rng.uniform(0.5, 1.0) / max(np.sum(np.abs(h)), 1.0)
                 p = horner_p(h, num, tf.den.coeffs, w)
                 scale = float(np.max(np.abs(p)))
-                got = zf_search._circle_min(h, num, tf.den.coeffs)
+                got = circle_min(h, num, tf.den.coeffs)
                 assert got <= p.min() + 1e-14 * scale, (name, draw)
                 assert got >= p.min() - 1e-9 * scale, (name, draw)
+
+    @pytest.mark.parametrize("with_q", [False, True], ids=["P", "-P/Q"])
+    def test_extrema_angles(self, plants, with_q):
+        # the critical angles are sorted, distinct, in [0, pi], with both ends
+        rng = np.random.default_rng(5)
+        for name in ("ex1", "ex2", "ex4"):
+            den = plants[name].den.coeffs
+            for n_z in (1, 8):
+                h = rng.uniform(-1.0, 1.0, 2 * n_z)
+                h *= 0.9 / np.sum(np.abs(h))
+                P, Q = (zf_search._laurent(h, c, den) for c in (plants[name].num.coeffs, den))
+                w, v = zf_search._extrema(P, Q if with_q else None)
+                assert w[0] == 0.0 and w[-1] == math.pi, (name, n_z)
+                assert np.all(np.diff(w) > 0.0), (name, n_z)
+                assert v.shape == w.shape
+
+    @pytest.mark.parametrize("name", ["ex1", "ex3", "ex5"])
+    def test_laurent_is_linear_in_num(self, plants, name):
+        # the reach proves taps at slope r on P + Q/r, not on a shifted plant
+        rng = np.random.default_rng(17)
+        tf = plants[name]
+        den = tf.den.coeffs
+        num = np.zeros(den.size)
+        num[: tf.num.coeffs.size] = tf.num.coeffs
+        slopes = [KNOWN_SINGLE_FREQ[(name, cls)][0] for cls in (MONOTONE, ODD)]
+        for n_z in (1, 3, 8):
+            h = rng.uniform(-1.0, 1.0, 2 * n_z)
+            h *= rng.uniform(0.5, 1.0) / np.sum(np.abs(h))
+            P, Q = zf_search._laurent(h, num, den), zf_search._laurent(h, den, den)
+            for s in [1.0 / k for k in slopes] + list(rng.uniform(0.01, 10.0, 3)):
+                got = zf_search._laurent(h, num + s * den, den)
+                scale = max(np.max(np.abs(got)), np.max(np.abs(P)), s * np.max(np.abs(Q)))
+                assert np.max(np.abs(got - (P + s * Q))) <= 1e-14 * scale, (n_z, s)
 
     @pytest.mark.parametrize("name, cls", sorted(KNOWN_SINGLE_FREQ))
     def test_same_verdicts_as_horner(self, plants, name, cls):
@@ -417,7 +455,7 @@ def taps_of(mult, n_z):
 def proven_at(G, mult, n_z, k):
     """True when the taps of mult keep Re{M (G + 1/k)} >= 0 on the whole circle."""
     num = (G.num + G.den.scale(1.0 / k)).coeffs
-    return zf_search._circle_min(taps_of(mult, n_z), num, G.den.coeffs) >= 0.0
+    return circle_min(taps_of(mult, n_z), num, G.den.coeffs) >= 0.0
 
 
 def recording_search(monkeypatch, steps):
@@ -480,16 +518,17 @@ class TestWitnessReach:
             assert factor * k_scan <= r < k_hi
             h = taps_of(mult, config.n_z)
 
-            def circle_min(k):
-                return zf_search._circle_min(h, (num + den.scale(1.0 / k)).coeffs, den.coeffs)
+            def min_at(k):
+                return circle_min(h, (num + den.scale(1.0 / k)).coeffs, den.coeffs)
 
             # a reach counts only where the whole circle proves it, and it is tight
-            assert circle_min(r) >= 0.0
+            assert min_at(r) >= 0.0
             if r < np.nextafter(k_hi, 0.0):
-                assert circle_min(r * (1 + 1e-6)) < 0.0
+                assert min_at(r * (1 + 1e-6)) < 0.0
             m = FirMultiplier(tap_dict(h), ODD).response(w)
             dense = float(np.max(-(m * g).real / m.real))
-            assert zf_search._circle_shift(h, num.coeffs, den.coeffs) >= dense
+            P, Q = (zf_search._laurent(h, c, den.coeffs) for c in (num.coeffs, den.coeffs))
+            assert np.max(zf_search._extrema(P, Q)[1]) >= dense
 
     @pytest.mark.parametrize("name, cls", sorted(KNOWN_SINGLE_FREQ))
     def test_weighted_lp_keeps_grid_feasibility(self, plants, name, cls):

@@ -20,9 +20,10 @@ odd class, beta 160, k 13.46 and 13.56), and prints four sha256 digests:
            class x sign, and the `limits --beta-max 50` CSV.
 
 It also prints, per --lp-beta, the `Tableau.solve` calls, the pivots and the
-`lti_core.poles` calls of the 12 analyze runs, and their certificate and
-search LPs (`generate_rows` calls) with the cold solves those took (the first
-and any restart); per `certify-deep` LP, the rows and columns it held at the
+`lti_core.poles` calls of the 12 analyze runs, their certificate and search
+LPs (`generate_rows` calls) with the cold solves those took (the first and
+any restart), and their whole-circle root solves (`zf_search._extrema`
+calls); per `certify-deep` LP, the rows and columns it held at the
 end, its pivots, and its cold solves and warm ones; and, per legacy setting, the
 `interval_slope_bound` evaluations of the 12 `legacy_upper_bound` runs.  Two
 commits that print the same digests pivoted identically and reported the
@@ -59,6 +60,7 @@ def main(argv) -> int:
     pivots, reports, printed = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     counts = Counter()
     pivot, solve, poles = simplex.Tableau._pivot, simplex.Tableau.solve, lti_core.poles
+    extrema = zf_search._extrema
 
     def counted_pivot(self, r, j):
         pivots.update(f"{r},{j};".encode())
@@ -72,6 +74,10 @@ def main(argv) -> int:
     def counted_poles(tf):
         counts["poles"] += 1
         return poles(tf)
+
+    def counted_extrema(*args):
+        counts["extrema"] += 1
+        return extrema(*args)
 
     cold_solve = simplex.simplex_max_leq
 
@@ -92,7 +98,7 @@ def main(argv) -> int:
 
     patched = [(simplex.Tableau, "_pivot", counted_pivot),
                (simplex.Tableau, "solve", counted_solve), (lti_core, "poles", counted_poles),
-               (simplex, "simplex_max_leq", counted_cold),
+               (simplex, "simplex_max_leq", counted_cold), (zf_search, "_extrema", counted_extrema),
                (duality_lp, "generate_rows", counted_lps(duality_lp.generate_rows, "certificate")),
                (zf_search, "generate_rows", counted_lps(zf_search.generate_rows, "search"))]
     originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in patched]
@@ -119,7 +125,8 @@ def main(argv) -> int:
                   f"{counts['pivots']} pivots, {counts['poles']} poles calls")
             print(f"analyze --lp-beta {lp_beta}: {counts['certificate']} certificate LPs with "
                   f"{counts['certificate cold']} cold solves, {counts['search']} search LPs with "
-                  f"{counts['search cold']} cold solves")
+                  f"{counts['search cold']} cold solves, {counts['extrema']} whole-circle "
+                  "root solves")
 
     name, beta, slopes = CERTIFY_DEEP
     for k in slopes:
