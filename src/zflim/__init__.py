@@ -12,7 +12,6 @@ from .errors import (
     InvalidGain,
     InvalidInterval,
     LpNumericalFailure,
-    NoTightCandidate,
     NotStable,
     PoleOnUnitCircle,
     PrecisionExhausted,

@@ -23,10 +23,12 @@ import tempfile
 import time
 from typing import Optional
 
+import numpy as np
+
 from .continuous_duality import CtCertificateInput, ct_check_nonodd, ct_check_odd
 from .duality_lp import bisect_upper_bound, certificate_residual, lp_certificate
 from .errors import BracketInvalid, InvalidGain, ZflimError
-from .interval_limits import DEFAULT_N_SEARCH, legacy_upper_bound
+from .interval_limits import legacy_upper_bound
 from .lti_core import nyquist_value, shift_by_inverse_gain
 from .phase_limits import DEFAULT_BETA_MAX, coprime_pairs, phase_bound, scan_upper_bound
 from .plants import BUILTIN, PlantRecord, dump_plant, load_plant
@@ -193,10 +195,8 @@ def cmd_search(args) -> int:
 def cmd_legacy(args) -> int:
     record = _resolve_plant(args)
     t0 = time.perf_counter()
-    result = legacy_upper_bound(
-        record.tf(), args.class_tag, args.resolution,
-        args.k_lo, args.k_hi, args.tol_k, args.n_search,
-    )
+    result = legacy_upper_bound(record.tf(), args.class_tag, args.resolution,
+                                args.k_lo, args.k_hi, args.tol_k)
     wall = time.perf_counter() - t0
     a, b = result.witness if result.witness else (None, None)
     print(f"{record.name}: legacy upper bound {result.k_upper:.6f} "
@@ -411,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-lo", type=float, required=True)
     p.add_argument("--k-hi", type=float, required=True)
     p.add_argument("--tol-k", type=float, default=1e-3)
-    p.add_argument("--n-search", type=int, default=DEFAULT_N_SEARCH)
     p.set_defaults(func=cmd_legacy)
 
     p = sub.add_parser("ct-check", help="continuous-time non-existence check from samples")
@@ -441,6 +440,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_PARSE
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but a numerical failure, not bad input
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except (ValueError, InvalidGain, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -449,6 +451,9 @@ def main(argv=None) -> int:
         return EXIT_BRACKET
     except ZflimError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # MemoryError and whatever else nothing above maps
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

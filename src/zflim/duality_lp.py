@@ -142,7 +142,7 @@ def _certificate(g: np.ndarray, k: float, class_tag: str) -> Optional[DualityCer
     residual = _residual(g_k, lambdas, class_tag)  # re-verification, whatever rows the LP held
     lp_value = 1.0 / total - shift
     if residual <= TOL_LP:
-        return DualityCertificate(n + 1, _grid(n + 1), lambdas, class_tag, margin=-residual)
+        return DualityCertificate(n + 1, _grid(n + 1), lambdas, class_tag, margin=0.0 - residual)
     if lp_value <= TOL_LP:
         raise LpNumericalFailure(
             f"LP value {lp_value:.3e} passed but residual {residual:.3e} failed re-verification"

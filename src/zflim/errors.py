@@ -21,10 +21,6 @@ class InvalidGain(ZflimError):
     """Loop-transformation gain must be positive and finite."""
 
 
-class NoTightCandidate(ZflimError):
-    """No one-tap multiplier attains the phase bound; indicates a broken invariant."""
-
-
 class PrecisionExhausted(ZflimError):
     """Requested approximation is finer than the float input can support."""
 

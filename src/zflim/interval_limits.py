@@ -28,10 +28,9 @@ from .errors import BracketInvalid, InvalidInterval, NotStable
 from .lti_core import TransferFunction, _bisect, _check_bracket, frequency_response, is_stable
 from .rational_core import MONOTONE, _check_class
 
-DEFAULT_N_SEARCH = 100000
 _CHEAP_N = 4
-_FIRST_BLOCK = 64
-_BLOCK = 20000
+_FIRST_TERMS = 64
+_MAX_TERMS = 100000
 _ROWS = 64
 
 
@@ -57,36 +56,31 @@ def _slope_ratios(psi_d, phi_d, width, class_tag: str) -> np.ndarray:
     return np.abs(psi_d) / np.where(den > 1e-12, den, np.inf)
 
 
-def interval_slope_bound(
-    a: float, b: float, class_tag: str, n_search: int = DEFAULT_N_SEARCH
-) -> float:
+def _term_ratios(a: float, b: float, n: np.ndarray, class_tag: str) -> np.ndarray:
+    """Terms n of the series `interval_slope_bound` maximises."""
+    psi_d = (np.cos(a * n) - np.cos(b * n)) / n
+    phi_d = (np.sin(a * n) - np.sin(b * n)) / n
+    return _slope_ratios(psi_d, phi_d, b - a, class_tag)
+
+
+def interval_slope_bound(a: float, b: float, class_tag: str) -> float:
     """Largest slope ratio sustainable by the class over [a, b].
 
     Maximum over n of |cos(a n) - cos(b n)| / (n (b - a) + sin(a n) - sin(b n))
     for the monotone class; the odd class subtracts |sin(a n) - sin(b n)|
-    instead.  The search over n runs in blocks of 64, 128, ... up to
-    `_BLOCK` values and stops once the 2/n envelope of the numerator can no
-    longer beat the running maximum.
+    instead.  The first 64 terms give a maximum m.  Term n's numerator is at
+    most 2/n and its denominator at least (b - a) - 2/n, so no term past
+    n = 2 (1 + m) / ((b - a) m) beats m: the terms from 65 up to that cutoff,
+    or up to `_MAX_TERMS` if it is smaller or m is 0, are evaluated at once.
     """
     _check_interval(a, b)
     _check_class(class_tag)
-    if n_search < 1:
-        raise ValueError("n_search must be positive")
-    width = b - a
-    best = 0.0
-    start, size = 1, _FIRST_BLOCK
-    while start <= n_search:
-        stop = min(n_search, start + size - 1)
-        n = np.arange(start, stop + 1, dtype=float)
-        psi_d = (np.cos(a * n) - np.cos(b * n)) / n
-        phi_d = (np.sin(a * n) - np.sin(b * n)) / n
-        best = max(best, float(np.max(_slope_ratios(psi_d, phi_d, width, class_tag))))
-        start = stop + 1
-        size = min(2 * size, _BLOCK)
-        if width > 2.0 / start:
-            envelope = (2.0 / start) / (width - 2.0 / start)
-            if envelope < best:
-                break
+    best = float(np.max(_term_ratios(a, b, np.arange(1.0, _FIRST_TERMS + 1), class_tag)))
+    cutoff = 2.0 * (1.0 + best) / ((b - a) * best) if best > 0.0 else math.inf
+    stop = math.ceil(min(cutoff, _MAX_TERMS))
+    if stop > _FIRST_TERMS:
+        n = np.arange(_FIRST_TERMS + 1, stop + 1, dtype=float)
+        best = max(best, float(np.max(_term_ratios(a, b, n, class_tag))))
     return best
 
 
@@ -117,7 +111,7 @@ def _screen_ratios(w, cosm, sinm, q0, q1, stop, class_tag: str) -> np.ndarray:
 
 
 def _find_obstruction(
-    g: np.ndarray, w: np.ndarray, cosm, sinm, bounds: dict, class_tag: str, n_search: int
+    g: np.ndarray, w: np.ndarray, cosm, sinm, bounds: dict, class_tag: str
 ) -> Optional[Tuple[float, float]]:
     """First interval (lexicographic in (a, b)) whose phase requirement exceeds
     the class slope limit, or None.
@@ -149,21 +143,14 @@ def _find_obstruction(
             for i, j in zip(q0 + hits[0], q0 + hits[1]):
                 a, b = float(w[i]), float(w[j])
                 if (i, j) not in bounds:
-                    bounds[i, j] = interval_slope_bound(a, b, class_tag, n_search)
+                    bounds[i, j] = interval_slope_bound(a, b, class_tag)
                 if req_min[i - q0, j - q0] >= bounds[i, j]:
                     return (a, b)
     return None
 
 
-def legacy_upper_bound(
-    G: TransferFunction,
-    class_tag: str,
-    resolution: float,
-    k_lo: float,
-    k_hi: float,
-    tol_k: float,
-    n_search: int = DEFAULT_N_SEARCH,
-) -> LegacyBoundResult:
+def legacy_upper_bound(G: TransferFunction, class_tag: str, resolution: float,
+                       k_lo: float, k_hi: float, tol_k: float) -> LegacyBoundResult:
     """Bisect the slope against the interval obstruction test.
 
     Returns the smallest gain at which an obstruction interval was found
@@ -178,16 +165,14 @@ def legacy_upper_bound(
     _check_bracket(k_lo, k_hi, tol_k)
     if not (0.0 < resolution < math.inf):
         raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
-    if n_search < 1:
-        raise ValueError(f"n_search must be positive, got {n_search!r}")
     w = np.arange(0.0, math.pi + resolution / 2.0, resolution)
     w[-1] = min(w[-1], math.pi)
     g_base = frequency_response(G, w)
-    n = np.arange(1, min(_CHEAP_N, n_search) + 1, dtype=float)[:, None]
+    n = np.arange(1, _CHEAP_N + 1, dtype=float)[:, None]
     cosm, sinm, bounds = np.cos(n * w[None, :]), np.sin(n * w[None, :]), {}
 
     def obstruction(k):
-        return _find_obstruction(g_base + 1.0 / k, w, cosm, sinm, bounds, class_tag, n_search)
+        return _find_obstruction(g_base + 1.0 / k, w, cosm, sinm, bounds, class_tag)
 
     if obstruction(k_lo) is not None:
         raise BracketInvalid(f"obstruction already present at k_lo={k_lo}")

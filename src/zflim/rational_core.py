@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NoTightCandidate, PrecisionExhausted
+from .errors import PrecisionExhausted
 from .lti_core import Polynomial
 
 MONOTONE = "monotone"
@@ -171,27 +171,22 @@ def _one_tap(tap_sign: int, exponent: int, class_tag: str) -> FirMultiplier:
 def construct_tight_multiplier(rf: RationalFrequency, class_tag: str, sign: int = +1) -> FirMultiplier:
     """One-tap multiplier whose phase at omega equals sign * the class bound.
 
-    Candidates are the neighbour denominators (and their doubles) plus beta
-    and 2*beta, with both exponent signs; the tap sign -1 (forms 1 + z^{+-n})
-    is admitted only for the odd class.  Selection is by exact evaluation, so
-    the returned phase matches the bound identically.
+    1 - z^e has phase (f - beta)/(2*beta)*pi, f = e*alpha mod 2*beta, and the
+    bound is (d - 2)/(2d)*pi: odd alpha (d = 2*beta) solves e*alpha = -sign
+    (mod 2*beta), even alpha in the monotone class (d = beta) e*(alpha/2) =
+    -sign (mod beta).  In the odd class even alpha makes f even, so 1 + z^e,
+    of phase f/(2*beta)*pi (less pi past f = beta), solves e*(alpha/2) =
+    (beta - sign)/2 (mod beta).  Each e is exact, by a modular inverse.
     """
     _check_class(class_tag)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    nb = stern_brocot_neighbors(rf)
-    target = sign * _bound_fraction(rf, class_tag)
-    ns = []
-    for n in (nb.q_right, nb.q_left, 2 * nb.q_right, 2 * nb.q_left, rf.beta, 2 * rf.beta):
-        if n not in ns:
-            ns.append(n)
-    tap_signs = (+1,) if class_tag == MONOTONE else (+1, -1)
-    for n in ns:
-        for e in (n, -n):
-            for s in tap_signs:
-                if _phase_fraction(s, e, rf) == target:
-                    return _one_tap(s, e, class_tag)
-    raise NoTightCandidate(f"no one-tap multiplier attains {target}*pi at {rf}")
+    if rf.alpha % 2:
+        return _one_tap(+1, -sign * pow(rf.alpha, -1, 2 * rf.beta) % (2 * rf.beta), class_tag)
+    inverse = pow(rf.alpha // 2, -1, rf.beta)
+    if class_tag == MONOTONE:
+        return _one_tap(+1, -sign * inverse % rf.beta, class_tag)
+    return _one_tap(-1, (rf.beta - sign) // 2 * inverse % rf.beta, class_tag)
 
 
 def _convergents(frac: Fraction):

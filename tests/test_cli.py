@@ -151,7 +151,7 @@ SUBCOMMAND_FLAGS = {
     "search": {"--example", "--plant", "--class", "--k", "--nz", "--out"},
     "construct": {"--alpha", "--beta", "--class", "--sign", "--out"},
     "legacy": {"--example", "--plant", "--class", "--resolution", "--k-lo", "--k-hi",
-               "--tol-k", "--n-search", "--out"},
+               "--tol-k", "--out"},
     "ct-check": {"--input", "--check", "--out"},
     "show-plant": {"--example", "--plant"},
 }
@@ -220,6 +220,19 @@ def test_gain_whose_shift_is_not_finite_exits_three(command, k, capsys):
 def test_usage_error_exits_three(argv, capsys):
     assert run(argv) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 9.31 GiB"),
+                                   np.linalg.LinAlgError("Eigenvalues did not converge")],
+                         ids=["memory", "linalg"])
+def test_unexpected_failure_exits_two(error, monkeypatch, capsys):
+    # LinAlgError is a ValueError, but a numerical failure, not an invalid argument
+    def failing(tf):
+        raise error
+
+    monkeypatch.setattr(cli, "nyquist_value", failing)
+    assert run(["nyquist", "--example", "ex1"]) == 2
+    assert capsys.readouterr().err == f"error: {type(error).__name__}: {error}\n"
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["search", "--help"]])

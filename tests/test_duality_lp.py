@@ -189,6 +189,14 @@ class TestLpCertificate:
         assert cert is not None and cert.margin > 0.0
         assert certificate_residual(shifted, cert) == -cert.margin
 
+    def test_zero_residual_is_a_positive_zero_margin(self, plants):
+        # ex2/monotone at k 3.9, beta 60: the worst row is exactly 0
+        shifted = shift_by_inverse_gain(plants["ex2"], 3.9)
+        cert = lp_certificate(shifted, 60, MONOTONE)
+        assert cert is not None and cert.margin == 0.0
+        assert math.copysign(1.0, cert.margin) == 1.0
+        assert certificate_residual(shifted, cert) == -cert.margin
+
     def test_extended_rows_add_nothing(self, plants):
         g = shift_by_inverse_gain(plants["ex4"], 0.9)
         beta = 8

@@ -7,11 +7,7 @@ import pytest
 
 from zflim import interval_limits
 from zflim.errors import BracketInvalid, InvalidInterval
-from zflim.interval_limits import (
-    DEFAULT_N_SEARCH,
-    interval_slope_bound,
-    legacy_upper_bound,
-)
+from zflim.interval_limits import interval_slope_bound, legacy_upper_bound
 from zflim.lti_core import TransferFunction, _bisect, frequency_response
 from zflim.phase_limits import scan_upper_bound
 from zflim.rational_core import MONOTONE, ODD
@@ -70,8 +66,8 @@ def reference_runs(g, selected):
         i = j
 
 
-def reference_find_obstruction(g, w, class_tag, n_search):
-    cheap_n = np.arange(1, min(32, n_search) + 1, dtype=float)[:, None]
+def reference_find_obstruction(g, w, class_tag):
+    cheap_n = np.arange(1, 33, dtype=float)[:, None]
     for run, side in reference_runs(g, g.real <= 0.0):
         if run.size < 2:
             continue
@@ -99,18 +95,18 @@ def reference_find_obstruction(g, w, class_tag, n_search):
             cheap = ratio.max(axis=0)
             for off in np.nonzero(feasible & (cheap <= req_min))[0]:
                 a_w, b_w = float(wr[ia]), float(wr[ia + 1 + off])
-                if req_min[off] >= reference_slope_bound(a_w, b_w, class_tag, n_search):
+                if req_min[off] >= reference_slope_bound(a_w, b_w, class_tag, 100000):
                     return (a_w, b_w)
     return None
 
 
-def reference_legacy(G, class_tag, resolution, k_lo, k_hi, tol_k, n_search):
+def reference_legacy(G, class_tag, resolution, k_lo, k_hi, tol_k):
     w = np.arange(0.0, math.pi + resolution / 2.0, resolution)
     w[-1] = min(w[-1], math.pi)
     g_base = frequency_response(G, w)
 
     def obstruction(k):
-        return reference_find_obstruction(g_base + 1.0 / k, w, class_tag, n_search)
+        return reference_find_obstruction(g_base + 1.0 / k, w, class_tag)
 
     assert obstruction(k_lo) is None
     witness = obstruction(k_hi)
@@ -118,6 +114,12 @@ def reference_legacy(G, class_tag, resolution, k_lo, k_hi, tol_k, n_search):
         return k_hi, None
     _, k_hi, witness = _bisect(lambda k: (obstruction(k), k), k_lo, k_hi, tol_k, witness)
     return k_hi, witness
+
+
+def first_term(a, b, class_tag):
+    """Term n = 1 of the series `interval_slope_bound` maximises."""
+    psi_d, phi_d = math.cos(a) - math.cos(b), math.sin(a) - math.sin(b)
+    return abs(psi_d) / ((b - a) + phi_d if class_tag == MONOTONE else (b - a) - abs(phi_d))
 
 
 def random_stable_plant(rng):
@@ -133,9 +135,9 @@ def random_stable_plant(rng):
     return TransferFunction(num[::-1], den[::-1])
 
 
-def assert_matches_reference(tf, cls, resolution, k_lo, k_hi, tol_k, n_search=DEFAULT_N_SEARCH):
-    res = legacy_upper_bound(tf, cls, resolution, k_lo, k_hi, tol_k, n_search)
-    k_ref, witness_ref = reference_legacy(tf, cls, resolution, k_lo, k_hi, tol_k, n_search)
+def assert_matches_reference(tf, cls, resolution, k_lo, k_hi, tol_k):
+    res = legacy_upper_bound(tf, cls, resolution, k_lo, k_hi, tol_k)
+    k_ref, witness_ref = reference_legacy(tf, cls, resolution, k_lo, k_hi, tol_k)
     assert (float.hex(res.k_upper), res.witness) == (float.hex(k_ref), witness_ref)
 
 
@@ -147,11 +149,9 @@ class TestIntervalSlopeBound:
 
     def test_single_term_is_first_ratio(self):
         a, b = 0.7, 1.1
-        n = 1.0
-        psi_d = (math.cos(a * n) - math.cos(b * n)) / n
-        phi_d = (math.sin(a * n) - math.sin(b * n)) / n
-        expected = abs(psi_d) / ((b - a) + phi_d)
-        assert interval_slope_bound(a, b, MONOTONE, n_search=1) == pytest.approx(expected)
+        for cls in (MONOTONE, ODD):
+            got = interval_limits._term_ratios(a, b, np.array([1.0]), cls)
+            assert got[0] == pytest.approx(first_term(a, b, cls))
 
     def test_regression_anchors(self):
         for (a, b, cls), expected in ANCHORS.items():
@@ -161,14 +161,13 @@ class TestIntervalSlopeBound:
         for a, b in COMPARISON_PAIRS:
             for cls in (MONOTONE, ODD):
                 rho = interval_slope_bound(a, b, cls)
-                assert math.isfinite(rho) and rho >= interval_slope_bound(a, b, cls, n_search=1)
+                assert math.isfinite(rho) and rho >= first_term(a, b, cls)
 
     def test_tail_terms_become_negligible(self):
-        n_search = 100000
         for a, b in COMPARISON_PAIRS:
             for cls in (MONOTONE, ODD):
-                rho = interval_slope_bound(a, b, cls, n_search)
-                n = float(n_search)
+                rho = interval_slope_bound(a, b, cls)
+                n = 100000.0
                 psi_d = (math.cos(a * n) - math.cos(b * n)) / n
                 phi_d = (math.sin(a * n) - math.sin(b * n)) / n
                 den = (b - a) + phi_d if cls == MONOTONE else (b - a) - abs(phi_d)
@@ -181,15 +180,31 @@ class TestIntervalSlopeBound:
 
     def test_matches_fixed_block_loop(self):
         rng = np.random.default_rng(2018)
-        n_values = [1, 40, 64, 65, 191, 192, 193, 5000, 20000, 20001, DEFAULT_N_SEARCH]
+        draws = []
         for _ in range(60):
             width = float(np.exp(rng.uniform(math.log(3e-4), math.log(2.0))))
-            a = float(rng.uniform(0.0, math.pi - width))
+            draws.append((float(rng.uniform(0.0, math.pi - width)), width))
+        # [0, width] with a tiny width: the first 64 denominators are at most
+        # 1e-12, so those terms are all 0 and no cutoff applies
+        for _ in range(10):
+            width = float(rng.uniform(2e-6, 1e-5))
             for cls in (MONOTONE, ODD):
-                for n_search in n_values:
-                    got = interval_slope_bound(a, a + width, cls, n_search)
-                    assert got == reference_slope_bound(a, a + width, cls, n_search), (
-                        a, width, cls, n_search)
+                assert reference_slope_bound(0.0, width, cls, 64) == 0.0, (width, cls)
+            draws.append((0.0, width))
+        # cutoffs that land on the 64th and the 65th term
+        landed = {64: 0, 65: 0}
+        while min(landed.values()) < 5:
+            a, width = float(rng.uniform(0.0, 2.5)), float(rng.uniform(0.03, 0.12))
+            for cls in (MONOTONE, ODD):
+                m = reference_slope_bound(a, a + width, cls, 64)
+                cutoff = math.ceil(2.0 * (1.0 + m) / (width * m))
+                if landed.get(cutoff, 5) < 5:
+                    landed[cutoff] += 1
+                    draws.append((a, width))
+        for a, width in draws:
+            for cls in (MONOTONE, ODD):
+                got = interval_slope_bound(a, a + width, cls)
+                assert got == reference_slope_bound(a, a + width, cls, 100000), (a, width, cls)
 
 
 class TestRuns:
@@ -222,13 +237,6 @@ class TestObstructionSearch:
             if math.isfinite(k):
                 assert_matches_reference(tf, cls, resolution, 0.5 * k, 1.5 * k, 1e-3 * k)
                 checked += 1
-
-    @pytest.mark.parametrize("n_search", [1, 4, 31])
-    def test_short_search_screens_with_its_own_terms(self, plants, n_search):
-        # below _CHEAP_N terms the screen must use n_search terms: a longer
-        # screen can exceed the n_search-term bound and drop true obstructions
-        k = scan_upper_bound(plants["ex1"], MONOTONE, 50).k_upper
-        assert_matches_reference(plants["ex1"], MONOTONE, 1e-2, 0.3 * k, 1.5 * k, 1e-3 * k, n_search)
 
     def test_long_runs_match_reference(self, plants):
         # runs of several row blocks, each screened for the slope at hand
@@ -271,23 +279,22 @@ class TestLegacyUpperBound:
         with pytest.raises(BracketInvalid):
             legacy_upper_bound(negative, MONOTONE, 1e-3, 2.0, 8.0, 1e-2)
 
-    @pytest.mark.parametrize("k_hi, tol_k, resolution, n_search, error", [
-        (36.0, 0.0, 1e-2, DEFAULT_N_SEARCH, ValueError),
-        (36.0, -1.0, 1e-2, DEFAULT_N_SEARCH, ValueError),
-        (36.0, math.nan, 1e-2, DEFAULT_N_SEARCH, ValueError),
-        (math.inf, 1e-3, 1e-2, DEFAULT_N_SEARCH, BracketInvalid),
-        (36.0, 1e-3, math.inf, DEFAULT_N_SEARCH, ValueError),
-        (36.0, 1e-3, 1e-2, 0, ValueError),
+    @pytest.mark.parametrize("k_hi, tol_k, resolution, error", [
+        (36.0, 0.0, 1e-2, ValueError),
+        (36.0, -1.0, 1e-2, ValueError),
+        (36.0, math.nan, 1e-2, ValueError),
+        (math.inf, 1e-3, 1e-2, BracketInvalid),
+        (36.0, 1e-3, math.inf, ValueError),
     ])
     def test_unclosable_bracket_rejected_before_any_test(
-        self, plants, monkeypatch, k_hi, tol_k, resolution, n_search, error
+        self, plants, monkeypatch, k_hi, tol_k, resolution, error
     ):
         def evaluated(*args):
             raise AssertionError("a slope was evaluated")
 
         monkeypatch.setattr(interval_limits, "_find_obstruction", evaluated)
         with pytest.raises(error):
-            legacy_upper_bound(plants["ex1"], MONOTONE, resolution, 10.0, k_hi, tol_k, n_search)
+            legacy_upper_bound(plants["ex1"], MONOTONE, resolution, 10.0, k_hi, tol_k)
 
     def test_ex1_monotone_not_tighter_than_cone_bound(self, plants):
         res = legacy_upper_bound(plants["ex1"], MONOTONE, 1e-3, 10.0, 36.0, 1e-3)

@@ -13,6 +13,8 @@ from zflim.rational_core import (
     ODD,
     FirMultiplier,
     RationalFrequency,
+    _bound_fraction,
+    _phase_fraction,
     construct_tight_multiplier,
     irrational_approx_multiplier,
     period,
@@ -164,6 +166,18 @@ class TestConstructTight:
                     assert abs(m.l1_norm - 1.0) < 1e-15
                     got = m.phase_at(rf.omega)
                     assert abs(got - sign * phase_bound(rf, cls)) < 1e-12
+
+
+    def test_tap_meets_the_bound_exactly_up_to_200(self):
+        for rf in coprime_pairs(200):
+            for cls in (MONOTONE, ODD):
+                for sign in (+1, -1):
+                    (index, tap), = construct_tight_multiplier(rf, cls, sign).taps.items()
+                    # M = 1 - tap * z^{-index}
+                    got = _phase_fraction(int(tap), -index, rf)
+                    assert got == sign * _bound_fraction(rf, cls), (rf, cls, sign)
+                    assert abs(index) < 2 * rf.beta
+                    assert cls == ODD or tap > 0.0
 
 
 class TestIrrationalApprox:

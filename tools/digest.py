@@ -19,15 +19,19 @@ odd class, beta 160, k 13.46 and 13.56), and prints four sha256 digests:
            `period` and the tight one-tap taps over `coprime_pairs(60)` x
            class x sign, and the `limits --beta-max 50` CSV.
 
+Before `layers` it prints three digests of its parts, so that a change to one
+method shows on its own line: `legacy` (both settings), `scans`, and `tight`
+(`period`, the taps and the CSV).
+
 It also prints, per --lp-beta, the `Tableau.solve` calls, the pivots and the
 `lti_core.poles` calls of the 12 analyze runs, their certificate and search
 LPs (`generate_rows` calls) with the cold solves those took (the first and
 any restart), and their whole-circle root solves (`zf_search._extrema`
 calls); per `certify-deep` LP, the rows and columns it held at the
 end, its pivots, and its cold solves and warm ones; and, per legacy setting, the
-`interval_slope_bound` evaluations of the 12 `legacy_upper_bound` runs.  Two
-commits that print the same digests pivoted identically and reported the
-same numbers.
+`interval_slope_bound` evaluations of the 12 `legacy_upper_bound` runs and
+the series terms those evaluations computed.  Two commits that print the
+same digests pivoted identically and reported the same numbers.
 """
 
 from __future__ import annotations
@@ -147,23 +151,36 @@ def main(argv) -> int:
 
 
 def layers_digest(plants, classes) -> str:
-    """The `layers` digest of the module docstring."""
+    """The `layers` digest of the module docstring; prints its parts' digests."""
     from zflim import cli, interval_limits
     from zflim.lti_core import nyquist_value
     from zflim.phase_limits import coprime_pairs, scan_upper_bound
     from zflim.rational_core import construct_tight_multiplier, period
 
     digest = hashlib.sha256()
-    evaluations, slope_bound = Counter(), interval_limits.interval_slope_bound
+    parts = {part: hashlib.sha256() for part in ("legacy", "scans", "tight")}
+    evaluations, terms, inside = Counter(), Counter(), []
+    slope_bound, slope_ratios = interval_limits.interval_slope_bound, interval_limits._slope_ratios
 
     def counted_slope_bound(*args):
         evaluations[setting] += 1
-        return slope_bound(*args)
+        inside.append(True)
+        try:
+            return slope_bound(*args)
+        finally:
+            inside.pop()
+
+    def counted_slope_ratios(psi_d, *args):
+        if inside:  # a term of a full bound, not of the screen
+            terms[setting] += psi_d.size
+        return slope_ratios(psi_d, *args)
 
     interval_limits.interval_slope_bound = counted_slope_bound
+    interval_limits._slope_ratios = counted_slope_ratios
 
-    def update(*items):
-        digest.update(repr(items).encode())
+    def update(part, *items):
+        for each in (digest, parts[part]):
+            each.update(repr(items).encode())
 
     for name in sorted(plants):
         tf = plants[name].tf()
@@ -173,23 +190,29 @@ def layers_digest(plants, classes) -> str:
             for setting, args in (("screen", (1e-2, 0.5 * k, 1.5 * k, 1e-3 * k)),
                                   ("criterion 8", (1e-3, 0.5 * k, 0.995 * k_nyquist, 1e-3))):
                 res = interval_limits.legacy_upper_bound(tf, cls, *args)
-                update(name, cls, res.k_upper.hex(),
+                update("legacy", name, cls, res.k_upper.hex(),
                        res.witness and tuple(w.hex() for w in res.witness))
             for beta_max in (2, 3, 50, 97):
                 scan = scan_upper_bound(tf, cls, beta_max)
-                update(name, cls, beta_max, scan.k_upper.hex(), str(scan.witness_freq))
+                update("scans", name, cls, beta_max, scan.k_upper.hex(), str(scan.witness_freq))
     interval_limits.interval_slope_bound = slope_bound
+    interval_limits._slope_ratios = slope_ratios
     for setting, count in evaluations.items():
-        print(f"legacy at {setting} settings: {count} interval_slope_bound evaluations")
+        print(f"legacy at {setting} settings: {count} interval_slope_bound evaluations "
+              f"of {terms[setting]} terms")
     for rf in coprime_pairs(60):
-        update(str(rf), period(rf))
+        update("tight", str(rf), period(rf))
         for cls in classes:
             for sign in (+1, -1):
-                update(cls, sign, sorted(construct_tight_multiplier(rf, cls, sign).taps.items()))
+                update("tight", cls, sign,
+                       sorted(construct_tight_multiplier(rf, cls, sign).taps.items()))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli.main(["limits", "--beta-max", "50"])
-    digest.update(out.getvalue().encode())
+    for each in (digest, parts["tight"]):
+        each.update(out.getvalue().encode())
+    for part, each in parts.items():
+        print(f"  {part:<7}{each.hexdigest()}")
     return digest.hexdigest()
 
 
