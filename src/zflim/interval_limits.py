@@ -7,13 +7,17 @@ member can sustain on the interval.  Kept for conservativeness and runtime
 comparison against the single-frequency results; it is grid-based and
 resolution-limited by construction.
 
-A truncated-n ratio screens each candidate pair before its full slope
-bound is computed.  The ratio is the maximum of the first terms of the
-series the full bound maximises, computed with the same expressions, so it
-never exceeds the full bound; a pair is reported only when its phase
-requirement reaches the full bound, so every reported pair passes the
-screen.  Pairs are visited in the same order whatever the screen's term
-count, which therefore changes no result, only how many full bounds run.
+A candidate is a grid pair inside one run where Re(g + 1/k) <= 0 and Im
+keeps its sign; the least requirement tan(max(|arg(g + 1/k)| - pi/2, 0))
+over the pair must reach its full slope bound.  A truncated-n ratio (the
+first terms of that bound's series, same expressions) never exceeds it:
+it screens pairs first and changes how many full bounds run, not a result.
+
+Since Im(g + 1/k) = Im g, the runs at any k <= k_hi lie inside those at
+k_hi, and each requirement rises with k: the pairs the screen passes at
+k_hi hold all it passes at any slope the bisection tests.  Each slope reads
+their requirements from a sparse table of range minima, in lexicographic
+order; after a hit every later slope is lower, so failed pairs are dropped.
 """
 
 from __future__ import annotations
@@ -85,16 +89,12 @@ def interval_slope_bound(a: float, b: float, class_tag: str) -> float:
 
 
 def _runs_with_consistent_side(g: np.ndarray, selected: np.ndarray):
-    """Maximal index runs where Re <= 0 and the sign of Im does not change.
-
-    Im == 0 counts as positive.  Yields (indices, side) with side +1 or -1.
-    """
+    """Maximal index ranges [i, j) where `selected` holds and the sign of Im
+    does not change (Im == 0 counts as positive)."""
     upper = g.imag >= 0.0
     cuts = np.flatnonzero((selected[1:] != selected[:-1]) | (upper[1:] != upper[:-1])) + 1
     bounds = np.concatenate(([0], cuts, [selected.size]))
-    for i, j in zip(bounds[:-1], bounds[1:]):
-        if selected[i]:
-            yield np.arange(i, j), 1 if upper[i] else -1
+    return [(int(i), int(j)) for i, j in zip(bounds[:-1], bounds[1:]) if selected[i]]
 
 
 def _screen_ratios(w, cosm, sinm, q0, q1, stop, class_tag: str) -> np.ndarray:
@@ -110,42 +110,63 @@ def _screen_ratios(w, cosm, sinm, q0, q1, stop, class_tag: str) -> np.ndarray:
     return ratios
 
 
-def _find_obstruction(
-    g: np.ndarray, w: np.ndarray, cosm, sinm, bounds: dict, class_tag: str
-) -> Optional[Tuple[float, float]]:
-    """First interval (lexicographic in (a, b)) whose phase requirement exceeds
-    the class slope limit, or None.
+def _requirement(g: np.ndarray) -> np.ndarray:
+    """tan(max(|arg g| - pi/2, 0)); |arg| treats Im = -0.0 as +0.0."""
+    return np.tan(np.maximum(np.abs(np.angle(g)) - math.pi / 2.0, 0.0))
 
-    Only contiguous grid runs with Re <= 0 and a consistent sign of Im are
-    considered, so the phase requirement holds across the whole candidate
-    interval.  The truncated-n ratios of `_screen_ratios` discard hopeless
-    pairs before the full evaluation, whose values `bounds` keeps by pair.
-    """
-    for run, side in _runs_with_consistent_side(g, g.real <= 0.0):
-        if run.size < 2:
-            continue
-        sigma = np.angle(g[run])
-        if side > 0:
-            required = np.tan(np.maximum(sigma - math.pi / 2.0, 0.0))
-        else:
-            required = np.tan(np.maximum(-sigma - math.pi / 2.0, 0.0))
-        first, stop = int(run[0]), int(run[-1]) + 1
+
+def _held_pairs(g: np.ndarray, w: np.ndarray, class_tag: str) -> list:
+    """Blocks of 64 rows (int32 i, int32 j, screen ratio), lexicographic, of the
+    pairs i < j in one run whose `_CHEAP_N`-term ratio is at most the least
+    requirement over i..j at the slope of g, with 1e-12 relative slack."""
+    n = np.arange(1, _CHEAP_N + 1, dtype=float)[:, None]
+    cosm, sinm, held = np.cos(n * w[None, :]), np.sin(n * w[None, :]), []
+    for first, stop in _runs_with_consistent_side(g, g.real <= 0.0):
+        required = _requirement(g[first:stop]) * (1.0 + 1e-12)
         for q0 in range(first, stop - 1, _ROWS):
             q1 = min(q0 + _ROWS, stop - 1)
             cheap = _screen_ratios(w, cosm, sinm, q0, q1, stop, class_tag)
-            col = np.arange(stop - q0)
-            row = np.arange(q1 - q0)[:, None]
+            row, col = np.ogrid[: q1 - q0, : stop - q0]
             # req_min[r, c] = min(required over the grid points q0 + r .. q0 + c)
             req_min = np.minimum.accumulate(
                 np.where(col >= row, required[q0 - first :], np.inf), axis=1
             )
-            hits = np.nonzero((col > row) & (req_min > 0.0) & (cheap <= req_min))
-            for i, j in zip(q0 + hits[0], q0 + hits[1]):
-                a, b = float(w[i]), float(w[j])
-                if (i, j) not in bounds:
-                    bounds[i, j] = interval_slope_bound(a, b, class_tag)
-                if req_min[i - q0, j - q0] >= bounds[i, j]:
-                    return (a, b)
+            r, c = np.nonzero((col > row) & (cheap <= req_min))
+            held.append(((q0 + r).astype(np.int32), (q0 + c).astype(np.int32), cheap[r, c]))
+    return held
+
+
+def _find_obstruction(
+    g: np.ndarray, w: np.ndarray, held: list, bounds: dict, class_tag: str
+) -> Optional[Tuple[float, float]]:
+    """First held pair (a, b) passing the screen whose least requirement reaches
+    its full slope bound (kept in `bounds`), or None.  The requirement is 0
+    where Re > 0.  A hit drops from `held` the pairs that failed here."""
+    required = np.where(g.real <= 0.0, _requirement(g), 0.0)
+    table = np.repeat(required[None, :], required.size.bit_length(), axis=0)
+    for p in range(1, len(table)):  # table[p, x] = min(required[x : x + 2**p]) if x + 2**p <= size
+        h = 1 << (p - 1)
+        np.minimum(table[p - 1, :-h], table[p - 1, h:], out=table[p, :-h])
+
+    def screen(block):
+        i, j, cheap = block
+        level = np.frexp(j - i + 1)[1] - 1  # floor(log2(j - i + 1))
+        req_min = np.minimum(table[level, i], table[level, j + 1 - (1 << level)])
+        return req_min, (req_min > 0.0) & (cheap <= req_min)
+
+    for b, block in enumerate(held):
+        req_min, passed = screen(block)
+        for h in np.flatnonzero(passed):
+            a, c = float(w[block[0][h]]), float(w[block[1][h]])
+            if (a, c) not in bounds:
+                bounds[a, c] = interval_slope_bound(a, c, class_tag)
+            if req_min[h] >= bounds[a, c]:
+                passed[:h] = False  # the pairs before the hit failed here as well
+                held[:b + 1] = [tuple(part[passed] for part in block)]
+                for m in range(1, len(held)):
+                    keep = screen(held[m])[1]
+                    held[m] = tuple(part[keep] for part in held[m])
+                return (a, c)
     return None
 
 
@@ -168,11 +189,10 @@ def legacy_upper_bound(G: TransferFunction, class_tag: str, resolution: float,
     w = np.arange(0.0, math.pi + resolution / 2.0, resolution)
     w[-1] = min(w[-1], math.pi)
     g_base = frequency_response(G, w)
-    n = np.arange(1, _CHEAP_N + 1, dtype=float)[:, None]
-    cosm, sinm, bounds = np.cos(n * w[None, :]), np.sin(n * w[None, :]), {}
+    held, bounds = _held_pairs(g_base + 1.0 / k_hi, w, class_tag), {}
 
     def obstruction(k):
-        return _find_obstruction(g_base + 1.0 / k, w, cosm, sinm, bounds, class_tag)
+        return _find_obstruction(g_base + 1.0 / k, w, held, bounds, class_tag)
 
     if obstruction(k_lo) is not None:
         raise BracketInvalid(f"obstruction already present at k_lo={k_lo}")

@@ -66,17 +66,15 @@ def reference_runs(g, selected):
         i = j
 
 
-def reference_find_obstruction(g, w, class_tag):
-    cheap_n = np.arange(1, 33, dtype=float)[:, None]
-    for run, side in reference_runs(g, g.real <= 0.0):
+def reference_screen(g, w, class_tag, terms):
+    """(i, j, least requirement over i..j) of each pair, in order, that passes
+    the per-slope screen of the first `terms` series terms."""
+    cheap_n = np.arange(1, terms + 1, dtype=float)[:, None]
+    for run, _ in reference_runs(g, g.real <= 0.0):
         if run.size < 2:
             continue
         wr = w[run]
-        sigma = np.angle(g[run])
-        if side > 0:
-            required = np.tan(np.maximum(sigma - math.pi / 2.0, 0.0))
-        else:
-            required = np.tan(np.maximum(-sigma - math.pi / 2.0, 0.0))
+        required = np.tan(np.maximum(np.abs(np.angle(g[run])) - math.pi / 2.0, 0.0))
         cosm = np.cos(cheap_n * wr[None, :])
         sinm = np.sin(cheap_n * wr[None, :])
         for ia in range(run.size - 1):
@@ -94,9 +92,14 @@ def reference_find_obstruction(g, w, class_tag):
             ratio = np.abs(psi_d) / np.where(den > 1e-12, den, np.inf)
             cheap = ratio.max(axis=0)
             for off in np.nonzero(feasible & (cheap <= req_min))[0]:
-                a_w, b_w = float(wr[ia]), float(wr[ia + 1 + off])
-                if req_min[off] >= reference_slope_bound(a_w, b_w, class_tag, 100000):
-                    return (a_w, b_w)
+                yield int(run[ia]), int(run[ia + 1 + off]), req_min[off]
+
+
+def reference_find_obstruction(g, w, class_tag):
+    for i, j, req_min in reference_screen(g, w, class_tag, 32):
+        a_w, b_w = float(w[i]), float(w[j])
+        if req_min >= reference_slope_bound(a_w, b_w, class_tag, 100000):
+            return (a_w, b_w)
     return None
 
 
@@ -139,6 +142,27 @@ def assert_matches_reference(tf, cls, resolution, k_lo, k_hi, tol_k):
     res = legacy_upper_bound(tf, cls, resolution, k_lo, k_hi, tol_k)
     k_ref, witness_ref = reference_legacy(tf, cls, resolution, k_lo, k_hi, tol_k)
     assert (float.hex(res.k_upper), res.witness) == (float.hex(k_ref), witness_ref)
+
+
+def bundled_cases(plants):
+    """`legacy_upper_bound` arguments of the 12 bundled pairs at `screen` settings."""
+    for tf in plants.values():
+        for cls in (MONOTONE, ODD):
+            k = scan_upper_bound(tf, cls, 50).k_upper
+            yield tf, cls, 1e-2, 0.5 * k, 1.5 * k, 1e-3 * k
+
+
+def random_cases(resolution):
+    """Six seeded random plants with a finite scan bound, classes alternating."""
+    rng = np.random.default_rng(4631)
+    cases = []
+    while len(cases) < 6:
+        tf = random_stable_plant(rng)
+        cls = (MONOTONE, ODD)[len(cases) % 2]
+        k = scan_upper_bound(tf, cls, 50).k_upper
+        if math.isfinite(k):
+            cases.append((tf, cls, resolution, 0.5 * k, 1.5 * k, 1e-3 * k))
+    return cases
 
 
 class TestIntervalSlopeBound:
@@ -214,32 +238,91 @@ class TestRuns:
             size = int(rng.integers(1, 40))
             g = rng.choice([-1.0, -0.0, 0.0, 1.0], size) + 1j * rng.choice([-1.0, -0.0, 0.0, 1.0], size)
             selected = g.real <= 0.0
-            got = list(interval_limits._runs_with_consistent_side(g, selected))
-            want = list(reference_runs(g, selected))
-            assert [(list(r), s) for r, s in got] == [(list(r), s) for r, s in want]
+            got = interval_limits._runs_with_consistent_side(g, selected)
+            want = [(int(r[0]), int(r[-1]) + 1) for r, _ in reference_runs(g, selected)]
+            assert got == want
 
 
 class TestObstructionSearch:
     def test_bundled_pairs_match_reference(self, plants):
-        for tf in plants.values():
-            for cls in (MONOTONE, ODD):
-                k = scan_upper_bound(tf, cls, 50).k_upper
-                assert_matches_reference(tf, cls, 1e-2, 0.5 * k, 1.5 * k, 1e-3 * k)
+        for case in bundled_cases(plants):
+            assert_matches_reference(*case)
 
     @pytest.mark.parametrize("resolution", [1e-2, 3e-3])
     def test_random_plants_match_reference(self, resolution):
-        rng = np.random.default_rng(4631)
-        checked = 0
-        while checked < 6:
-            tf = random_stable_plant(rng)
-            cls = (MONOTONE, ODD)[checked % 2]
-            k = scan_upper_bound(tf, cls, 50).k_upper
-            if math.isfinite(k):
-                assert_matches_reference(tf, cls, resolution, 0.5 * k, 1.5 * k, 1e-3 * k)
-                checked += 1
+        for case in random_cases(resolution):
+            assert_matches_reference(*case)
+
+    def test_held_pairs_hold_every_screened_pair(self, plants, monkeypatch):
+        # runs nest and requirements rise with k, so the pairs held at k_hi
+        # include every pair the per-slope screen passes at a tested slope
+        build, find = interval_limits._held_pairs, interval_limits._find_obstruction
+        held, slopes = set(), []
+
+        def recorded_build(g, w, class_tag):
+            blocks = build(g, w, class_tag)
+            held.update((int(i), int(j)) for b in blocks for i, j in zip(b[0], b[1]))
+            return blocks
+
+        def recorded_find(g, *args):
+            slopes.append(g)
+            return find(g, *args)
+
+        monkeypatch.setattr(interval_limits, "_held_pairs", recorded_build)
+        monkeypatch.setattr(interval_limits, "_find_obstruction", recorded_find)
+        cases = [*bundled_cases(plants), *random_cases(1e-2), *random_cases(3e-3)]
+        for tf, cls, resolution, k_lo, k_hi, tol_k in cases:
+            held.clear()
+            slopes.clear()
+            legacy_upper_bound(tf, cls, resolution, k_lo, k_hi, tol_k)
+            w = np.arange(0.0, math.pi + resolution / 2.0, resolution)
+            w[-1] = min(w[-1], math.pi)
+            assert len(slopes) >= 2
+            for g in slopes:
+                screened = reference_screen(g, w, cls, interval_limits._CHEAP_N)
+                assert {(i, j) for i, j, _ in screened} <= held
+
+    def test_screen_runs_in_one_build_per_call(self, plants, monkeypatch):
+        build, screen = interval_limits._held_pairs, interval_limits._screen_ratios
+        calls = []
+
+        def counted_build(*args):
+            calls.append("build")
+            held = build(*args)
+            calls.append("built")
+            return held
+
+        def counted_screen(*args):
+            calls.append("screen")
+            return screen(*args)
+
+        monkeypatch.setattr(interval_limits, "_held_pairs", counted_build)
+        monkeypatch.setattr(interval_limits, "_screen_ratios", counted_screen)
+        for case in bundled_cases(plants):
+            calls.clear()
+            legacy_upper_bound(*case)
+            assert calls == ["build"] + ["screen"] * (len(calls) - 2) + ["built"]
+
+    def test_signed_zero_on_the_negative_real_axis(self):
+        # den(1) < 0 < num(1): the response at omega = 0 is real, negative and
+        # has Im = -0.0, which demands the phase slope that Im = +0.0 does
+        tf = TransferFunction([0.3, -0.2, 1.0], [-0.4, 0.0, -1.0])
+        g0 = frequency_response(tf, np.array([0.0]))
+        assert g0.real[0] < 0.0 and math.copysign(1.0, g0.imag[0]) == -1.0
+        requirement = interval_limits._requirement
+        assert requirement(g0) == requirement(g0.real + 0j) == np.tan(math.pi / 2.0)
+        # a run that starts on the negative real axis finds the same first pair
+        w = 0.5 + 1e-2 * np.arange(40)
+        g = -1.0 + 1j * np.linspace(0.0, 0.4, 40)
+        twin = g.copy()
+        twin[0] = complex(-1.0, -0.0)
+        for cls in (MONOTONE, ODD):
+            found = [interval_limits._find_obstruction(
+                x, w, interval_limits._held_pairs(x, w, cls), {}, cls) for x in (g, twin)]
+            assert found == [(0.5, 0.51)] * 2
 
     def test_long_runs_match_reference(self, plants):
-        # runs of several row blocks, each screened for the slope at hand
+        # runs of several row blocks, screened once at k_hi
         k = scan_upper_bound(plants["ex1"], ODD, 50).k_upper
         assert_matches_reference(plants["ex1"], ODD, 3e-3, 0.5 * k, 1.5 * k, 1e-3 * k)
 
@@ -247,11 +330,7 @@ class TestObstructionSearch:
     def test_screen_terms_change_no_result(self, plants, monkeypatch, cheap_n):
         # the screen never exceeds the full bound and pairs are visited in the
         # same order, so its term count only changes how many full bounds run
-        cases = []
-        for tf in plants.values():
-            for cls in (MONOTONE, ODD):
-                k = scan_upper_bound(tf, cls, 50).k_upper
-                cases.append((tf, cls, 1e-2, 0.5 * k, 1.5 * k, 1e-3 * k))
+        cases = list(bundled_cases(plants))
         rng, k = np.random.default_rng(4631), math.inf
         while not math.isfinite(k):
             tf = random_stable_plant(rng)
@@ -292,6 +371,7 @@ class TestLegacyUpperBound:
         def evaluated(*args):
             raise AssertionError("a slope was evaluated")
 
+        monkeypatch.setattr(interval_limits, "_held_pairs", evaluated)
         monkeypatch.setattr(interval_limits, "_find_obstruction", evaluated)
         with pytest.raises(error):
             legacy_upper_bound(plants["ex1"], MONOTONE, resolution, 10.0, k_hi, tol_k)

@@ -29,8 +29,9 @@ LPs (`generate_rows` calls) with the cold solves those took (the first and
 any restart), and their whole-circle root solves (`zf_search._extrema`
 calls); per `certify-deep` LP, the rows and columns it held at the
 end, its pivots, and its cold solves and warm ones; and, per legacy setting, the
-`interval_slope_bound` evaluations of the 12 `legacy_upper_bound` runs and
-the series terms those evaluations computed.  Two commits that print the
+pairs whose screen ratio the 12 `legacy_upper_bound` runs computed, their
+`interval_slope_bound` evaluations and the series terms those evaluations
+computed.  Two commits that print the
 same digests pivoted identically and reported the same numbers.
 """
 
@@ -159,8 +160,9 @@ def layers_digest(plants, classes) -> str:
 
     digest = hashlib.sha256()
     parts = {part: hashlib.sha256() for part in ("legacy", "scans", "tight")}
-    evaluations, terms, inside = Counter(), Counter(), []
+    screened, evaluations, terms, inside = Counter(), Counter(), Counter(), []
     slope_bound, slope_ratios = interval_limits.interval_slope_bound, interval_limits._slope_ratios
+    screen_ratios = interval_limits._screen_ratios
 
     def counted_slope_bound(*args):
         evaluations[setting] += 1
@@ -175,8 +177,14 @@ def layers_digest(plants, classes) -> str:
             terms[setting] += psi_d.size
         return slope_ratios(psi_d, *args)
 
+    def counted_screen_ratios(*args):
+        ratios = screen_ratios(*args)
+        screened[setting] += ratios.size
+        return ratios
+
     interval_limits.interval_slope_bound = counted_slope_bound
     interval_limits._slope_ratios = counted_slope_ratios
+    interval_limits._screen_ratios = counted_screen_ratios
 
     def update(part, *items):
         for each in (digest, parts[part]):
@@ -197,9 +205,10 @@ def layers_digest(plants, classes) -> str:
                 update("scans", name, cls, beta_max, scan.k_upper.hex(), str(scan.witness_freq))
     interval_limits.interval_slope_bound = slope_bound
     interval_limits._slope_ratios = slope_ratios
+    interval_limits._screen_ratios = screen_ratios
     for setting, count in evaluations.items():
-        print(f"legacy at {setting} settings: {count} interval_slope_bound evaluations "
-              f"of {terms[setting]} terms")
+        print(f"legacy at {setting} settings: {screened[setting]} pairs screened, {count} "
+              f"interval_slope_bound evaluations of {terms[setting]} terms")
     for rf in coprime_pairs(60):
         update("tight", str(rf), period(rf))
         for cls in classes:
