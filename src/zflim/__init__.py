@@ -34,12 +34,9 @@ from .rational_core import (
     ODD,
     FirMultiplier,
     RationalFrequency,
-    SternBrocotNeighbors,
     construct_tight_multiplier,
     irrational_approx_multiplier,
     period,
-    phase_set,
-    stern_brocot_neighbors,
 )
 from .phase_limits import (
     SlopeBoundResult,

@@ -181,7 +181,9 @@ def is_stable(tf: TransferFunction) -> bool:
 
 
 def shift_by_inverse_gain(tf: TransferFunction, k: float) -> TransferFunction:
-    """Return tf + 1/k, the loop transformation for a slope restriction of k."""
+    """Return tf + 1/k, the loop transformation for a slope restriction of k.
+
+    (k num + den)/(k den) has tf's poles, so it keeps tf's stability verdict."""
     if not (0.0 < k < math.inf):
         raise InvalidGain(f"gain must be positive and finite, got {k!r}")
     with np.errstate(over="ignore"):
@@ -189,7 +191,9 @@ def shift_by_inverse_gain(tf: TransferFunction, k: float) -> TransferFunction:
         den = tf.den.scale(k)
     if not (math.isfinite(1.0 / k) and np.isfinite(np.append(num.coeffs, den.coeffs)).all()):
         raise InvalidGain(f"gain {k!r} leaves 1/k or a coefficient of tf + 1/k not finite")
-    return TransferFunction(num, den)
+    shifted = TransferFunction(num, den)
+    shifted._stable = tf._stable
+    return shifted
 
 
 def _check_bracket(k_lo: float, k_hi: float, tol_k: float):

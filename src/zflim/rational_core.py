@@ -1,4 +1,4 @@
-"""Rational frequencies, Stern-Brocot neighbours, and one-tap multiplier construction.
+"""Rational frequencies and one-tap multiplier construction.
 
 A frequency omega = (alpha/beta)*pi with coprime alpha, beta makes the
 sequence exp(-j*omega*i) periodic, which is what every closed-form result in
@@ -52,20 +52,6 @@ class RationalFrequency:
 
 
 @dataclass(frozen=True)
-class SternBrocotNeighbors:
-    """Tree neighbours p_left/q_left < target < p_right/q_right at first appearance."""
-
-    p_left: int
-    q_left: int
-    p_right: int
-    q_right: int
-
-    def __post_init__(self):
-        if self.p_right * self.q_left - self.p_left * self.q_right != 1:
-            raise ValueError("neighbours must satisfy the unimodular identity")
-
-
-@dataclass(frozen=True)
 class FirMultiplier:
     """M(z) = 1 - sum_i h_i z^{-i} with finite support, h_0 = 0 and l1-norm <= 1.
 
@@ -112,31 +98,6 @@ def period(rf: RationalFrequency) -> int:
     """Minimal period of i -> exp(-j*omega*i), the monotone class's
     `_cone_denominator`: 2*beta for odd alpha, beta for even."""
     return _cone_denominator(rf.alpha, rf.beta, MONOTONE)
-
-
-def phase_set(rf: RationalFrequency) -> list[float]:
-    """Phases of exp(-j*omega*i) for i = 0..T-1, each reduced into (-2*pi, 0]."""
-    t = period(rf)
-    out = []
-    for i in range(t):
-        r = (rf.alpha * i) % (2 * rf.beta)
-        out.append(-r * math.pi / rf.beta)
-    return out
-
-
-def stern_brocot_neighbors(rf: RationalFrequency) -> SternBrocotNeighbors:
-    """Neighbours of alpha/beta at the tree level where it first appears.
-
-    Computed in O(log beta) from the modular inverse of alpha (equivalent to
-    the mediant descent accelerated through continued-fraction runs).  The
-    root fraction 1/1 is bracketed by convention as (0/1, 1/1).
-    """
-    a, b = rf.alpha, rf.beta
-    if (a, b) == (1, 1):
-        return SternBrocotNeighbors(0, 1, 1, 1)
-    q_left = pow(a, -1, b)
-    p_left = (a * q_left - 1) // b
-    return SternBrocotNeighbors(p_left, q_left, a - p_left, b - q_left)
 
 
 def _phase_fraction(tap_sign: int, exponent: int, rf: RationalFrequency):

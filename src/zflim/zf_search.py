@@ -5,7 +5,9 @@ taps, solved by the exchange method (Kelley, 1960; Hettich and Kortanek,
 SIAM Rev. 35, 1993): the LP on SEED_SIZE equispaced frequencies, re-solved
 warm (`simplex.generate_rows`) with rows at the negative local minima of
 p = Re{M num conj(den)} over the whole circle, among the critical angles
-one root solve of p' finds (`_extrema`), until p has none (positivity is
+one root solve of p' finds (`_extrema`: p' / sin w is a polynomial in
+x = cos w, so its roots are the eigenvalues of a Chebyshev comrade matrix of
+half the order of a companion matrix in z), until p has none (positivity is
 proved on the whole circle) or the margin is negative (no taps of the class
 exist).  A bisection samples G at the seed once, each slope k shifting the
 samples to g + 1/k.  Taps found at one slope move the bracket's lower end
@@ -24,8 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BracketInvalid, NotStable
-from .lti_core import Polynomial, TransferFunction, frequency_response, is_stable
-from .lti_core import _bisect, _check_bracket, _companion_roots
+from .lti_core import TransferFunction, _bisect, _check_bracket, frequency_response, is_stable
 from .rational_core import MONOTONE, FirMultiplier, _check_class
 from .simplex import generate_rows, simplex_max_leq  # noqa: F401 (perfbench/selftest.py checks it)
 
@@ -72,14 +73,35 @@ def _cos_sum(c: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _extrema(p: np.ndarray, q: Optional[np.ndarray] = None):
     """Critical angles w in [0, pi] of the cosine sum P of `_laurent` coefficients
-    p, and P there; given q, of -P/Q and -P/Q there.  They are 0, pi and the
-    angles of the roots of z^N P' ~ sum j p_j z^(j+N), or of P'Q - PQ' (terms
-    sum_{j+k=m} (j - k) p_j q_k, zero at m = +-2N).  Each value is a true sample,
-    so min P (max -P/Q) on the whole circle is the least (largest), to rounding."""
-    j = np.arange(p.size) - p.size // 2
-    r = j * p if q is None else (np.convolve(j * p, q) - np.convolve(p, j * q))[1:-1]
-    roots = _companion_roots(Polynomial(r).coeffs)
-    w = np.unique(np.abs(np.concatenate([[0.0, math.pi], np.angle(roots)])))
+    p, and P there; given q, of -P/Q and -P/Q there.  The numerator of the
+    derivative, r_m = m p_m for P' or sum_{j+k=m} (j - k) p_j q_k for P'Q - PQ',
+    is antisymmetric, so it is sin w sum_{m>=1} r_m U_{m-1}(cos w) (Good, Q. J.
+    Math. 12, 1961; Boyd, SIAM Rev. 55(2), 2013): the angles are 0, pi and the
+    arccos of the real parts, clipped to [-1, 1], of the eigenvalues of the
+    comrade matrix of u = r_1.. (x U_k = (U_{k-1} + U_{k+1})/2, with U_n taken
+    from sum u_k U_k = 0), of half the order of a companion matrix in z.  p and
+    q are first cut to their common nonzero support: the (j - k) = 0 term at
+    m = 2N, zero in exact arithmetic, would otherwise leave a rounding residue
+    as the leading coefficient when the outer taps are zero.  Each value is a
+    true sample, so min P (max -P/Q) on the whole circle is the least
+    (largest), to rounding."""
+    keep = np.flatnonzero(p if q is None else (p != 0.0) | (q != 0.0))
+    lo = keep[0] if keep.size else p.size // 2
+    a = p[lo : p.size - lo]
+    j = np.arange(a.size) - a.size // 2
+    if q is None:
+        r = j * a
+    else:
+        b = q[lo : q.size - lo]
+        r = (np.convolve(j * a, b) - np.convolve(a, j * b))[1:-1]
+    u = np.trim_zeros(r[r.size // 2 + 1 :], "b")
+    n = u.size - 1
+    x = np.zeros(0)
+    if n > 0:
+        comrade = 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        comrade[-1] -= 0.5 * u[:n] / u[n]
+        x = np.linalg.eigvals(comrade).real
+    w = np.unique(np.concatenate([[0.0, math.pi], np.arccos(np.clip(x, -1.0, 1.0))]))
     v = _cos_sum(p, w)
     return w, (v if q is None else -v / _cos_sum(q, w))
 

@@ -24,6 +24,7 @@ from zflim.lti_core import (
     shift_by_inverse_gain,
 )
 from zflim.phase_limits import single_freq_certificate
+from zflim.plants import BUILTIN
 from zflim.rational_core import MONOTONE, ODD, RationalFrequency
 from zflim.simplex import generate_rows, simplex_max_leq
 from zflim.zf_search import SearchConfig, find_multiplier
@@ -133,9 +134,11 @@ class TestBuildVectors:
 
 
 class TestLpCertificate:
-    def test_poles_computed_once_per_plant(self, plants, monkeypatch):
+    def test_poles_computed_once_per_plant(self, monkeypatch):
         # lp_certificate and certificate_residual both check the plant's
-        # stability; the verdict stays on the plant
+        # stability; the verdict stays on the plant.  The plant is built
+        # fresh: a shift keeps its plant's verdict, which the session fixture
+        # may already hold
         calls = []
         poles = lti_core.poles
 
@@ -144,7 +147,7 @@ class TestLpCertificate:
             return poles(tf)
 
         monkeypatch.setattr(lti_core, "poles", counting)
-        shifted = shift_by_inverse_gain(plants["ex2"], 3.9)
+        shifted = shift_by_inverse_gain(BUILTIN["ex2"].tf(), 3.9)
         cert = lp_certificate(shifted, 40, MONOTONE)
         assert cert is not None
         assert certificate_residual(shifted, cert) <= duality_lp.TOL_LP

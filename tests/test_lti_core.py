@@ -332,6 +332,26 @@ class TestShiftByInverseGain:
         with pytest.raises(InvalidGain, match="not finite"):
             shift_by_inverse_gain(plants["ex1"], k)
 
+    def test_shift_keeps_the_stability_verdict(self, monkeypatch):
+        # (k num + den)/(k den) has the plant's poles: a known verdict carries
+        # over without a poles call, an unknown one stays unknown
+        stable, unstable = unit(0.5), TransferFunction([1.0], [-1.0, 1.0])
+        for tf in (stable, unstable):
+            is_stable(tf)
+        calls = []
+
+        def counting(tf):
+            calls.append(tf)
+            return poles(tf)
+
+        monkeypatch.setattr(lti_core, "poles", counting)
+        assert is_stable(shift_by_inverse_gain(stable, 2.0))
+        with pytest.raises(NotStable):
+            nyquist_value(shift_by_inverse_gain(unstable, 2.0))
+        assert calls == []
+        fresh = shift_by_inverse_gain(unit(0.5), 2.0)
+        assert is_stable(fresh) and calls == [fresh]
+
 
 class TestAffineCombine:
     def test_identity(self, plants):

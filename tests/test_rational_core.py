@@ -1,4 +1,4 @@
-"""Periodicity, tree neighbours, and one-tap multiplier constructions."""
+"""Periodicity and one-tap multiplier constructions."""
 
 import cmath
 import math
@@ -18,8 +18,6 @@ from zflim.rational_core import (
     construct_tight_multiplier,
     irrational_approx_multiplier,
     period,
-    phase_set,
-    stern_brocot_neighbors,
 )
 from zflim.phase_limits import coprime_pairs, phase_bound
 
@@ -60,59 +58,6 @@ class TestPeriod:
                     if t % d == 0:
                         # e^{-j*omega*d} != 1 exactly iff alpha*d not divisible by 2*beta
                         assert (alpha * d) % (2 * beta) != 0
-
-
-class TestPhaseSet:
-    def test_quarter_turn(self):
-        got = phase_set(RationalFrequency(1, 2))
-        expected = {0.0, -math.pi / 2, -math.pi, -3 * math.pi / 2}
-        assert len(got) == 4
-        assert {round(p, 12) for p in got} == {round(p, 12) for p in expected}
-
-    def test_even_numerator(self):
-        got = phase_set(RationalFrequency(2, 3))
-        expected = {0.0, -2 * math.pi / 3, -4 * math.pi / 3}
-        assert {round(p, 12) for p in got} == {round(p, 12) for p in expected}
-
-    def test_pi(self):
-        assert {round(p, 12) for p in phase_set(RationalFrequency(1, 1))} == {
-            0.0,
-            round(-math.pi, 12),
-        }
-
-    def test_matches_actual_phases(self):
-        for rf in (RationalFrequency(3, 8), RationalFrequency(4, 9)):
-            got = phase_set(rf)
-            assert len(got) == period(rf)
-            for i, theta in enumerate(got):
-                assert abs(cmath.exp(1j * theta) - cmath.exp(-1j * rf.omega * i)) < 1e-12
-
-
-class TestSternBrocot:
-    @pytest.mark.parametrize(
-        "alpha,beta,left,right",
-        [(4, 7, (1, 2), (3, 5)), (1, 2, (0, 1), (1, 1)), (2, 5, (1, 3), (1, 2))],
-    )
-    def test_known_neighbours(self, alpha, beta, left, right):
-        nb = stern_brocot_neighbors(RationalFrequency(alpha, beta))
-        assert (nb.p_left, nb.q_left) == left
-        assert (nb.p_right, nb.q_right) == right
-
-    def test_root_special_case(self):
-        nb = stern_brocot_neighbors(RationalFrequency(1, 1))
-        assert (nb.p_left, nb.q_left, nb.p_right, nb.q_right) == (0, 1, 1, 1)
-
-    def test_unimodular_and_mediant_up_to_500(self):
-        for beta in range(2, 501):
-            for alpha in range(1, beta):
-                if math.gcd(alpha, beta) != 1:
-                    continue
-                nb = stern_brocot_neighbors(RationalFrequency(alpha, beta))
-                assert nb.p_right * nb.q_left - nb.p_left * nb.q_right == 1
-                assert nb.p_left + nb.p_right == alpha
-                assert nb.q_left + nb.q_right == beta
-                assert nb.p_left * beta < alpha * nb.q_left  # strict ordering
-                assert alpha * nb.q_right < nb.p_right * beta
 
 
 class TestFirMultiplier:

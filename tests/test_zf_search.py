@@ -14,6 +14,7 @@ from zflim.lti_core import (
     Polynomial,
     TransferFunction,
     _bisect,
+    _companion_roots,
     frequency_response,
     is_stable,
     nyquist_value,
@@ -401,6 +402,84 @@ class TestRecheckTable:
         assert added
         assert samples == [zf_search.SEED_SIZE] + added
 
+
+
+def companion_extrema(p, q=None):
+    """`_extrema` by the companion matrix of z^N P' (or of P'Q - PQ') in z, of
+    twice the order of the comrade solve; the oracle for it."""
+    j = np.arange(p.size) - p.size // 2
+    r = j * p if q is None else (np.convolve(j * p, q) - np.convolve(p, j * q))[1:-1]
+    roots = _companion_roots(Polynomial(r).coeffs)
+    w = np.unique(np.abs(np.concatenate([[0.0, math.pi], np.angle(roots)])))
+    v = zf_search._cos_sum(p, w)
+    return w, (v if q is None else -v / zf_search._cos_sum(q, w))
+
+
+def dense_sample(c, m=2**19):
+    """The cosine sum of `_laurent` coefficients c at w = 2 pi i/m, i = 0..m/2, by one FFT."""
+    a = np.zeros(m)
+    a[(np.arange(c.size) - c.size // 2) % m] = c
+    return np.fft.rfft(a).real
+
+
+def reach_scale(P, Q, s):
+    """What rounding resolves of s = max -P/Q: the terms' size over Q at the maximiser."""
+    w, v = zf_search._extrema(P, Q)
+    q = zf_search._cos_sum(Q, w[[np.argmax(v)]])[0]
+    return (np.sum(np.abs(P)) + abs(s) * np.sum(np.abs(Q))) / q
+
+
+class TestComradeSolve:
+    """`_extrema` solves for the critical angles in x = cos w."""
+
+    def test_zero_outer_taps(self, plants):
+        # the support cut: without it the rounding residue of the (j - k) = 0
+        # term leads the comrade matrix, and max -P/Q falls to about half
+        tf = plants["ex3"]
+        for seed in range(10):
+            h = np.random.default_rng(seed).uniform(0.0, 1.0, 16)
+            h[[0, 1, -2, -1]] = 0.0
+            h *= 0.9 / np.sum(h)
+            P, Q = (zf_search._laurent(h, c, tf.den.coeffs) for c in (tf.num.coeffs, tf.den.coeffs))
+            got = float(np.max(zf_search._extrema(P, Q)[1]))
+            dense = float(np.max(-dense_sample(P) / dense_sample(Q)))
+            assert got >= dense - 1e-12 * reach_scale(P, Q, got), seed
+
+    @pytest.mark.parametrize("n_z", [8, 64, 210])
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "ex5", "ex6"])
+    def test_agrees_with_the_companion_solve(self, plants, name, n_z):
+        # min P and max -P/Q agree with the companion solve to 1e-12 of what
+        # rounding resolves of them, and never lose to a dense sample
+        tf = plants[name]
+        rng = np.random.default_rng(n_z)
+        for cut in (False, True):
+            h = rng.uniform(-1.0, 1.0, 2 * n_z)
+            if cut:
+                h[[0, 1, -2, -1]] = 0.0
+            h *= 0.9 / np.sum(np.abs(h))
+            P, Q = (zf_search._laurent(h, c, tf.den.coeffs) for c in (tf.num.coeffs, tf.den.coeffs))
+            got, oracle = np.min(zf_search._extrema(P)[1]), np.min(companion_extrema(P)[1])
+            scale = np.sum(np.abs(P))
+            assert abs(got - oracle) <= 1e-12 * scale, cut
+            assert got <= np.min(dense_sample(P)) + 1e-12 * scale, cut
+            got, oracle = np.max(zf_search._extrema(P, Q)[1]), np.max(companion_extrema(P, Q)[1])
+            scale = reach_scale(P, Q, got)
+            assert abs(got - oracle) <= 1e-12 * scale, cut
+            assert got >= np.max(-dense_sample(P) / dense_sample(Q)) - 1e-12 * scale, cut
+
+    @pytest.mark.parametrize("w0", [0.05, 1.0, 3.0])
+    def test_tangency(self, w0):
+        # (cos w - cos w0)^2 times a positive cosine sum touches 0 at w0 (a
+        # double root of P' in x = cos w); its minimum is found
+        rng = np.random.default_rng(7)
+        f = rng.uniform(-1.0, 1.0, 6)
+        positive = np.convolve(f, f[::-1])
+        positive[f.size - 1] += 0.1
+        square = np.array([0.25, -math.cos(w0), 0.5 + math.cos(w0) ** 2, -math.cos(w0), 0.25])
+        c = np.convolve(square, positive)
+        w, v = zf_search._extrema(c)
+        assert abs(np.min(v)) <= 1e-12 * np.sum(np.abs(c))
+        assert w[np.argmin(v)] == pytest.approx(w0, abs=1e-6)
 
 class TestTapBudget:
     @pytest.fixture

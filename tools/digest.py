@@ -27,7 +27,8 @@ It also prints, per --lp-beta, the `Tableau.solve` calls, the pivots and the
 `lti_core.poles` calls of the 12 analyze runs, their certificate and search
 LPs (`generate_rows` calls) with the cold solves those took (the first and
 any restart), and their whole-circle root solves (`zf_search._extrema`
-calls); per `certify-deep` LP, the rows and columns it held at the
+calls) with the summed and the largest order of the eigenproblems those
+solved; per `certify-deep` LP, the rows and columns it held at the
 end, its pivots, and its cold solves and warm ones; and, per legacy setting, the
 pairs whose screen ratio the 12 `legacy_upper_bound` runs computed, their
 `interval_slope_bound` evaluations and the series terms those evaluations
@@ -58,6 +59,7 @@ CERTIFY_DEEP = ("ex1", 160, (13.46, 13.56))
 def main(argv) -> int:
     src = argv[0] if argv else os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     sys.path.insert(0, os.path.abspath(src))
+    import numpy as np
     from zflim import cli, duality_lp, lti_core, simplex, zf_search
     from zflim.plants import BUILTIN
     from zflim.rational_core import MONOTONE, ODD
@@ -65,7 +67,7 @@ def main(argv) -> int:
     pivots, reports, printed = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     counts = Counter()
     pivot, solve, poles = simplex.Tableau._pivot, simplex.Tableau.solve, lti_core.poles
-    extrema = zf_search._extrema
+    extrema, eigvals = zf_search._extrema, np.linalg.eigvals
 
     def counted_pivot(self, r, j):
         pivots.update(f"{r},{j};".encode())
@@ -80,9 +82,18 @@ def main(argv) -> int:
         counts["poles"] += 1
         return poles(tf)
 
+    def counted_eigvals(a):
+        counts["order"] += a.shape[0]
+        counts["largest order"] = max(counts["largest order"], a.shape[0])
+        return eigvals(a)
+
     def counted_extrema(*args):
         counts["extrema"] += 1
-        return extrema(*args)
+        np.linalg.eigvals = counted_eigvals
+        try:
+            return extrema(*args)
+        finally:
+            np.linalg.eigvals = eigvals
 
     cold_solve = simplex.simplex_max_leq
 
@@ -131,7 +142,8 @@ def main(argv) -> int:
             print(f"analyze --lp-beta {lp_beta}: {counts['certificate']} certificate LPs with "
                   f"{counts['certificate cold']} cold solves, {counts['search']} search LPs with "
                   f"{counts['search cold']} cold solves, {counts['extrema']} whole-circle "
-                  "root solves")
+                  f"root solves of summed order {counts['order']} (largest "
+                  f"{counts['largest order']})")
 
     name, beta, slopes = CERTIFY_DEEP
     for k in slopes:
