@@ -15,7 +15,6 @@ from .errors import (
     NotStable,
     PoleOnUnitCircle,
     PrecisionExhausted,
-    RootFindingFailed,
     ZflimError,
 )
 from .lti_core import (
@@ -26,7 +25,6 @@ from .lti_core import (
     frequency_response,
     is_stable,
     nyquist_value,
-    poles,
     shift_by_inverse_gain,
 )
 from .rational_core import (

@@ -9,10 +9,6 @@ class PoleOnUnitCircle(ZflimError):
     """Transfer function evaluated at (or too close to) a denominator root on |z|=1."""
 
 
-class RootFindingFailed(ZflimError):
-    """Polynomial root refinement did not reach the required residual."""
-
-
 class NotStable(ZflimError):
     """Operation requires a stable plant (all poles strictly inside the unit disk)."""
 

@@ -2,7 +2,8 @@
 
 Coefficients are stored ascending in z (coeffs[k] multiplies z**k).  Plant
 files and the bundled examples use the printed descending convention; the
-parser in `plants` flips them before construction.
+parser in `plants` flips them before construction.  Stability is decided
+on the coefficients (`is_stable`), without computing a pole.
 """
 
 from __future__ import annotations
@@ -11,12 +12,9 @@ import math
 
 import numpy as np
 
-from .errors import BracketInvalid, InvalidGain, NotStable, PoleOnUnitCircle, RootFindingFailed
+from .errors import BracketInvalid, InvalidGain, NotStable, PoleOnUnitCircle
 
 STABILITY_MARGIN = 1e-9
-POLE_RESIDUAL_TOL = 1e-10
-# Newton corrections tried per companion-matrix root in `poles`
-NEWTON_STEPS = 12
 UNIT_CIRCLE_TOL = 1e-12
 # a root of the crossing polynomial counts as on the unit circle when its
 # modulus is within this of 1; double roots (tangential crossings) split by
@@ -54,12 +52,6 @@ class Polynomial:
             out = out * z + c
         return out if out.shape else out[()]
 
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial([0.0])
-        k = np.arange(1, self.coeffs.size)
-        return Polynomial(self.coeffs[1:] * k)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
         n = max(a.size, b.size)
@@ -84,7 +76,7 @@ class Polynomial:
 class TransferFunction:
     """Proper real rational function num(z)/den(z) with no structural pole at infinity."""
 
-    __slots__ = ("num", "den", "_stable")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den):
         num = num if isinstance(num, Polynomial) else Polynomial(num)
@@ -95,7 +87,6 @@ class TransferFunction:
             raise ValueError("improper transfer function: deg(num) > deg(den)")
         self.num = num
         self.den = den
-        self._stable = None  # the verdict of `is_stable`, once it has one
 
     def __repr__(self) -> str:
         return f"TransferFunction(num={self.num.coeffs.tolist()}, den={self.den.coeffs.tolist()})"
@@ -133,57 +124,28 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp).astype(complex)
 
 
-def poles(tf: TransferFunction) -> list[complex]:
-    """All denominator roots with multiplicity.
-
-    Companion-matrix eigenvalues, then NEWTON_STEPS Newton corrections to all
-    roots at once.  A root keeps a correction only when it reduces its own
-    residual, so clustered roots cannot be pushed onto each other, and stops
-    at a zero derivative.
-    """
-    c = tf.den.coeffs
-    tol = POLE_RESIDUAL_TOL * float(np.max(np.abs(c)))
-    dden = tf.den.derivative()
-
-    def residual(z):  # |den(z)|, rounded as abs() rounds one complex scalar
-        d = tf.den(z)
-        return np.hypot(d.real, d.imag)
-
-    x = best = _companion_roots(c)
-    best_res = residual(x)
-    live = np.ones(x.size, dtype=bool)
-    for _ in range(NEWTON_STEPS):
-        dp = dden(x)
-        live &= dp != 0.0
-        if not live.any():
-            break
-        x = np.where(live, x - tf.den(x) / np.where(live, dp, 1.0), x)
-        res = residual(x)
-        better = res < best_res
-        best, best_res = np.where(better, x, best), np.where(better, res, best_res)
-    for root, root_res in zip(best, best_res):
-        if root_res > tol:
-            raise RootFindingFailed(f"residual {root_res:.3e} above {tol:.3e} at root {root}")
-    return list(best)
-
-
 def is_stable(tf: TransferFunction) -> bool:
-    """True when every pole lies strictly inside the unit disk (with margin).
+    """True when every pole lies inside |z| < r = 1 - STABILITY_MARGIN.
 
-    The first call stores the verdict on tf, and later calls return it
-    without computing the poles again: the coefficients of num and den are
-    read-only, so it cannot go stale.  RootFindingFailed is not stored:
-    every call raises it again.
+    The Schur-Cohn recursion (Schur 1917; Jury 1964) on p(z) = den(r z): p of
+    degree n >= 1 has all its roots in the unit disk iff |a_0| < |a_n| and
+    (a_n p(z) - a_0 z^n p(1/z))/z, of degree n - 1, has.  Each step divides p
+    by its largest coefficient first, so no product overflows; NaN fails.
     """
-    if tf._stable is None:
-        tf._stable = all(abs(p) < 1.0 - STABILITY_MARGIN for p in poles(tf))
-    return tf._stable
+    r = 1.0 - STABILITY_MARGIN
+    p = [c * r**k for k, c in enumerate(tf.den.coeffs.tolist())]
+    while len(p) > 1:
+        if not abs(p[0]) < abs(p[-1]):
+            return False
+        s = max(map(abs, p))
+        p = [c / s for c in p]
+        a0, an = p[0], p[-1]
+        p = [an * p[k + 1] - a0 * p[-k - 2] for k in range(len(p) - 1)]
+    return True
 
 
 def shift_by_inverse_gain(tf: TransferFunction, k: float) -> TransferFunction:
-    """Return tf + 1/k, the loop transformation for a slope restriction of k.
-
-    (k num + den)/(k den) has tf's poles, so it keeps tf's stability verdict."""
+    """Return tf + 1/k, the loop transformation for a slope restriction of k."""
     if not (0.0 < k < math.inf):
         raise InvalidGain(f"gain must be positive and finite, got {k!r}")
     with np.errstate(over="ignore"):
@@ -191,9 +153,7 @@ def shift_by_inverse_gain(tf: TransferFunction, k: float) -> TransferFunction:
         den = tf.den.scale(k)
     if not (math.isfinite(1.0 / k) and np.isfinite(np.append(num.coeffs, den.coeffs)).all()):
         raise InvalidGain(f"gain {k!r} leaves 1/k or a coefficient of tf + 1/k not finite")
-    shifted = TransferFunction(num, den)
-    shifted._stable = tf._stable
-    return shifted
+    return TransferFunction(num, den)
 
 
 def _check_bracket(k_lo: float, k_hi: float, tol_k: float):
@@ -251,8 +211,8 @@ def nyquist_value(tf: TransferFunction) -> float:
     with negative real part (math.inf if none).  For real coefficients,
     conj(den(z)) = den(1/z) on |z| = 1, so Im{G} vanishes exactly at the
     unit-circle roots of z^n * (num(z) den(1/z) - num(1/z) den(z)) with
-    n = deg den, a polynomial of degree 2n.  Its roots come from the same
-    companion-matrix solve as `poles`; a root counts as on the circle within
+    n = deg den, a polynomial of degree 2n.  Its roots are the eigenvalues of
+    its companion matrix; a root counts as on the circle within
     CROSSING_MODULUS_TOL, which also keeps tangential crossings (double
     roots).  The endpoints 0 and pi, where G is always real, are always
     candidates; a crossing polynomial that vanishes identically has no

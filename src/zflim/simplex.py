@@ -199,26 +199,45 @@ def simplex_max_leq(c, A, b, maxiter: int = 100000) -> LpSolution:
     return Tableau(c, A, b).solve(maxiter)
 
 
+def _vertex(A, b, basis, x):
+    """The structural part, clamped at 0, of the vertex of ``basis`` (labelled as in
+    `Tableau`): [A I][:, basis] x_B = b, solved densely; x for a singular basis."""
+    full = np.zeros(A.shape[1] + b.size)
+    try:
+        full[basis] = np.linalg.solve(np.hstack([A, np.eye(b.size)])[:, basis], b)
+    except np.linalg.LinAlgError:
+        return x
+    return np.maximum(full[: A.shape[1]], 0.0)
+
+
 def generate_rows(c, A, b, more, feas=_TOL, price=None):
     """Maximise c@x s.t. A x <= b and the rows that ``more`` adds, x >= 0, over the
     columns of A and those ``price`` adds.  Solves on A and b, appends the rows
     ``more(x) -> (A_new, b_new)`` returns for the optimal x and the columns
     ``price(y) -> (A_new, c_new)`` returns for the row duals y, and re-solves warm
     (`Tableau.solve` with ``feas``) until neither adds any.
-    A re-solve past 4 pivots per row (dual degenerate rounds stall), or whose x breaks a
-    held row by over ten times feas + _TOL (|A_i| x + |b_i|), which rounding in the
-    pivots does not reach, restarts cold; a cold one that does raises LpNumericalFailure.
-    Returns the solution and the rows it holds."""
-    sol, warm = simplex_max_leq(c, A, b), False
-    while sol.status == "optimal":
+    An x read off the rhs that breaks a held row by over ten times feas + _TOL
+    (|A_i| x + |b_i|), which rounding in the pivots does not reach, is recomputed
+    from the basis (`_vertex`).  A re-solve past 4 pivots per row (dual degenerate
+    rounds stall), or whose recomputed x still breaks a row, restarts cold; a cold
+    one that does raises LpNumericalFailure.  Returns the solution and the rows it holds."""
+
+    def holds(x):
         # x holds its rows to feas, and to _TOL relative to |A_i| x + |b_i| for
         # rounding in the pivots; past ten times that the tableau has drifted
-        held = A @ sol.x - b
-        if np.any(held > 10.0 * (feas + _TOL * (np.abs(A) @ sol.x + np.abs(b)))):
-            if not warm:
-                raise LpNumericalFailure(f"an active row is violated by {float(held.max())!r}")
-            sol, warm = simplex_max_leq(c, A, b), False
-            continue
+        return np.all(A @ x - b <= 10.0 * (feas + _TOL * (np.abs(A) @ x + np.abs(b))))
+
+    sol, warm = simplex_max_leq(c, A, b), False
+    while sol.status == "optimal":
+        if not holds(sol.x):
+            x = _vertex(A, b, sol.tableau.basis, sol.x)
+            if not holds(x):
+                if not warm:
+                    raise LpNumericalFailure(
+                        f"an active row is violated by {float((A @ x - b).max())!r}")
+                sol, warm = simplex_max_leq(c, A, b), False
+                continue
+            sol.x, sol.objective = x, float(c @ x)
         A_new, b_new = more(sol.x)
         if b_new.size:
             A, b = np.vstack([A, A_new]), np.append(b, b_new)

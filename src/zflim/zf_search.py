@@ -139,13 +139,13 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     cost = np.append(np.zeros(n_taps), 1.0)  # the taps, then the margin
     budget = np.append(np.ones(n_taps), 0.0)  # the l1 budget row, <= 1 - DELTA_NORM
     num, den = G.num.coeffs, G.den.coeffs
-    last = None  # taps of the last accepted step
+    last = np.zeros(idx.size)  # taps of the last accepted step
 
     def rows(basis, g):
         """Rows a h + Re{M_last} t <= Re{g} - EPS_POS (1 + |g|) at the angles w of
         the tap basis exp(-j w idx)."""
         a = (basis * g[:, None]).real
-        weight = np.ones(g.size) if last is None else (1.0 - basis @ last).real
+        weight = (1.0 - basis @ last).real
         A = a if class_tag == MONOTONE else np.hstack([a, -a])
         return np.column_stack((A, weight)), g.real - EPS_POS * (1.0 + np.abs(g))
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from zflim import duality_lp, lti_core
+from zflim import duality_lp
 from zflim.duality_lp import (
     bisect_upper_bound,
     certificate_residual,
@@ -134,25 +134,6 @@ class TestBuildVectors:
 
 
 class TestLpCertificate:
-    def test_poles_computed_once_per_plant(self, monkeypatch):
-        # lp_certificate and certificate_residual both check the plant's
-        # stability; the verdict stays on the plant.  The plant is built
-        # fresh: a shift keeps its plant's verdict, which the session fixture
-        # may already hold
-        calls = []
-        poles = lti_core.poles
-
-        def counting(tf):
-            calls.append(tf)
-            return poles(tf)
-
-        monkeypatch.setattr(lti_core, "poles", counting)
-        shifted = shift_by_inverse_gain(BUILTIN["ex2"].tf(), 3.9)
-        cert = lp_certificate(shifted, 40, MONOTONE)
-        assert cert is not None
-        assert certificate_residual(shifted, cert) <= duality_lp.TOL_LP
-        assert calls == [shifted]
-
     def test_negative_constant_certified(self):
         # beta 2 and 3 hold fewer than 8 frequencies and 64 rows
         for beta, cls in itertools.product((2, 3, 6), (MONOTONE, ODD)):

@@ -1,4 +1,4 @@
-"""Transfer-function arithmetic, pole analysis and the linear gain limit."""
+"""Transfer-function arithmetic, stability and the linear gain limit."""
 
 import cmath
 import math
@@ -6,21 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from zflim import lti_core
-from zflim.errors import InvalidGain, NotStable, PoleOnUnitCircle, RootFindingFailed
+from zflim.errors import InvalidGain, NotStable, PoleOnUnitCircle
 from zflim.lti_core import (
-    NEWTON_STEPS,
-    POLE_RESIDUAL_TOL,
+    STABILITY_MARGIN,
     Polynomial,
     TransferFunction,
     _bisect,
-    _companion_roots,
     affine_combine,
     evaluate,
     frequency_response,
     is_stable,
     nyquist_value,
-    poles,
     shift_by_inverse_gain,
 )
 from conftest import KNOWN_NYQUIST
@@ -30,34 +26,9 @@ def unit(value=1.0):
     return TransferFunction([value], [1.0])
 
 
-def reference_poles(tf):
-    """`poles` one root at a time: the scalar Newton loop the array form replaces."""
-    c = tf.den.coeffs
-    scale = float(np.max(np.abs(c)))
-    dden = tf.den.derivative()
-    polished = []
-    for r in _companion_roots(c):
-        best, best_res = r, abs(tf.den(r))
-        x = r
-        for _ in range(NEWTON_STEPS):
-            dp = dden(x)
-            if abs(dp) == 0.0:
-                break
-            x = x - tf.den(x) / dp
-            res = abs(tf.den(x))
-            if res < best_res:
-                best, best_res = x, res
-        polished.append(best)
-        if best_res > POLE_RESIDUAL_TOL * scale:
-            raise RootFindingFailed(
-                f"residual {best_res:.3e} above {POLE_RESIDUAL_TOL * scale:.3e} at root {best}"
-            )
-    return polished
-
-
 def seeded_denominators(seed, count):
     """Degree 1-12 denominators: random, clustered roots, double roots, and
-    coefficients spread over six decades (on which root polishing can fail)."""
+    coefficients spread over six decades."""
     rng = np.random.default_rng(seed)
     for trial in range(count):
         deg = int(rng.integers(1, 13))
@@ -175,83 +146,25 @@ class TestBisect:
         assert len(calls) < math.ceil(math.log2((5.0 - 1.0) / 1e-3))
 
 
-class TestPoles:
-    def test_double_pole(self):
-        tf = TransferFunction([1.0], [0.81, -1.8, 1.0])  # (z - 0.9)^2
-        got = sorted(poles(tf), key=lambda p: p.real)
-        assert len(got) == 2
-        for p in got:
-            assert abs(p - 0.9) < 1e-6
-
-    def test_ex6_roots_against_quadratic_formula(self, plants):
-        # oracle: quadratic formula for z^2 + 1.415 z + 0.5523
-        b, c = 1.415, 0.5523
-        disc = cmath.sqrt(b * b - 4.0 * c)
-        expected = sorted([(-b + disc) / 2.0, (-b - disc) / 2.0], key=lambda p: p.imag)
-        got = sorted(poles(plants["ex6"]), key=lambda p: p.imag)
-        for g, e in zip(got, expected):
-            assert abs(g - e) < 1e-10
-        den = plants["ex6"].den
-        for g in got:
-            assert abs(den(g)) <= 1e-10 * max(abs(den.coeffs))
-
-    def test_constant_denominator_has_no_poles(self):
-        assert poles(unit()) == []
-
-    def test_roundtrip_random_stable_pole_sets(self):
-        rng = np.random.default_rng(1234)
-        for _ in range(20):
-            n = int(rng.integers(1, 9))
-            chosen = []
-            while len(chosen) < n:
-                if rng.random() < 0.5 or n - len(chosen) == 1:
-                    chosen.append(complex(rng.uniform(-0.9, 0.9)))
-                else:
-                    re, im = rng.uniform(-0.7, 0.7), rng.uniform(0.05, 0.6)
-                    chosen += [complex(re, im), complex(re, -im)]
-            chosen = chosen[:n]
-            if len({round(p.real, 2) for p in chosen}) < len(chosen):
-                continue  # keep roots well separated
-            den = np.array([1.0])
-            for p in chosen:
-                den = np.convolve(den, np.array([-p, 1.0]))
-            assert np.max(np.abs(den.imag)) < 1e-9
-            tf = TransferFunction([1.0], den.real)
-            got = sorted(poles(tf), key=lambda p: (round(p.real, 6), p.imag))
-            want = sorted(chosen, key=lambda p: (round(p.real, 6), p.imag))
-            for g, e in zip(got, want):
-                assert abs(g - e) < 1e-8
+def conjugate_pole_sets(seed, count):
+    """Degree 1-8 real denominators with real poles and conjugate pairs at radii 0-1.2."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        chosen = []
+        while len(chosen) < n:
+            radius = rng.uniform(0.0, 1.2)
+            if n - len(chosen) == 1 or rng.random() < 0.3:
+                chosen.append(radius * rng.choice([-1.0, 1.0]))
+            else:
+                p = radius * cmath.exp(1j * rng.uniform(0.0, math.pi))
+                chosen += [p, p.conjugate()]
+        yield np.poly(chosen).real[::-1]
 
 
-class TestPolesArrayForm:
-    def test_same_roots_and_failures_as_scalar_loop(self):
-        # every root bit for bit, and RootFindingFailed with the same message
-        # on the same inputs; this seed has double roots on which residuals
-        # rounded by np.abs, not as abs() of one complex scalar, keep other
-        # iterates
-        failed = 0
-        for den in seeded_denominators(15, 600):
-            tf = TransferFunction([1.0], den)
-            try:
-                want = reference_poles(tf)
-            except RootFindingFailed as exc:
-                failed += 1
-                with pytest.raises(RootFindingFailed) as got:
-                    poles(tf)
-                assert str(got.value) == str(exc)
-                continue
-            got = poles(tf)
-            assert len(got) == len(want)
-            assert all(g == w for g, w in zip(got, want)), den
-        assert 0 < failed < 600
-
-    def test_zero_derivative_stops_that_root_only(self):
-        # the companion roots of z^3 are exactly 0, where den' vanishes, so
-        # no correction is tried; z^3 + z^2 has such a double root beside a
-        # simple root at -1 that keeps its corrections
-        for den in ([0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]):
-            tf = TransferFunction([1.0], den)
-            assert poles(tf) == reference_poles(tf)
+def pair(radius, angle=1.0):
+    """Ascending den of a conjugate pole pair at radius * exp(+-j angle)."""
+    return [radius * radius, -2.0 * radius * math.cos(angle), 1.0]
 
 
 class TestStability:
@@ -265,36 +178,78 @@ class TestStability:
         for tf in plants.values():
             assert is_stable(tf)
 
-    def test_verdict_kept_on_the_plant(self, monkeypatch):
-        # both verdicts are stored on first use; a fresh plant with the same
-        # coefficients computes its own
-        calls = []
+    def test_double_pole(self):
+        assert is_stable(TransferFunction([1.0], [0.81, -1.8, 1.0]))  # (z - 0.9)^2
+        assert not is_stable(TransferFunction([1.0], [1.0, 2.0, 1.0]))  # (z + 1)^2
 
-        def counting(tf):
-            calls.append(tf)
-            return poles(tf)
+    def test_constant_and_pure_delay_denominators(self):
+        assert is_stable(unit())
+        for n in range(1, 6):
+            assert is_stable(TransferFunction([1.0], [0.0] * n + [2.0]))
 
-        monkeypatch.setattr(lti_core, "poles", counting)
-        stable, unstable = unit(0.5), TransferFunction([1.0], [-1.0, 1.0])
-        assert [is_stable(tf) for tf in (stable, unstable, stable, unstable)] == [
-            True, False, True, False
-        ]
-        assert calls == [stable, unstable]
-        assert is_stable(unit(0.5)) and len(calls) == 3
+    def test_roundtrip_random_pole_sets(self):
+        # well separated poles scaled so the largest modulus is the radius:
+        # stable below 1 - STABILITY_MARGIN, not stable from there up
+        rng = np.random.default_rng(1234)
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            chosen = []
+            while len(chosen) < n:
+                if rng.random() < 0.5 or n - len(chosen) == 1:
+                    chosen.append(complex(rng.uniform(-0.9, 0.9)))
+                else:
+                    re, im = rng.uniform(-0.7, 0.7), rng.uniform(0.05, 0.6)
+                    chosen += [complex(re, im), complex(re, -im)]
+            chosen = np.array(chosen[:n])
+            if len({round(p.real, 2) for p in chosen}) < len(chosen):
+                continue  # keep roots well separated
+            for radius, stable in ((0.5, True), (1.0 - 1e-7, True), (1.0 - 1e-10, False),
+                                   (1.0 + 1e-7, False), (1.2, False)):
+                den = np.poly(chosen * radius / np.max(np.abs(chosen))).real[::-1]
+                assert is_stable(TransferFunction([1.0], den)) == stable, (chosen, radius)
 
-    def test_root_finding_failure_not_kept(self):
-        # a denominator on which root polishing fails raises on every call
-        for den in seeded_denominators(15, 600):
-            tf = TransferFunction([1.0], den)
-            try:
-                poles(tf)
-            except RootFindingFailed:
-                break
-        else:
-            pytest.fail("no seeded denominator fails root finding")
-        for _ in range(2):
-            with pytest.raises(RootFindingFailed):
-                is_stable(tf)
+    @pytest.mark.parametrize("den", [[-(1.0 - 2e-9), 1.0], pair(1.0 - 2e-9), pair(1.0 - 2e-9, 3.0)])
+    def test_roots_inside_the_margin_stable(self, den):
+        assert is_stable(TransferFunction([1.0], den))
+
+    @pytest.mark.parametrize("radius", [1.0 - 5e-10, 1.0, 1.0 + 1e-9])
+    def test_roots_on_the_margin_and_beyond_not_stable(self, radius):
+        for den in ([-radius, 1.0], [radius, 1.0], pair(radius), pair(radius, 3.0)):
+            assert not is_stable(TransferFunction([1.0], den)), (radius, den)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_coefficients(self, scale):
+        stable = np.poly([0.5, -0.3, 0.2 + 0.6j, 0.2 - 0.6j]).real[::-1]
+        assert is_stable(TransferFunction([1.0], stable * scale))
+        assert not is_stable(TransferFunction([1.0], np.array(pair(1.0 + 1e-9)) * scale))
+        # roots near -1e200 and -1e-200, or on the unit circle
+        assert not is_stable(TransferFunction([1.0], [1.0, scale, 1.0]))
+
+    @pytest.mark.parametrize("den", [[math.nan, 1.0], [0.5, math.nan, 1.0], [0.1, 0.2, 1.0, math.nan]])
+    def test_nan_coefficient_not_stable(self, den):
+        with pytest.raises(NotStable):
+            nyquist_value(TransferFunction([1.0], den))
+
+    def test_against_exact_roots(self):
+        # the verdict on every denominator against 60-digit roots of its float
+        # coefficients: all inside the float 1 - STABILITY_MARGIN.  Durand-Kerner
+        # starts from numpy's roots, moved off the real axis so that it can
+        # reach a complex pair that numpy rounds to two real roots
+        mpmath = pytest.importorskip("mpmath")
+        radius = mpmath.mpf(1.0 - STABILITY_MARGIN)
+        dens = [den for seed in range(5) for den in seeded_denominators(seed, 60)]
+        dens += list(conjugate_pole_sets(0, 600))
+        mismatches = []
+        with mpmath.workdps(60):
+            for den in dens:
+                c = np.trim_zeros(den, "b")[::-1]
+                start = np.roots(c) + 1e-3 * (0.4 + 0.9j) ** np.arange(1, c.size)
+                roots = mpmath.polyroots(c.tolist(), maxsteps=500, extraprec=300,
+                                         roots_init=start.tolist())
+                if is_stable(TransferFunction([1.0], den)) != all(abs(z) < radius for z in roots):
+                    mismatches.append(den.tolist())
+        assert mismatches == []
 
 
 class TestShiftByInverseGain:
@@ -332,25 +287,11 @@ class TestShiftByInverseGain:
         with pytest.raises(InvalidGain, match="not finite"):
             shift_by_inverse_gain(plants["ex1"], k)
 
-    def test_shift_keeps_the_stability_verdict(self, monkeypatch):
-        # (k num + den)/(k den) has the plant's poles: a known verdict carries
-        # over without a poles call, an unknown one stays unknown
-        stable, unstable = unit(0.5), TransferFunction([1.0], [-1.0, 1.0])
-        for tf in (stable, unstable):
-            is_stable(tf)
-        calls = []
-
-        def counting(tf):
-            calls.append(tf)
-            return poles(tf)
-
-        monkeypatch.setattr(lti_core, "poles", counting)
-        assert is_stable(shift_by_inverse_gain(stable, 2.0))
+    def test_shift_keeps_the_plant_stability(self):
+        # (k num + den)/(k den) has the plant's poles
+        assert is_stable(shift_by_inverse_gain(unit(0.5), 2.0))
         with pytest.raises(NotStable):
-            nyquist_value(shift_by_inverse_gain(unstable, 2.0))
-        assert calls == []
-        fresh = shift_by_inverse_gain(unit(0.5), 2.0)
-        assert is_stable(fresh) and calls == [fresh]
+            nyquist_value(shift_by_inverse_gain(TransferFunction([1.0], [-1.0, 1.0]), 2.0))
 
 
 class TestAffineCombine:

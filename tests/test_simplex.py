@@ -517,21 +517,43 @@ class TestResidualCheck:
 
     def test_drifted_solution_raises(self, monkeypatch):
         c, A, b = _game(np.random.default_rng(7))
-        solve = simplex.Tableau.solve
+        solve, vertex = simplex.Tableau.solve, simplex._vertex
 
         def drifting(scale):
+            # every binding row A_i x = b_i breaks, both for the x read off the
+            # rhs and for the one recomputed from the basis
             def solved(self, *args, **kwargs):
                 sol = solve(self, *args, **kwargs)
-                sol.x = sol.x * scale  # every binding row A_i x = b_i now breaks
+                sol.x = sol.x * scale
                 return sol
 
-            return solved
+            monkeypatch.setattr(simplex.Tableau, "solve", solved)
+            monkeypatch.setattr(simplex, "_vertex", lambda *args: vertex(*args) * scale)
 
-        monkeypatch.setattr(simplex.Tableau, "solve", drifting(1.0 + 1e-12))
+        drifting(1.0 + 1e-12)
         assert generate_rows(c, *_seeded(A, b, 1e-9)[:3])[0].status == "optimal"
-        monkeypatch.setattr(simplex.Tableau, "solve", drifting(1.0 + 1e-6))
+        drifting(1.0 + 1e-6)
         with pytest.raises(LpNumericalFailure, match="active row"):
             generate_rows(c, *_seeded(A, b, 1e-9)[:3])
+
+    def test_drifted_rhs_recomputed_from_the_basis(self, monkeypatch):
+        # the x read off the rhs breaks its binding rows; the vertex of the
+        # basis holds them, so generate_rows returns it with its objective
+        c, A, b = _game(np.random.default_rng(7))
+        want, _, _ = generate_rows(c, *_seeded(A, b, 1e-9)[:3])
+        solve = simplex.Tableau.solve
+
+        def drifting(self, *args, **kwargs):
+            sol = solve(self, *args, **kwargs)
+            sol.x = sol.x * (1.0 + 1e-6)
+            return sol
+
+        monkeypatch.setattr(simplex.Tableau, "solve", drifting)
+        sol, A_held, b_held = generate_rows(c, *_seeded(A, b, 1e-9)[:3])
+        assert sol.status == "optimal"
+        assert np.allclose(sol.x, want.x, rtol=1e-12, atol=1e-15)
+        assert sol.objective == float(c @ sol.x)
+        assert np.all(A_held @ sol.x - b_held <= 1e-12)
 
     def test_bound_never_fires_on_analyze_runs(self, monkeypatch, tmp_path):
         # the 12 bundled pairs at lp-beta 60 (TestAnalyze runs them at the

@@ -486,17 +486,23 @@ class TestTapBudget:
     def over_budget(self, monkeypatch):
         # the LP's x breaks the l1-budget row: taps summing to 1.0001 and a
         # margin low enough that no other seed row is violated; the budget is
-        # a held row, so the residual check of `generate_rows` raises
+        # a held row, so the residual check of `generate_rows` raises.  The x
+        # recomputed from the basis is broken the same way
         solve = simplex.Tableau.solve
+
+        def broken(size):
+            x = np.full(size, 1.0001 / (size - 1))
+            x[-1] = -1e6
+            return x
 
         def breaking(self, maxiter=100000):
             sol = solve(self, maxiter)
             if sol.status == "optimal":
-                sol.x = np.full(sol.x.size, 1.0001 / (sol.x.size - 1))
-                sol.x[-1] = -1e6
+                sol.x = broken(sol.x.size)
             return sol
 
         monkeypatch.setattr(simplex.Tableau, "solve", breaking)
+        monkeypatch.setattr(simplex, "_vertex", lambda A, b, basis, x: broken(x.size))
 
     def test_search_raises_typed_failure(self, plants, over_budget):
         shifted = shift_by_inverse_gain(plants["ex2"], 3.8)

@@ -24,16 +24,16 @@ method shows on its own line: `legacy` (both settings), `scans`, and `tight`
 (`period`, the taps and the CSV).
 
 It also prints, per --lp-beta, the `Tableau.solve` calls, the pivots and the
-`lti_core.poles` calls of the 12 analyze runs, their certificate and search
-LPs (`generate_rows` calls) with the cold solves those took (the first and
-any restart), and their whole-circle root solves (`zf_search._extrema`
-calls) with the summed and the largest order of the eigenproblems those
-solved; per `certify-deep` LP, the rows and columns it held at the
-end, its pivots, and its cold solves and warm ones; and, per legacy setting, the
-pairs whose screen ratio the 12 `legacy_upper_bound` runs computed, their
-`interval_slope_bound` evaluations and the series terms those evaluations
-computed.  Two commits that print the
-same digests pivoted identically and reported the same numbers.
+stability checks (`is_stable` calls) of the 12 analyze runs, their certificate
+and search LPs (`generate_rows` calls) with the cold solves those took (the
+first and any restart), and their whole-circle root solves
+(`zf_search._extrema` calls) with the summed and the largest order of the
+eigenproblems those solved; per `certify-deep` LP, the rows and columns it held
+at the end, its pivots, and its cold solves and warm ones; and, per legacy
+setting, the pairs whose screen ratio the 12 `legacy_upper_bound` runs
+computed, their `interval_slope_bound` evaluations and the series terms those
+evaluations computed. Two commits that print the same digests pivoted
+identically and reported the same numbers.
 """
 
 from __future__ import annotations
@@ -60,13 +60,13 @@ def main(argv) -> int:
     src = argv[0] if argv else os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     sys.path.insert(0, os.path.abspath(src))
     import numpy as np
-    from zflim import cli, duality_lp, lti_core, simplex, zf_search
+    from zflim import cli, duality_lp, interval_limits, lti_core, phase_limits, simplex, zf_search
     from zflim.plants import BUILTIN
     from zflim.rational_core import MONOTONE, ODD
 
     pivots, reports, printed = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     counts = Counter()
-    pivot, solve, poles = simplex.Tableau._pivot, simplex.Tableau.solve, lti_core.poles
+    pivot, solve, is_stable = simplex.Tableau._pivot, simplex.Tableau.solve, lti_core.is_stable
     extrema, eigvals = zf_search._extrema, np.linalg.eigvals
 
     def counted_pivot(self, r, j):
@@ -78,9 +78,9 @@ def main(argv) -> int:
         counts["solve"] += 1
         return solve(self, *args, **kwargs)
 
-    def counted_poles(tf):
-        counts["poles"] += 1
-        return poles(tf)
+    def counted_is_stable(tf):
+        counts["stable"] += 1
+        return is_stable(tf)
 
     def counted_eigvals(a):
         counts["order"] += a.shape[0]
@@ -112,8 +112,10 @@ def main(argv) -> int:
 
         return counted
 
-    patched = [(simplex.Tableau, "_pivot", counted_pivot),
-               (simplex.Tableau, "solve", counted_solve), (lti_core, "poles", counted_poles),
+    # the modules import is_stable by name, so each binding is patched
+    patched = [(simplex.Tableau, "_pivot", counted_pivot), (simplex.Tableau, "solve", counted_solve),
+               *((module, "is_stable", counted_is_stable)
+                 for module in (lti_core, phase_limits, duality_lp, zf_search, interval_limits)),
                (simplex, "simplex_max_leq", counted_cold), (zf_search, "_extrema", counted_extrema),
                (duality_lp, "generate_rows", counted_lps(duality_lp.generate_rows, "certificate")),
                (zf_search, "generate_rows", counted_lps(zf_search.generate_rows, "search"))]
@@ -138,7 +140,7 @@ def main(argv) -> int:
                     report.pop("wall_times")
                     reports.update(json.dumps([code, report], sort_keys=True).encode())
             print(f"analyze --lp-beta {lp_beta}: {counts['solve']} Tableau.solve calls, "
-                  f"{counts['pivots']} pivots, {counts['poles']} poles calls")
+                  f"{counts['pivots']} pivots, {counts['stable']} stability checks")
             print(f"analyze --lp-beta {lp_beta}: {counts['certificate']} certificate LPs with "
                   f"{counts['certificate cold']} cold solves, {counts['search']} search LPs with "
                   f"{counts['search cold']} cold solves, {counts['extrema']} whole-circle "
