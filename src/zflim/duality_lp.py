@@ -8,7 +8,8 @@ frequencies that bind, with row values and prices by FFT (row i is the real
 part of a DFT), and every returned certificate is re-verified on all rows
 before being accepted.  Weights that certify one slope certify every
 slope above the exact threshold k(lambda) they prove, and the upper bound
-steps down through those thresholds (Dinkelbach, Mgmt. Sci. 13(7), 1967).
+steps down through those thresholds (Dinkelbach, Mgmt. Sci. 13(7), 1967),
+each LP starting from the rows, frequencies and basis of the one before.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _prices(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _certified_slope(a: np.ndarray, d: np.ndarray) -> float:
     """k(lambda), the smallest slope at which the weights keep every row of A + D/k
     non-positive (inf if none), from a = A lambda and d = D lambda; rows with d = 0
-    (to FFT rounding) do not depend on k, and the residual gate of `_certificate` covers them."""
+    (to FFT rounding) do not depend on k, and the residual gate of `_certifier` covers them."""
     on = d > 1e-12 * d.max()
     s = float(np.min(-a[on] / d[on]))
     return 1.0 / s if s > 0.0 else math.inf
@@ -96,58 +97,71 @@ def certificate_residual(G_tilde: TransferFunction, cert: DualityCertificate) ->
     return _residual(_grid_samples(G_tilde, cert.beta), cert.lambdas, cert.class_tag)
 
 
-def _certificate(g: np.ndarray, k: float, class_tag: str) -> Optional[DualityCertificate]:
-    """The certificate LP on the rows A + D/k of the samples g (`lp_certificate`)."""
-    n, size, g_k = g.size, (2 if class_tag == MONOTONE else 4) * (g.size + 1), g + 1.0 / k
-    shift = 1.0 - float(np.min(g_k.real - np.abs(g_k)))  # every row is at least Re g_k - |g_k|
+def _certifier(g: np.ndarray, class_tag: str):
+    """The certificate LP at slope k on the rows A + D/k of the samples g
+    (`lp_certificate`), as a function of k.  The first LP starts from the seed
+    rows and columns and the slack basis; each later one from the rows,
+    columns and final basis of the one before (`generate_rows`)."""
+    n, size = g.size, (2 if class_tag == MONOTONE else 4) * (g.size + 1)
     rows = np.unique(np.append(np.arange(1, size, max(1, (size - 1) // 64)), size - 1))
     cols = np.arange(min(7, n - 1), n, 8)  # r = 8, 16, ..., or r = beta - 1 when beta <= 8
+    basis = None
 
-    def price(y):  # the row duals y price every column by one FFT
-        nonlocal cols
-        reduced = _prices(g_k, np.bincount(rows, y, 4 * (n + 1))) + (shift * y.sum() - 1.0)
-        reduced[cols] = np.inf
-        new = np.argsort(reduced)[: min(8, np.count_nonzero(reduced < -1e-12))]
-        cols = np.append(cols, new)
-        return entries(rows, new), np.ones(new.size)
+    def certify(k: float) -> Optional[DualityCertificate]:
+        nonlocal rows, cols, basis
+        g_k = g + 1.0 / k
+        shift = 1.0 - float(np.min(g_k.real - np.abs(g_k)))  # every row is at least Re g_k - |g_k|
 
-    def entries(q, r):
-        A, D = _entries(g, q, r)
-        return A + D / k + shift
+        def price(y):  # the row duals y price every column by one FFT
+            nonlocal cols
+            reduced = _prices(g_k, np.bincount(rows, y, 4 * (n + 1))) + (shift * y.sum() - 1.0)
+            reduced[cols] = np.inf
+            new = np.argsort(reduced)[: min(8, np.count_nonzero(reduced < -1e-12))]
+            cols = np.append(cols, new)
+            return entries(rows, new), np.ones(new.size)
 
-    def worst_rows(x):
-        """The 24 rows x violates most, beyond rounding level (b = 1)."""
-        nonlocal rows
-        violations = _products(g_k, np.bincount(cols, x, n), class_tag) + (shift * x.sum() - 1.0)
-        violations[0] = violations[rows] = -np.inf
-        worst = np.argsort(violations)[-24:]
-        worst = worst[violations[worst] > 0.0]
-        A_new = entries(worst, cols)  # decided on the entries the LP holds, not the FFT's
-        held = A_new @ x - 1.0 > 1e-14
-        rows = np.append(rows, worst[held])
-        return A_new[held], np.ones(np.count_nonzero(held))
+        def entries(q, r):
+            A, D = _entries(g, q, r)
+            return A + D / k + shift
 
-    # rows held to rounding level keep rounding-level weights below 1e-12 of the largest
-    sol, _, _ = generate_rows(np.ones(cols.size), entries(rows, cols), np.ones(rows.size),
-                              worst_rows, feas=1e-14, price=price)
-    if sol.status != "optimal":
-        raise LpNumericalFailure(f"certificate LP ended with status {sol.status}")
-    x = np.bincount(cols, np.maximum(sol.x, 0.0), n)
-    x[x <= 1e-12 * x.max()] = 0.0  # weights at rounding level
-    total = float(np.sum(x))
-    if not (total > 0.0):
-        raise LpNumericalFailure("certificate LP returned a zero weight vector")
-    lambdas = x / total
+        def worst_rows(x):
+            """The 24 rows x violates most, beyond rounding level (b = 1)."""
+            nonlocal rows
+            violations = (_products(g_k, np.bincount(cols, x, n), class_tag)
+                          + (shift * x.sum() - 1.0))
+            violations[0] = violations[rows] = -np.inf
+            worst = np.argsort(violations)[-24:]
+            worst = worst[violations[worst] > 0.0]
+            A_new = entries(worst, cols)  # decided on the entries the LP holds, not the FFT's
+            held = A_new @ x - 1.0 > 1e-14
+            rows = np.append(rows, worst[held])
+            return A_new[held], np.ones(np.count_nonzero(held))
 
-    residual = _residual(g_k, lambdas, class_tag)  # re-verification, whatever rows the LP held
-    lp_value = 1.0 / total - shift
-    if residual <= TOL_LP:
-        return DualityCertificate(n + 1, _grid(n + 1), lambdas, class_tag, margin=0.0 - residual)
-    if lp_value <= TOL_LP:
-        raise LpNumericalFailure(
-            f"LP value {lp_value:.3e} passed but residual {residual:.3e} failed re-verification"
-        )
-    return None
+        # rows held to rounding level keep rounding-level weights below 1e-12 of the largest
+        sol, _, _ = generate_rows(np.ones(cols.size), entries(rows, cols), np.ones(rows.size),
+                                  worst_rows, feas=1e-14, price=price, basis=basis)
+        if sol.status != "optimal":
+            raise LpNumericalFailure(f"certificate LP ended with status {sol.status}")
+        basis = sol.tableau.basis
+        x = np.bincount(cols, np.maximum(sol.x, 0.0), n)
+        x[x <= 1e-12 * x.max()] = 0.0  # weights at rounding level
+        total = float(np.sum(x))
+        if not (total > 0.0):
+            raise LpNumericalFailure("certificate LP returned a zero weight vector")
+        lambdas = x / total
+
+        residual = _residual(g_k, lambdas, class_tag)  # re-verification, whatever rows the LP held
+        lp_value = 1.0 / total - shift
+        if residual <= TOL_LP:
+            return DualityCertificate(n + 1, _grid(n + 1), lambdas, class_tag,
+                                      margin=0.0 - residual)
+        if lp_value <= TOL_LP:
+            raise LpNumericalFailure(
+                f"LP value {lp_value:.3e} passed but residual {residual:.3e} failed re-verification"
+            )
+        return None
+
+    return certify
 
 
 def lp_certificate(
@@ -161,12 +175,12 @@ def lp_certificate(
     1 - min_r(Re g_r - |g_r|).  The LP holds every (m // 64)-th of its m rows
     (every row when m < 128) and the last, and every 8th frequency (the
     last when beta <= 8), and adds the 24 most violated rows and the 8 most
-    negatively priced frequencies per round (`generate_rows`).
-    Acceptance is the re-verification on all rows, which does not depend on
-    the solver or the rows it saw.
+    negatively priced frequencies per round (`generate_rows`), from the
+    slack basis.  Acceptance is the re-verification on all rows, which does
+    not depend on the solver, the rows it saw or the basis it started from.
     """
     _check_class(class_tag)
-    return _certificate(_grid_samples(G_tilde, beta), math.inf, class_tag)
+    return _certifier(_grid_samples(G_tilde, beta), class_tag)(math.inf)
 
 
 def bisect_upper_bound(
@@ -183,14 +197,18 @@ def bisect_upper_bound(
     (`_certified_slope`, from FFT products on all rows).  Each
     certificate, first at k_hi, moves the bound to min(probe, k(lambda)), and
     the next LP probes tol_k below it (at most down to k_lo, where a
-    certificate fails the bracket) until a probe finds none.
+    certificate fails the bracket) until a probe finds none.  The first LP
+    starts cold (`lp_certificate`); each later one holds the rows and
+    frequencies the one before ended with, and starts from its final basis,
+    reinverted at the new slope (`_certifier`).
     """
     _check_bracket(k_lo, k_hi, tol_k)
     _check_class(class_tag)
     g = _grid_samples(G, beta)
+    certify = _certifier(g, class_tag)
     probe = k_hi
     while True:
-        cert = _certificate(g, probe, class_tag)
+        cert = certify(probe)
         if cert is None:
             if probe == k_hi:
                 raise BracketInvalid(f"no certificate at k_hi={k_hi}")

@@ -8,6 +8,7 @@ on the coefficients (`is_stable`), without computing a pole.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -31,6 +32,8 @@ class Polynomial:
         c = np.atleast_1d(np.asarray(coeffs, dtype=float))
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D sequence")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         n = c.size
         while n > 1 and c[n - 1] == 0.0:
             n -= 1
@@ -148,12 +151,11 @@ def shift_by_inverse_gain(tf: TransferFunction, k: float) -> TransferFunction:
     """Return tf + 1/k, the loop transformation for a slope restriction of k."""
     if not (0.0 < k < math.inf):
         raise InvalidGain(f"gain must be positive and finite, got {k!r}")
-    with np.errstate(over="ignore"):
-        num = tf.num.scale(k) + tf.den
-        den = tf.den.scale(k)
-    if not (math.isfinite(1.0 / k) and np.isfinite(np.append(num.coeffs, den.coeffs)).all()):
-        raise InvalidGain(f"gain {k!r} leaves 1/k or a coefficient of tf + 1/k not finite")
-    return TransferFunction(num, den)
+    if math.isfinite(1.0 / k):
+        # Polynomial rejects a coefficient that overflowed
+        with np.errstate(over="ignore"), contextlib.suppress(ValueError):
+            return TransferFunction(tf.num.scale(k) + tf.den, tf.den.scale(k))
+    raise InvalidGain(f"gain {k!r} leaves 1/k or a coefficient of tf + 1/k not finite")
 
 
 def _check_bracket(k_lo: float, k_hi: float, tol_k: float):

@@ -1,9 +1,14 @@
 """Condensed dense-tableau simplex for small LPs, re-optimised after added rows and columns.
 
-Solves  max c@x  s.t.  A x <= b,  x >= 0, starting from the slack basis; no
-artificial variables are needed.  When b >= 0 that basis is feasible and the
-primal rule alone runs; a negative b_i is put right by the dual rule below,
-with the costs shifted.
+Solves  max c@x  s.t.  A x <= b,  x >= 0, starting from the slack basis or
+from a given one; no artificial variables are needed.  When b >= 0 the slack
+basis is feasible and the primal rule alone runs; a negative b_i, or a given
+basis that is not primal feasible, is put right by the dual rule below, with
+the costs shifted.  A given basis is reinverted from A and b: with S its
+basic structurals and P the rows whose slacks are nonbasic, one solve with
+A[P, S] (of order |S| <= n, not m) gives the rows of x_S, and one product
+with A[R, S] those of the basic slacks of the other rows R.  A singular
+basis, or one that is not m distinct labels, leaves the slack basis.
 
 The tableau keeps only the columns of the n nonbasic variables and the
 right-hand side, with the reduced costs as its last row (the dictionary of
@@ -30,7 +35,8 @@ c[basis] @ T[:m, :n] - c[nonbasic] with c = 0 on slacks (cost shifting,
 Koberstein, The dual simplex method, 2005, ch. 4).  Both rules share one
 pivot.  Columns a with cost c enter nonbasic (Gilmore and Gomory, Oper.
 Res. 9(6), 1961), with B^-1 a and red = y a - c read off the slack columns
-(`inverse`).  `generate_rows` solves an LP whose rows and columns oracles supply.
+(`inverse`).  `generate_rows` solves an LP whose rows and columns oracles supply,
+from a basis of an earlier LP of the same shape when the caller has one.
 """
 
 from __future__ import annotations
@@ -53,12 +59,14 @@ class LpSolution:
     objective: Optional[float]
     iterations: int
     tableau: Optional[Tableau] = field(default=None, repr=False)
+    # set by `generate_rows`: the basis of its first optimal solve
+    first_basis: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 class Tableau:
     """Condensed tableau of max c@x s.t. A x <= b, x >= 0 that takes rows between solves."""
 
-    def __init__(self, c, A, b):
+    def __init__(self, c, A, b, basis=None):
         c = np.asarray(c, dtype=float)
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -69,12 +77,49 @@ class Tableau:
             raise ValueError("LP data must be finite")
         self.c = c
         self.T = np.zeros((m + 1, n + 1))
-        self.T[:m, :n] = A
-        self.T[:m, -1] = b
-        self.T[m, :n] = -c
         self.update = np.empty_like(self.T)
         self.nonbasic = np.arange(n)
         self.basis = np.arange(n, n + m)
+        if basis is None or not self._reinvert(A, b, np.asarray(basis)):
+            self.T[:m, :n] = A
+            self.T[:m, -1] = b
+            self.T[m, :n] = -c
+
+    def _reinvert(self, A, b, basis) -> bool:
+        """Build the tableau of ``basis`` (a label per row) from A and b; False, with
+        nothing changed, unless it is m distinct labels of a nonsingular basis.
+
+        With S the basic structurals, N the nonbasic ones and P the rows whose
+        slacks are nonbasic (|P| = |S|), rows P give x_S = A[P, S]^-1 (b_P -
+        A[P, N] x_N - s_P), one solve of order |S|, and the basic slacks of the
+        other rows R follow by one product with A[R, S]."""
+        m, n = A.shape
+        if basis.shape != (m,) or basis.dtype.kind not in "iu" or (
+                m and not 0 <= basis.min() <= basis.max() < n + m):
+            return False
+        basic = np.zeros(n + m, dtype=bool)
+        basic[basis] = True
+        if np.count_nonzero(basic) != m:
+            return False
+        nonbasic = (~basic).nonzero()[0]  # structurals N, then slacks of P
+        structural = basis < n
+        S, N, R = basis[structural], nonbasic[nonbasic < n], basis[~structural] - n
+        P = nonbasic[N.size :] - n
+        try:
+            Z = np.linalg.solve(A[np.ix_(P, S)],
+                                np.column_stack((A[np.ix_(P, N)], np.eye(P.size), b[P])))
+        except np.linalg.LinAlgError:
+            return False
+        if not np.isfinite(Z).all():
+            return False
+        T = self.T
+        T[:m][structural] = Z
+        rest = np.column_stack((A[np.ix_(R, N)], np.zeros((R.size, P.size)), b[R]))
+        T[:m][~structural] = rest - A[np.ix_(R, S)] @ Z
+        T[m] = self.c[S] @ Z  # red = c_B T - c_N, and the objective
+        T[m, : N.size] -= self.c[N]
+        self.basis, self.nonbasic = basis.copy(), nonbasic
+        return True
 
     def add_rows(self, A, b) -> None:
         """Append rows A x <= b, of any sign of b, with their slacks basic."""
@@ -182,55 +227,67 @@ class Tableau:
         else:
             raise LpNumericalFailure(f"simplex did not converge within {maxiter} pivots")
 
-        x_full = np.zeros(n + m)
-        x_full[self.basis] = rhs
-        x = x_full[:n]
+        x = self.vertex()
         return LpSolution("optimal", x, float(self.c @ x), it, self)
 
+    def vertex(self) -> np.ndarray:
+        """x of the basis: the structural part of the rhs, clamped at 0."""
+        m, n = self.basis.size, self.nonbasic.size
+        x = np.zeros(n + m)
+        x[self.basis] = np.maximum(self.T[:m, -1], 0.0)
+        return x[:n]
 
-def simplex_max_leq(c, A, b, maxiter: int = 100000) -> LpSolution:
+
+def simplex_max_leq(c, A, b, maxiter: int = 100000, basis=None,
+                    feas: float = _TOL) -> LpSolution:
     """Maximise c@x s.t. A x <= b, x >= 0; status "optimal" (x, objective),
     "unbounded" or "infeasible".
 
-    The solution carries its `Tableau`, which can take rows and re-solve.
-    Raises ValueError for inconsistent shapes or non-finite data, and
-    LpNumericalFailure when ``maxiter`` pivots reach no optimum.
+    Starts from the slack basis, or from ``basis`` (`Tableau`), and solves
+    with ``feas`` (`Tableau.solve`).  The solution carries its `Tableau`,
+    which can take rows and re-solve.  Raises ValueError for inconsistent
+    shapes or non-finite data, and LpNumericalFailure when ``maxiter``
+    pivots reach no optimum.
     """
-    return Tableau(c, A, b).solve(maxiter)
+    return Tableau(c, A, b, basis).solve(maxiter, feas)
 
 
-def _vertex(A, b, basis, x):
-    """The structural part, clamped at 0, of the vertex of ``basis`` (labelled as in
-    `Tableau`): [A I][:, basis] x_B = b, solved densely; x for a singular basis."""
-    full = np.zeros(A.shape[1] + b.size)
-    try:
-        full[basis] = np.linalg.solve(np.hstack([A, np.eye(b.size)])[:, basis], b)
-    except np.linalg.LinAlgError:
-        return x
-    return np.maximum(full[: A.shape[1]], 0.0)
-
-
-def generate_rows(c, A, b, more, feas=_TOL, price=None):
+def generate_rows(c, A, b, more, feas=_TOL, price=None, basis=None):
     """Maximise c@x s.t. A x <= b and the rows that ``more`` adds, x >= 0, over the
-    columns of A and those ``price`` adds.  Solves on A and b, appends the rows
-    ``more(x) -> (A_new, b_new)`` returns for the optimal x and the columns
-    ``price(y) -> (A_new, c_new)`` returns for the row duals y, and re-solves warm
-    (`Tableau.solve` with ``feas``) until neither adds any.
+    columns of A and those ``price`` adds.  Solves on A and b, from ``basis`` when
+    one is given (reinverted, `Tableau`), appends the rows ``more(x) -> (A_new,
+    b_new)`` returns for the optimal x and the columns ``price(y) -> (A_new, c_new)``
+    returns for the row duals y, and re-solves warm (`Tableau.solve` with ``feas``)
+    until neither adds any.
     An x read off the rhs that breaks a held row by over ten times feas + _TOL
     (|A_i| x + |b_i|), which rounding in the pivots does not reach, is recomputed
-    from the basis (`_vertex`).  A re-solve past 4 pivots per row (dual degenerate
-    rounds stall), or whose recomputed x still breaks a row, restarts cold; a cold
-    one that does raises LpNumericalFailure.  Returns the solution and the rows it holds."""
+    from A and b by reinverting its basis.  A warm solve (from ``basis``, or a
+    re-solve) past 4 pivots per row (dual degenerate rounds stall), or whose
+    recomputed x still breaks a row, restarts cold; a cold one that does raises
+    LpNumericalFailure.  Returns the solution, whose ``first_basis`` is the basis
+    of the first optimal solve on A and b, and the rows it holds."""
 
     def holds(x):
         # x holds its rows to feas, and to _TOL relative to |A_i| x + |b_i| for
         # rounding in the pivots; past ten times that the tableau has drifted
         return np.all(A @ x - b <= 10.0 * (feas + _TOL * (np.abs(A) @ x + np.abs(b))))
 
-    sol, warm = simplex_max_leq(c, A, b), False
+    def warm_or_cold(solve, *args):
+        """``solve(*args)`` and True, or, if it stalls, a cold solve and False."""
+        try:
+            return solve(*args), True
+        except LpNumericalFailure:
+            return simplex_max_leq(c, A, b), False
+
+    if basis is None:
+        sol, warm = simplex_max_leq(c, A, b), False
+    else:
+        sol, warm = warm_or_cold(simplex_max_leq, c, A, b, 4 * b.size, basis, feas)
+    first = None
     while sol.status == "optimal":
         if not holds(sol.x):
-            x = _vertex(A, b, sol.tableau.basis, sol.x)
+            fresh = Tableau(c, A, b, sol.tableau.basis)
+            x = fresh.vertex() if np.array_equal(fresh.basis, sol.tableau.basis) else sol.x
             if not holds(x):
                 if not warm:
                     raise LpNumericalFailure(
@@ -238,6 +295,8 @@ def generate_rows(c, A, b, more, feas=_TOL, price=None):
                 sol, warm = simplex_max_leq(c, A, b), False
                 continue
             sol.x, sol.objective = x, float(c @ x)
+        if first is None:
+            first = sol.tableau.basis.copy()
         A_new, b_new = more(sol.x)
         if b_new.size:
             A, b = np.vstack([A, A_new]), np.append(b, b_new)
@@ -248,8 +307,6 @@ def generate_rows(c, A, b, more, feas=_TOL, price=None):
         if c_col.size:
             A, c = np.hstack([A, A_col]), np.append(c, c_col)
             sol.tableau.add_cols(A_col, c_col)
-        try:
-            sol, warm = sol.tableau.solve(4 * b.size, feas), True
-        except LpNumericalFailure:
-            sol, warm = simplex_max_leq(c, A, b), False
+        sol, warm = warm_or_cold(sol.tableau.solve, 4 * b.size, feas)
+    sol.first_basis = first
     return sol, A, b

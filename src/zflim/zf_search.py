@@ -14,7 +14,8 @@ samples to g + 1/k.  Taps found at one slope move the bracket's lower end
 to their reach: the exact slope at which they stay positive on the whole
 circle, a ratio of trigonometric polynomials maximised, then proven, by
 the same root solve.  Each search after the first weights its margin by
-the last taps' Re{M}, so the taps it finds reach further past its slope.
+the last taps' Re{M}, so the taps it finds reach further past its slope,
+and starts its seed LP from the basis the last search's seed LP ended on.
 """
 
 from __future__ import annotations
@@ -122,7 +123,10 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     and Schaible (JOTA 47(1), 1985) normalise the Dinkelbach step (Mgmt.
     Sci. 13(7), 1967), so its taps reach further past s.  The l1 budget is
     the last seed row, so `generate_rows` raises LpNumericalFailure when the
-    LP's taps break it.
+    LP's taps break it.  The seed LP has the same shape at every s, so each
+    step after the first starts it from the basis the last step's first
+    optimal solve (on the seed) ended on, reinverted at s; the rows held and
+    the exchange rounds are those of a cold start.
 
     reach(k, k_hi) is 1/s*, s* = max -P/Q (`_extrema`) for the last taps' P and
     Q (`_laurent` of num and of den), backed off by REACH_BACKOFF and capped
@@ -140,6 +144,7 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     budget = np.append(np.ones(n_taps), 0.0)  # the l1 budget row, <= 1 - DELTA_NORM
     num, den = G.num.coeffs, G.den.coeffs
     last = np.zeros(idx.size)  # taps of the last accepted step
+    start = None  # the basis of the last step's first optimal solve, on the seed
 
     def rows(basis, g):
         """Rows a h + Re{M_last} t <= Re{g} - EPS_POS (1 + |g|) at the angles w of
@@ -153,7 +158,7 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
         return x[: idx.size] if class_tag == MONOTONE else x[: idx.size] - x[idx.size : n_taps]
 
     def step(s: float) -> Optional[FirMultiplier]:
-        nonlocal last
+        nonlocal last, start
         shifted = (G.num + G.den.scale(s)).coeffs
         A, b = rows(seed_basis, g_seed + s)
         # the LP's variable is t + shift >= 0, so the slack basis is feasible on the seed
@@ -173,7 +178,9 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
             return A_new, b_new + shift * A_new[:, -1]
 
         sol, _, _ = generate_rows(cost, np.vstack([A, budget]),
-                                  np.append(b + shift * A[:, -1], 1.0 - DELTA_NORM), minima)
+                                  np.append(b + shift * A[:, -1], 1.0 - DELTA_NORM), minima,
+                                  basis=start)
+        start = sol.first_basis
         if sol.status != "optimal":
             return None
         h = taps(sol.x)
@@ -228,7 +235,8 @@ def bisect_lower_bound(
     So each accepted search, first at k_lo, moves k_lo to its taps' reach
     (`_search`), proven by `_extrema`, and a failed one moves k_hi to its
     slope.  Each search after the first normalises its margin by the last
-    taps, so the reach jumps toward the bound.  The result is the reach of
+    taps, so the reach jumps toward the bound, and starts its seed LP from
+    the last search's seed basis (`_search`).  The result is the reach of
     the last accepted taps, and a search fails within tol_k above it.
     """
     _check_bracket(k_lo, k_hi, tol_k)

@@ -21,9 +21,10 @@ from zflim.lti_core import (
     evaluate,
     frequency_response,
     is_stable,
+    nyquist_value,
     shift_by_inverse_gain,
 )
-from zflim.phase_limits import single_freq_certificate
+from zflim.phase_limits import scan_upper_bound, single_freq_certificate
 from zflim.plants import BUILTIN
 from zflim.rational_core import MONOTONE, ODD, RationalFrequency
 from zflim.simplex import generate_rows, simplex_max_leq
@@ -266,6 +267,42 @@ class TestBisectUpperBound:
             shifted = shift_by_inverse_gain(plants[name], k)
             assert lp_certificate(shifted, 20, cls) is not None, (name, cls)
 
+    @pytest.mark.parametrize("beta", [60, 210])
+    def test_warm_probes_match_cold_probes(self, plants, monkeypatch, beta):
+        # each probe after the first starts from the rows, frequencies and
+        # final basis of the one before; a fresh `_certifier` per probe starts
+        # every LP from the seed and the slack basis.  On `zflim analyze`'s
+        # bracket of the 12 pairs both give the same bound to 1e-10, or both
+        # find no certificate at the cap (ex1/monotone at beta 60)
+        certifier, probes = duality_lp._certifier, []
+
+        def cold(g, cls):
+            def certify(k):
+                probes.append(k)
+                return certifier(g, cls)(k)
+
+            return certify
+
+        def bounds():
+            out = []
+            for name, cls in sorted(KNOWN_SINGLE_FREQ):
+                tf = plants[name]
+                cap = min(scan_upper_bound(tf, cls).k_upper, nyquist_value(tf))
+                k_lo = KNOWN_LOWER[(name, cls)][0] * (1 - 1e-4)
+                try:
+                    out.append(bisect_upper_bound(tf, beta, cls, k_lo, cap, 1e-4))
+                except BracketInvalid:
+                    out.append(None)
+            return out
+
+        warm = bounds()
+        monkeypatch.setattr(duality_lp, "_certifier", cold)
+        for got, want in zip(bounds(), warm):
+            assert (got is None) == (want is None)
+            assert want is None or abs(got - want) <= 1e-10 * want, (got, want)
+        assert len(probes) > len(warm) + 1  # some bisections probed warm
+        assert (warm[0] is None) == (beta == 60)
+
     def test_always_certified_plant_rejects_bracket(self):
         with pytest.raises(BracketInvalid):
             bisect_upper_bound(
@@ -281,12 +318,12 @@ class TestBisectUpperBound:
 
 def certificate_at(g, beta, cls):
     """The certificate LP on the rows of the samples g, as `lp_certificate` builds them."""
-    return duality_lp._certificate(g, math.inf, cls)
+    return duality_lp._certifier(g, cls)(math.inf)
 
 
 def full_lp_certificate(g, beta, cls, by_rows=False):
     """The certificate LP on the full dense game, every row and every column,
-    with the exact shift 1 - min W, and accepted as `_certificate` accepts
+    with the exact shift 1 - min W, and accepted as `_certifier` accepts
     it: weights at rounding level dropped, residual <= TOL_LP.  Solved
     directly, or with ``by_rows`` by row generation on the dense rows, every
     column held (a direct solve takes ~17 s at beta 630)."""
@@ -402,13 +439,18 @@ class TestCertifiedSlope:
     def test_deep_grid_bracket_lp_count(self, plants, monkeypatch):
         # criterion 3's bracket: each LP lowers the bound by tol_k or more, or ends
         lps = []
-        certificate = duality_lp._certificate
+        certifier = duality_lp._certifier
 
         def counting(*args):
-            lps.append(args)
-            return certificate(*args)
+            certify = certifier(*args)
 
-        monkeypatch.setattr(duality_lp, "_certificate", counting)
+            def counted(k):
+                lps.append(k)
+                return certify(k)
+
+            return counted
+
+        monkeypatch.setattr(duality_lp, "_certifier", counting)
         k = bisect_upper_bound(plants["ex1"], 250, ODD, 13.0, 14.0, 1e-4)
         assert abs(k - 13.5117) <= 5e-4
         assert len(lps) <= 7

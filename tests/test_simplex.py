@@ -179,6 +179,79 @@ def test_rounding_perturbed_certificate_game_solves(plants):
     assert sol.status == "optimal"
 
 
+class TestReinversion:
+    """`Tableau` started from a given basis, rebuilt from A and b."""
+
+    def test_optimal_basis_rebuilds_the_solved_tableau(self):
+        # at a cold solve's optimal basis the reinverted tableau is the solved
+        # one, its columns in label order, to 1e-12 of the largest entry, and
+        # it is optimal as it stands
+        rng = np.random.default_rng(28)
+        kinds = ["real", "integer", "game", "integer game"]
+        checked = 0
+        for trial in range(200):
+            c, A, b = _random_lp(rng, kinds[trial % len(kinds)])
+            sol = simplex_max_leq(c, A, b)
+            if sol.status != "optimal":
+                continue
+            solved = sol.tableau
+            fresh = simplex.Tableau(c, A, b, solved.basis)
+            order = np.argsort(solved.nonbasic)
+            assert np.array_equal(fresh.basis, solved.basis), trial
+            assert np.array_equal(fresh.nonbasic, solved.nonbasic[order]), trial
+            want = np.column_stack((solved.T[:, :-1][:, order], solved.T[:, -1]))
+            assert np.max(np.abs(fresh.T - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), trial
+            assert fresh.solve().iterations == 0, trial
+            checked += 1
+        assert checked >= 100
+
+    def test_old_basis_reaches_the_vertex_enumeration_optimum(self):
+        # each LP perturbed after its solve and started from the old optimal
+        # basis, which may now be primal or dual infeasible (or both), ends at
+        # the optimum of the oracle, or is infeasible where the oracle finds no
+        # vertex
+        rng = np.random.default_rng(2028)
+        solved = infeasible = 0
+        for trial in range(150):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+            A, b, c = rng.normal(size=(m, n)), rng.uniform(0.2, 2.0, size=m), rng.normal(size=n)
+            old = simplex_max_leq(c, A, b)
+            if old.status != "optimal":
+                continue
+            A, b, c = (v + 0.3 * rng.normal(size=v.shape) for v in (A, b, c))
+            assert np.array_equal(simplex.Tableau(c, A, b, old.tableau.basis).basis,
+                                  old.tableau.basis), trial
+            sol = simplex_max_leq(c, A, b, basis=old.tableau.basis)
+            oracle = _vertex_enumeration_optimum(c, A, b)
+            if sol.status == "unbounded":
+                continue  # as in test_random_problems_match_vertex_enumeration
+            if oracle is None:
+                assert sol.status == "infeasible", trial
+                infeasible += 1
+                continue
+            assert sol.status == "optimal", trial
+            assert sol.objective == pytest.approx(oracle, abs=1e-7), trial
+            assert np.all(A @ sol.x <= b + 1e-8), trial
+            solved += 1
+        assert solved >= 50 and infeasible >= 1, (solved, infeasible)
+
+    @pytest.mark.parametrize("basis", [
+        [0, 1, 5],  # columns 0 and 1 are equal, so A[P, S] is singular
+        [0, 2],  # one label short
+        [0, 0, 5],  # a label twice
+        [0, 2, 6],  # past the last slack
+        [-1, 2, 5],
+        [0.0, 2.0, 5.0],  # not labels
+    ])
+    def test_unusable_basis_leaves_the_slack_basis(self, basis):
+        c, A, b = np.array([1.0, 2.0, 3.0]), np.array([[1.0, 1.0, 2.0], [2.0, 2.0, 1.0],
+                                                        [1.0, 1.0, 1.0]]), np.ones(3)
+        fresh, slack = simplex.Tableau(c, A, b, np.array(basis)), simplex.Tableau(c, A, b)
+        assert np.array_equal(fresh.T, slack.T)
+        assert np.array_equal(fresh.basis, slack.basis)
+        assert np.array_equal(fresh.nonbasic, slack.nonbasic)
+
+
 def _random_lp(rng, kind):
     m = int(rng.integers(1, 25))
     n = int(rng.integers(1, 20))
@@ -371,7 +444,7 @@ def test_deep_grid_rounds_restore_dual_feasibility(plants):
         violations = A @ sol.x - b
         violations[active] = -np.inf
         worst = np.argsort(violations)[-24:]
-        worst = worst[violations[worst] > 1e-14]  # the tolerances of `_certificate`
+        worst = worst[violations[worst] > 1e-14]  # the tolerances of `_certifier`
         if worst.size == 0:
             break
         active = np.union1d(active, worst)
@@ -438,14 +511,14 @@ def test_certificate_lps_seed_one_rule(plants, monkeypatch):
     # a round, each of negative reduced cost under the row duals
     seeds, priced = [], []
 
-    def spying(c, A, b, more, feas=simplex._TOL, price=None):
+    def spying(c, A, b, more, feas=simplex._TOL, price=None, basis=None):
         def pricing(y):
             A_col, c_col = price(y)
             priced.append((y @ A_col - c_col, c_col.size))
             return A_col, c_col
 
         seeds.append(A)
-        return generate_rows(c, A, b, more, feas, pricing)
+        return generate_rows(c, A, b, more, feas, pricing, basis)
 
     monkeypatch.setattr(duality_lp, "generate_rows", spying)
     for beta, cls in [(60, ODD), (160, MONOTONE)]:
@@ -485,6 +558,27 @@ def test_stalled_warm_resolve_restarts_cold(monkeypatch):
     assert sol.objective == pytest.approx(simplex_max_leq(c, A, b).objective, abs=1e-9)
 
 
+def test_stalled_warm_start_restarts_cold(monkeypatch):
+    # a first solve from a basis that stalls is redone cold on the same rows,
+    # and the basis that solve ends on is the one reported
+    cold, started = simplex.simplex_max_leq, []
+
+    def stalling(c, A, b, maxiter=100000, basis=None, feas=_TOL):
+        if basis is not None:
+            started.append(maxiter)
+            raise LpNumericalFailure(f"no optimum within {maxiter} pivots")
+        return cold(c, A, b, maxiter, basis, feas)
+
+    c, A, b = _game(np.random.default_rng(5))
+    A_seed, b_seed, more, _ = _seeded(A, b, 0.0)
+    want = cold(c, A_seed, b_seed).tableau.basis
+    monkeypatch.setattr(simplex, "simplex_max_leq", stalling)
+    sol, _, _ = generate_rows(c, A_seed, b_seed, more, basis=want)
+    assert started == [4 * b_seed.size]
+    assert np.array_equal(sol.first_basis, want)
+    assert sol.objective == pytest.approx(cold(c, A, b).objective, abs=1e-9)
+
+
 def test_drifted_warm_resolve_restarts_cold(monkeypatch):
     # a warm re-solve whose x breaks a held row past the bound is redone cold
     # on the rows held (a cold solve that does raises, below)
@@ -517,18 +611,13 @@ class TestResidualCheck:
 
     def test_drifted_solution_raises(self, monkeypatch):
         c, A, b = _game(np.random.default_rng(7))
-        solve, vertex = simplex.Tableau.solve, simplex._vertex
+        vertex = simplex.Tableau.vertex
 
         def drifting(scale):
             # every binding row A_i x = b_i breaks, both for the x read off the
-            # rhs and for the one recomputed from the basis
-            def solved(self, *args, **kwargs):
-                sol = solve(self, *args, **kwargs)
-                sol.x = sol.x * scale
-                return sol
-
-            monkeypatch.setattr(simplex.Tableau, "solve", solved)
-            monkeypatch.setattr(simplex, "_vertex", lambda *args: vertex(*args) * scale)
+            # rhs and for the one recomputed from the basis: `Tableau.vertex`
+            # makes both
+            monkeypatch.setattr(simplex.Tableau, "vertex", lambda self: vertex(self) * scale)
 
         drifting(1.0 + 1e-12)
         assert generate_rows(c, *_seeded(A, b, 1e-9)[:3])[0].status == "optimal"
@@ -564,8 +653,8 @@ class TestResidualCheck:
 
         ratios = []
 
-        def checked(c, A, b, more, feas=simplex._TOL, price=None):
-            sol, A_held, b_held = generate_rows(c, A, b, more, feas, price)
+        def checked(c, A, b, more, feas=simplex._TOL, price=None, basis=None):
+            sol, A_held, b_held = generate_rows(c, A, b, more, feas, price, basis)
             if sol.status == "optimal":  # a search LP may be infeasible
                 bound = 10.0 * (feas + simplex._TOL * (np.abs(A_held) @ sol.x + np.abs(b_held)))
                 ratios.append(np.max((A_held @ sol.x - b_held) / bound))

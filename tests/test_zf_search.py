@@ -175,8 +175,8 @@ class TestWarmStartedRounds:
             simplex.simplex_max_leq, simplex.Tableau.add_rows, simplex.Tableau.solve)
         lps = {}  # tableau -> [c, A, b, latest solution]
 
-        def recording(c, A, b, maxiter=100000):
-            sol = cold_solve(c, A, b, maxiter)
+        def recording(c, A, b, maxiter=100000, basis=None, feas=simplex._TOL):
+            sol = cold_solve(c, A, b, maxiter, basis, feas)
             lps[sol.tableau] = [c, A, b, sol]
             return sol
 
@@ -226,8 +226,8 @@ class TestWarmStartedRounds:
         margin, restarts = [], []
         generate_rows, add_rows = zf_search.generate_rows, simplex.Tableau.add_rows
 
-        def recording(*args):
-            sol, A, b = generate_rows(*args)
+        def recording(*args, **kwargs):
+            sol, A, b = generate_rows(*args, **kwargs)
             margin.append(sol.objective)
             return sol, A, b
 
@@ -253,6 +253,32 @@ class TestWarmStartedRounds:
             else:
                 assert got[0] == want[0]
                 assert got[1] == want[1] or got[1] == pytest.approx(want[1], abs=1e-9)
+
+    def test_seed_bases_keep_the_lower_bounds(self, plants, monkeypatch):
+        # each search after the first starts its seed LP from the basis the
+        # last one's seed LP ended on; with every LP cold instead, k_lower
+        # moves by less than tol_k (the degenerate optima of ex1, ex4 and ex6
+        # monotone end on other vertices), and the warm one is proven by its
+        # last taps
+        generate_rows, bases, steps = zf_search.generate_rows, [], []
+
+        def cold(*args, basis=None, **kwargs):
+            bases.append(basis)
+            return generate_rows(*args, **kwargs)
+
+        recording_search(monkeypatch, steps)
+        for name, cls in sorted(KNOWN_SINGLE_FREQ):
+            bracket = analyze_bracket(plants[name], cls)
+            del steps[:]
+            warm = bisect_lower_bound(plants[name], SearchConfig(n_z=8), cls, *bracket, 1e-4)
+            last = [mult for _, mult in steps if mult is not None][-1]
+            assert proven_at(plants[name], last, 8, warm), (name, cls)
+            with monkeypatch.context() as patched:
+                patched.setattr(zf_search, "generate_rows", cold)
+                got = bisect_lower_bound(plants[name], SearchConfig(n_z=8), cls, *bracket, 1e-4)
+            assert abs(got - warm) <= 1e-4, (name, cls, got, warm)
+        # only the first search of each bisection has no seed basis to start from
+        assert sum(basis is None for basis in bases) == len(KNOWN_SINGLE_FREQ) < len(bases) / 3
 
     def test_dual_degenerate_rounds_terminate(self):
         # a random plant on which a plain minimum-ratio dual rule cycled: all
@@ -487,22 +513,15 @@ class TestTapBudget:
         # the LP's x breaks the l1-budget row: taps summing to 1.0001 and a
         # margin low enough that no other seed row is violated; the budget is
         # a held row, so the residual check of `generate_rows` raises.  The x
-        # recomputed from the basis is broken the same way
-        solve = simplex.Tableau.solve
-
-        def broken(size):
+        # recomputed from the basis is broken the same way: `Tableau.vertex`
+        # makes both
+        def broken(self):
+            size = self.nonbasic.size
             x = np.full(size, 1.0001 / (size - 1))
             x[-1] = -1e6
             return x
 
-        def breaking(self, maxiter=100000):
-            sol = solve(self, maxiter)
-            if sol.status == "optimal":
-                sol.x = broken(sol.x.size)
-            return sol
-
-        monkeypatch.setattr(simplex.Tableau, "solve", breaking)
-        monkeypatch.setattr(simplex, "_vertex", lambda A, b, basis, x: broken(x.size))
+        monkeypatch.setattr(simplex.Tableau, "vertex", broken)
 
     def test_search_raises_typed_failure(self, plants, over_budget):
         shifted = shift_by_inverse_gain(plants["ex2"], 3.8)

@@ -26,7 +26,9 @@ method shows on its own line: `legacy` (both settings), `scans`, and `tight`
 It also prints, per --lp-beta, the `Tableau.solve` calls, the pivots and the
 stability checks (`is_stable` calls) of the 12 analyze runs, their certificate
 and search LPs (`generate_rows` calls) with the cold solves those took (the
-first and any restart), and their whole-circle root solves
+first of each bisection, and any restart) and their warm starts (from the
+basis of an earlier LP), with how many of those fell back to a cold solve
+at once, and their whole-circle root solves
 (`zf_search._extrema` calls) with the summed and the largest order of the
 eigenproblems those solved; per `certify-deep` LP, the rows and columns it held
 at the end, its pivots, and its cold solves and warm ones; and, per legacy
@@ -95,18 +97,28 @@ def main(argv) -> int:
         finally:
             np.linalg.eigvals = eigvals
 
-    cold_solve = simplex.simplex_max_leq
+    start = simplex.simplex_max_leq
 
-    def counted_cold(*args, **kwargs):
-        counts["cold"] += 1
-        return cold_solve(*args, **kwargs)
+    def counted_start(c, A, b, maxiter=100000, basis=None, feas=simplex._TOL):
+        if basis is None:
+            counts["cold"] += 1
+            # a cold solve straight after a warm start, with no solve between, is its fallback
+            counts["fallback"] += counts["solve"] == counts["warm ended"]
+            return start(c, A, b, maxiter, basis, feas)
+        counts["warm"] += 1
+        try:
+            return start(c, A, b, maxiter, basis, feas)
+        finally:
+            counts["warm ended"] = counts["solve"]
 
     def counted_lps(generate_rows, layer):
         def counted(*args, **kwargs):
-            cold = counts["cold"]
+            before = {kind: counts[kind] for kind in ("cold", "warm", "fallback")}
+            counts["warm ended"] = -1
             sol, A, b = generate_rows(*args, **kwargs)
             counts[layer] += 1
-            counts[layer + " cold"] += counts["cold"] - cold
+            for kind, count in before.items():
+                counts[f"{layer} {kind}"] += counts[kind] - count
             counts["held"] = A.shape
             return sol, A, b
 
@@ -116,7 +128,7 @@ def main(argv) -> int:
     patched = [(simplex.Tableau, "_pivot", counted_pivot), (simplex.Tableau, "solve", counted_solve),
                *((module, "is_stable", counted_is_stable)
                  for module in (lti_core, phase_limits, duality_lp, zf_search, interval_limits)),
-               (simplex, "simplex_max_leq", counted_cold), (zf_search, "_extrema", counted_extrema),
+               (simplex, "simplex_max_leq", counted_start), (zf_search, "_extrema", counted_extrema),
                (duality_lp, "generate_rows", counted_lps(duality_lp.generate_rows, "certificate")),
                (zf_search, "generate_rows", counted_lps(zf_search.generate_rows, "search"))]
     originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in patched]
@@ -141,11 +153,12 @@ def main(argv) -> int:
                     reports.update(json.dumps([code, report], sort_keys=True).encode())
             print(f"analyze --lp-beta {lp_beta}: {counts['solve']} Tableau.solve calls, "
                   f"{counts['pivots']} pivots, {counts['stable']} stability checks")
-            print(f"analyze --lp-beta {lp_beta}: {counts['certificate']} certificate LPs with "
-                  f"{counts['certificate cold']} cold solves, {counts['search']} search LPs with "
-                  f"{counts['search cold']} cold solves, {counts['extrema']} whole-circle "
-                  f"root solves of summed order {counts['order']} (largest "
-                  f"{counts['largest order']})")
+            for layer in ("certificate", "search"):
+                print(f"analyze --lp-beta {lp_beta}: {counts[layer]} {layer} LPs with "
+                      f"{counts[layer + ' cold']} cold solves and {counts[layer + ' warm']} warm "
+                      f"starts, {counts[layer + ' fallback']} of which fell back to cold")
+            print(f"analyze --lp-beta {lp_beta}: {counts['extrema']} whole-circle root solves of "
+                  f"summed order {counts['order']} (largest {counts['largest order']})")
 
     name, beta, slopes = CERTIFY_DEEP
     for k in slopes:
