@@ -295,7 +295,8 @@ def cmd_analyze(args) -> int:
         with _stage(wall_times, "lower_bound"):
             try:
                 k_lower["value"] = bisect_lower_bound(
-                    tf, SearchConfig(n_z=args.nz), args.class_tag, cap / 1000.0, cap, args.tol_k
+                    tf, SearchConfig(n_z=args.nz), args.class_tag, cap / 1000.0, cap, args.tol_k,
+                    witness.omega if scan.k_upper == cap else None,
                 )
             except BracketInvalid as exc:
                 report["note"] = f"lower-bound bracket failed: {exc}"
@@ -358,6 +359,13 @@ def _print_report(r: dict):
         print(f"note             {r['note']}")
 
 
+def _lp_beta(text: str) -> int:
+    """An LP grid beta, refused below 2 before any stage runs."""
+    if not (text.strip().lstrip("+").isdigit() and int(text) >= 2):
+        raise argparse.ArgumentTypeError(f"need an integer beta of at least 2, got {text!r}")
+    return int(text)
+
+
 @functools.cache  # one parser per process; each parse returns a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -370,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_plant_args(p)
     _class_arg(p)
     p.add_argument("--beta-max", type=int, default=DEFAULT_BETA_MAX)
-    p.add_argument("--lp-beta", type=int, default=210)
+    p.add_argument("--lp-beta", type=_lp_beta, default=210)
     p.add_argument("--nz", type=int, default=8)
     p.add_argument("--tol-k", type=float, default=1e-4)
     p.set_defaults(func=cmd_analyze)

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import BracketInvalid, LpNumericalFailure, NotStable
 from .lti_core import TransferFunction, frequency_response, is_stable
 from .lti_core import _check_bracket
+from .phase_limits import _rational_slopes
 from .rational_core import MONOTONE, _check_class
 from .simplex import generate_rows, simplex_max_leq  # noqa: F401 (perfbench/selftest.py checks it)
 
@@ -84,6 +85,18 @@ def _certified_slope(a: np.ndarray, d: np.ndarray) -> float:
     on = d > 1e-12 * d.max()
     s = float(np.min(-a[on] / d[on]))
     return 1.0 / s if s > 0.0 else math.inf
+
+
+def _column_certificate(g: np.ndarray, class_tag: str, k: float) -> Optional[np.ndarray]:
+    """The weights e_r on the one grid column r whose single-frequency slope
+    bound (`phase_limits._rational_slopes` at r/beta in lowest terms) is least,
+    if they pass the residual gate at slope k, else None."""
+    beta = g.size + 1
+    r = np.arange(1, beta)
+    common = np.gcd(r, beta)
+    column = np.zeros(g.size)
+    column[np.argmin(_rational_slopes(g, r // common, beta // common, class_tag))] = 1.0
+    return column if _residual(g + 1.0 / k, column, class_tag) <= TOL_LP else None
 
 
 def _residual(g: np.ndarray, lambdas: np.ndarray, class_tag: str) -> float:
@@ -194,27 +207,35 @@ def bisect_upper_bound(
     D/k of g + 1/k, A those of G and D those of the constant 1, 1 -+
     cos(omega_r*i) >= 0.  So weights lambda >= 0 keep every row non-positive
     exactly at the slopes k >= k(lambda) = max_i D_i lambda / (-A_i lambda)
-    (`_certified_slope`, from FFT products on all rows).  Each
-    certificate, first at k_hi, moves the bound to min(probe, k(lambda)), and
-    the next LP probes tol_k below it (at most down to k_lo, where a
-    certificate fails the bracket) until a probe finds none.  The first LP
-    starts cold (`lp_certificate`); each later one holds the rows and
-    frequencies the one before ended with, and starts from its final basis,
-    reinverted at the new slope (`_certifier`).
+    (`_certified_slope`, from FFT products on all rows).  The certificate at
+    k_hi is first sought in closed form: the weights on the grid column of
+    least single-frequency cone slope, which pass the same residual gate as
+    an LP's (`_column_certificate`); only when they fail does an LP run at
+    k_hi.  Each certificate moves the bound to min(probe, k(lambda)), and the
+    next LP probes tol_k below it (at most down to k_lo, where a certificate
+    fails the bracket) until a probe finds none.  The first LP starts cold
+    (`lp_certificate`); each later one holds the rows and frequencies the one
+    before ended with, and starts from its final basis, reinverted at the
+    new slope (`_certifier`).
     """
     _check_bracket(k_lo, k_hi, tol_k)
     _check_class(class_tag)
     g = _grid_samples(G, beta)
     certify = _certifier(g, class_tag)
+    lambdas = _column_certificate(g, class_tag, k_hi)
+    if lambdas is None:
+        cert = certify(k_hi)
+        if cert is None:
+            raise BracketInvalid(f"no certificate at k_hi={k_hi}")
+        lambdas = cert.lambdas
     probe = k_hi
     while True:
+        a, d = (_products(h, lambdas, class_tag) for h in (g, np.ones(g.size)))
+        hi = min(probe, _certified_slope(a, d))
+        probe = max(hi - tol_k, k_lo)
         cert = certify(probe)
         if cert is None:
-            if probe == k_hi:
-                raise BracketInvalid(f"no certificate at k_hi={k_hi}")
             return hi
         if probe == k_lo:
             raise BracketInvalid(f"certificate already exists at k_lo={k_lo}")
-        a, d = (_products(h, cert.lambdas, class_tag) for h in (g, np.ones(g.size)))
-        hi = min(probe, _certified_slope(a, d))
-        probe = max(hi - tol_k, k_lo)
+        lambdas = cert.lambdas

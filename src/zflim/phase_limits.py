@@ -60,6 +60,15 @@ def _cone_slopes(g, half_angle) -> np.ndarray:
     return np.where(np.isfinite(k), k, np.nan)
 
 
+def _rational_slopes(g, alpha, beta, class_tag: str) -> np.ndarray:
+    """Single-frequency slope bounds from the samples g at (alpha/beta)*pi,
+    alpha/beta in lowest terms (integers or integer arrays): the cone slope
+    at half-angle pi/`_cone_denominator`, inf where it bounds nothing (NaN or
+    k <= 0)."""
+    k = _cone_slopes(g, math.pi / _cone_denominator(alpha, beta, class_tag))
+    return np.where(k > 0.0, k, math.inf)
+
+
 def single_freq_certificate(
     G: TransferFunction, rf: RationalFrequency, class_tag: str, tol: float = 0.0
 ) -> bool:
@@ -96,9 +105,8 @@ def single_freq_upper_bound(
     _check_class(class_tag)
     if not is_stable(G):
         raise NotStable("bound applies to stable plants")
-    half_angle = math.pi / _cone_denominator(rf.alpha, rf.beta, class_tag)
-    k = float(_cone_slopes(evaluate(G, rf.omega), half_angle))
-    return k if k > 0.0 else None
+    k = float(_rational_slopes(evaluate(G, rf.omega), rf.alpha, rf.beta, class_tag))
+    return k if k < math.inf else None
 
 
 def _coprime_grid(beta_max: int):
@@ -121,11 +129,10 @@ def scan_upper_bound(
 ) -> SlopeBoundResult:
     """Minimum single-frequency bound over all rational frequencies up to beta_max.
 
-    The same closed form as `single_freq_upper_bound` at every frequency of
-    `coprime_pairs(beta_max)`, in its order: the cone slope of `_cone_slopes`
-    at the half-angle pi/`_cone_denominator`, with one vectorised response
-    evaluation for the whole grid and one stability check, not one per
-    frequency.  The first of equal minima is the witness.
+    The same closed form as `single_freq_upper_bound` (`_rational_slopes`)
+    at every frequency of `coprime_pairs(beta_max)`, in its order, with one
+    vectorised response evaluation for the whole grid and one stability
+    check, not one per frequency.  The first of equal minima is the witness.
     """
     _check_class(class_tag)
     if beta_max < 2:
@@ -134,9 +141,7 @@ def scan_upper_bound(
         raise NotStable("scan applies to stable plants")
     alpha, beta = _coprime_grid(beta_max)
     omega = alpha * math.pi / beta  # as `RationalFrequency.omega`
-    half_angle = math.pi / _cone_denominator(alpha, beta, class_tag)
-    k_all = _cone_slopes(frequency_response(G, omega), half_angle)
-    k_all = np.where(k_all > 0.0, k_all, math.inf)  # NaN and k <= 0 bound nothing
+    k_all = _rational_slopes(frequency_response(G, omega), alpha, beta, class_tag)
     i = int(np.argmin(k_all))  # the first of equal minima
     witness = RationalFrequency(int(alpha[i]), int(beta[i])) if k_all[i] < math.inf else None
     return SlopeBoundResult(float(k_all[i]), witness, class_tag)

@@ -126,7 +126,12 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     LP's taps break it.  The seed LP has the same shape at every s, so each
     step after the first starts it from the basis the last step's first
     optimal solve (on the seed) ended on, reinverted at s; the rows held and
-    the exchange rounds are those of a cold start.
+    the exchange rounds are those of a cold start.  step(s, witness) adds the
+    row at the angle witness to the first round's minima, after that solve,
+    so the seed basis it leaves is unchanged: at a frequency where G + s
+    leaves the cone every multiplier of the class can reach (the scan
+    witness at its own slope), Re{M g} <= 0 there for every taps, so that
+    row alone makes the margin negative.
 
     reach(k, k_hi) is 1/s*, s* = max -P/Q (`_extrema`) for the last taps' P and
     Q (`_laurent` of num and of den), backed off by REACH_BACKOFF and capped
@@ -157,9 +162,10 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     def taps(x):
         return x[: idx.size] if class_tag == MONOTONE else x[: idx.size] - x[idx.size : n_taps]
 
-    def step(s: float) -> Optional[FirMultiplier]:
+    def step(s: float, witness: Optional[float] = None) -> Optional[FirMultiplier]:
         nonlocal last, start
         shifted = (G.num + G.den.scale(s)).coeffs
+        held = [] if witness is None else [witness]  # joins the first round's minima
         A, b = rows(seed_basis, g_seed + s)
         # the LP's variable is t + shift >= 0, so the slack basis is feasible on the seed
         shift = 1.0 + max(0.0, float(np.max(-b / A[:, -1])))
@@ -174,6 +180,8 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
             w = w[(p < 0.0) & (p <= np.append(p[1:], np.inf)) & (p <= np.append(np.inf, p[:-1]))]
             if not w.size:
                 return A[:0], b[:0]
+            w = np.append(w, held)
+            held.clear()
             A_new, b_new = rows(np.exp(-1j * np.outer(w, idx)), frequency_response(G, w) + s)
             return A_new, b_new + shift * A_new[:, -1]
 
@@ -223,6 +231,7 @@ def bisect_lower_bound(
     k_lo: float,
     k_hi: float,
     tol_k: float,
+    witness: Optional[float] = None,
 ) -> float:
     """Largest slope (within tol_k) at which a multiplier is found or proven.
 
@@ -236,15 +245,19 @@ def bisect_lower_bound(
     (`_search`), proven by `_extrema`, and a failed one moves k_hi to its
     slope.  Each search after the first normalises its margin by the last
     taps, so the reach jumps toward the bound, and starts its seed LP from
-    the last search's seed basis (`_search`).  The result is the reach of
-    the last accepted taps, and a search fails within tol_k above it.
+    the last search's seed basis (`_search`).  Given a witness angle at which
+    no multiplier of the class exists at k_hi (the scan witness when k_hi is
+    the scan bound), the search at k_hi holds that row from its first
+    exchange round, so it fails after one round and leaves the same seed
+    basis, and the result does not change.  The result is the reach of the
+    last accepted taps, and a search fails within tol_k above it.
     """
     _check_bracket(k_lo, k_hi, tol_k)
     step, reach = _search(G, config, class_tag)
     if step(1.0 / k_lo) is None:
         raise BracketInvalid(f"search fails already at k_lo={k_lo}")
     k_lo = reach(k_lo, k_hi)
-    if step(1.0 / k_hi) is not None:
+    if step(1.0 / k_hi, witness) is not None:
         raise BracketInvalid(f"search still succeeds at k_hi={k_hi}")
 
     def test(k):

@@ -504,6 +504,17 @@ class TestAnalyze:
         assert "k_lower" in done.stdout
         assert json.loads(out.read_text())["plant"] == "ex2"
 
+    @pytest.mark.parametrize("lp_beta", ["1", "0", "-5", "2.5", "x"])
+    def test_lp_beta_below_two_exits_three_before_any_stage(self, monkeypatch, capsys, lp_beta):
+        # the LP grid needs beta >= 2; the parser refuses a smaller one before
+        # the lower-bound search runs
+        searches = []
+        monkeypatch.setattr(cli, "bisect_lower_bound", lambda *args: searches.append(args))
+        assert run(["analyze", "--example", "ex1", "--class", "odd", "--nz", "128",
+                    f"--lp-beta={lp_beta}"]) == 3
+        assert searches == []
+        assert "need an integer beta of at least 2" in capsys.readouterr().err
+
     def test_nan_tol_k_exit_code(self):
         assert run([
             "analyze", "--example", "ex2", "--class", "monotone",

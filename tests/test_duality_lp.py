@@ -3,11 +3,12 @@
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from zflim import duality_lp
+from zflim import cli, duality_lp
 from zflim.duality_lp import (
     bisect_upper_bound,
     certificate_residual,
@@ -24,7 +25,7 @@ from zflim.lti_core import (
     nyquist_value,
     shift_by_inverse_gain,
 )
-from zflim.phase_limits import scan_upper_bound, single_freq_certificate
+from zflim.phase_limits import scan_upper_bound, single_freq_certificate, single_freq_upper_bound
 from zflim.plants import BUILTIN
 from zflim.rational_core import MONOTONE, ODD, RationalFrequency
 from zflim.simplex import generate_rows, simplex_max_leq
@@ -314,6 +315,92 @@ class TestBisectUpperBound:
             bisect_upper_bound(
                 constant(1.0), beta=6, class_tag=MONOTONE, k_lo=0.5, k_hi=2.0, tol_k=1e-3
             )
+
+
+def analyze_cap(tf, cls):
+    """The cap `zflim analyze` hands the upper bisection as k_hi."""
+    return min(scan_upper_bound(tf, cls).k_upper, nyquist_value(tf))
+
+
+class TestColumnCertificate:
+    """The closed-form certificate at k_hi: weights on the grid column of least cone slope."""
+
+    @pytest.mark.parametrize("beta", [20, 60, 160, 210])
+    def test_column_agrees_with_the_lp_and_the_scan(self, plants, beta):
+        # whenever the column passes the residual gate at the cap, the LP at
+        # the cap certifies too, and the column's k(e_r) is the closed-form
+        # single-frequency bound at r/beta
+        columns = 0
+        for name, cls in sorted(KNOWN_SINGLE_FREQ):
+            tf = plants[name]
+            cap = analyze_cap(tf, cls)
+            g = duality_lp._grid_samples(tf, beta)
+            column = duality_lp._column_certificate(g, cls, cap)
+            if column is None:
+                continue
+            columns += 1
+            assert np.count_nonzero(column) == 1 and column.sum() == 1.0
+            shifted = shift_by_inverse_gain(tf, cap)
+            assert lp_certificate(shifted, beta, cls) is not None, (name, cls)
+            r = Fraction(int(np.argmax(column)) + 1, beta)
+            k_column = duality_lp._certified_slope(*fft_products(g, column, cls))
+            k_single = single_freq_upper_bound(
+                tf, RationalFrequency(r.numerator, r.denominator), cls)
+            assert abs(k_column - k_single) <= 1e-12 * k_single, (name, cls, k_column, k_single)
+            assert k_column <= cap * (1 + 1e-12)
+        # the column certifies exactly where the scan witness is on the grid:
+        # (2/7)*pi only at 210, (1/3)*pi and (2/3)*pi at 60 and 210, the rest at all four
+        assert columns == {20: 6, 60: 11, 160: 6, 210: 12}[beta]
+
+    def test_off_grid_witness_runs_the_lp(self, plants, monkeypatch, capsys):
+        # ex1/monotone at beta 60: the witness (2/7)*pi is off the grid, no
+        # column certifies the cap, so the LP runs there, finds nothing, and
+        # analyze exits 4
+        tf, beta = plants["ex1"], 60
+        g = duality_lp._grid_samples(tf, beta)
+        assert duality_lp._column_certificate(g, MONOTONE, analyze_cap(tf, MONOTONE)) is None
+        certifier, probes = duality_lp._certifier, []
+
+        def recording(*args):
+            certify = certifier(*args)
+
+            def recorded(k):
+                probes.append(k)
+                return certify(k)
+
+            return recorded
+
+        monkeypatch.setattr(duality_lp, "_certifier", recording)
+        assert cli.main(["analyze", "--example", "ex1", "--class", MONOTONE,
+                         "--lp-beta", str(beta)]) == cli.EXIT_BRACKET
+        assert probes == [analyze_cap(tf, MONOTONE)]
+        assert "no certificate at k_hi" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("beta", [60, 210])
+    def test_closed_form_start_keeps_the_bounds(self, plants, monkeypatch, beta):
+        # on analyze's bracket of the 12 pairs, starting from the column gives
+        # the bound the LP at the cap gives, to 1e-12, or a lower one (ex1/odd)
+        def bounds():
+            out = {}
+            for name, cls in sorted(KNOWN_SINGLE_FREQ):
+                tf = plants[name]
+                k_lo = KNOWN_LOWER[(name, cls)][0] * (1 - 1e-4)
+                try:
+                    out[(name, cls)] = bisect_upper_bound(tf, beta, cls, k_lo,
+                                                          analyze_cap(tf, cls), 1e-4)
+                except BracketInvalid:
+                    out[(name, cls)] = None
+            return out
+
+        closed = bounds()
+        monkeypatch.setattr(duality_lp, "_column_certificate", lambda *args: None)
+        for pair, want in bounds().items():
+            got = closed[pair]
+            assert (got is None) == (want is None) == (pair == ("ex1", MONOTONE) and beta == 60)
+            if pair == ("ex1", ODD):
+                assert got <= want
+            else:
+                assert want is None or abs(got - want) <= 1e-12 * want, (pair, got, want)
 
 
 def certificate_at(g, beta, cls):

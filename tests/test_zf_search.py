@@ -569,8 +569,8 @@ def recording_search(monkeypatch, steps):
     def recording(*args):
         step, reach = search(*args)
 
-        def recorded(s):
-            steps.append((s, step(s)))
+        def recorded(s, *witness):
+            steps.append((s, step(s, *witness)))
             return steps[-1][1]
 
         return recorded, reach
@@ -661,9 +661,9 @@ class TestWitnessReach:
         def counting(*args):
             step, reach = search(*args)
 
-            def counted(s):
+            def counted(s, *witness):
                 searches.append(s)
-                return step(s)
+                return step(s, *witness)
 
             return counted, reach
 
@@ -685,3 +685,47 @@ class TestWitnessReach:
         assert proven_at(plants[name], last, 8, got)
         failed = [s for s, mult in steps if mult is None]
         assert any(s >= 1.0 / (got + 1e-4) or s == 1.0 / k_hi for s in failed)
+
+
+class TestScanWitnessRow:
+    """The search at k_hi holds the scan witness's row from its first exchange round."""
+
+    @staticmethod
+    def rounds(monkeypatch):
+        """Wrap `zf_search.generate_rows` so each LP appends the count of its
+        exchange rounds that added rows to the returned list."""
+        generate_rows, rounds = zf_search.generate_rows, []
+
+        def counting(c, A, b, more, **kwargs):
+            rounds.append(0)
+
+            def counted(x):
+                A_new, b_new = more(x)
+                rounds[-1] += b_new.size > 0
+                return A_new, b_new
+
+            return generate_rows(c, A, b, counted, **kwargs)
+
+        monkeypatch.setattr(zf_search, "generate_rows", counting)
+        return rounds
+
+    def test_witness_moves_no_lower_bound(self, plants, monkeypatch):
+        # the row joins after the seed LP's first optimal solve, whose basis
+        # starts the later searches, so k_lower is bit-identical; the search
+        # at k_hi that holds it ends after the round that adds it
+        rounds, config = self.rounds(monkeypatch), SearchConfig(n_z=8)
+        without = []
+        for name, cls in sorted(KNOWN_SINGLE_FREQ):
+            tf = plants[name]
+            scan = scan_upper_bound(tf, cls)
+            assert scan.k_upper < nyquist_value(tf)  # the scan bound is the cap
+            del rounds[:]
+            want = bisect_lower_bound(tf, config, cls, *analyze_bracket(tf, cls), 1e-4)
+            without.append(rounds[1])  # the searches at k_lo, then at k_hi
+            del rounds[:]
+            got = bisect_lower_bound(tf, config, cls, *analyze_bracket(tf, cls), 1e-4,
+                                     scan.witness_freq.omega)
+            assert got == want, (name, cls, got, want)
+            # a search whose first solve already has a negative margin adds no row
+            assert rounds[1] == min(without[-1], 1), (name, cls, rounds[1], without[-1])
+        assert max(without) == 7  # ex2/monotone, which adds rows a few minima at a time

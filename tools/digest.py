@@ -30,7 +30,9 @@ first of each bisection, and any restart) and their warm starts (from the
 basis of an earlier LP), with how many of those fell back to a cold solve
 at once, and their whole-circle root solves
 (`zf_search._extrema` calls) with the summed and the largest order of the
-eigenproblems those solved; per `certify-deep` LP, the rows and columns it held
+eigenproblems those solved; the upper bisections whose certificate at k_hi
+was the closed-form grid column (`duality_lp._column_certificate`), and the
+searches at k_hi that were given the scan witness and held its row; per `certify-deep` LP, the rows and columns it held
 at the end, its pivots, and its cold solves and warm ones; and, per legacy
 setting, the pairs whose screen ratio the 12 `legacy_upper_bound` runs
 computed, their `interval_slope_bound` evaluations and the series terms those
@@ -124,13 +126,44 @@ def main(argv) -> int:
 
         return counted
 
+    column_certificate, search = duality_lp._column_certificate, zf_search._search
+
+    def counted_column_certificate(*args):
+        column = column_certificate(*args)
+        counts["upper"] += 1
+        counts["closed"] += column is not None
+        return column
+
+    def counted_search(*args):
+        step, reach = search(*args)
+        response = zf_search.frequency_response
+
+        def counted_step(s, witness=None):
+            if witness is None:
+                return step(s)
+            counts["witness"] += 1
+
+            def held(G, w):  # the exchange samples G at the angles whose rows it adds
+                counts["witness held"] += bool(witness in w)
+                return response(G, w)
+
+            zf_search.frequency_response = held
+            try:
+                return step(s, witness)
+            finally:
+                zf_search.frequency_response = response
+
+        return counted_step, reach
+
     # the modules import is_stable by name, so each binding is patched
     patched = [(simplex.Tableau, "_pivot", counted_pivot), (simplex.Tableau, "solve", counted_solve),
                *((module, "is_stable", counted_is_stable)
                  for module in (lti_core, phase_limits, duality_lp, zf_search, interval_limits)),
                (simplex, "simplex_max_leq", counted_start), (zf_search, "_extrema", counted_extrema),
                (duality_lp, "generate_rows", counted_lps(duality_lp.generate_rows, "certificate")),
-               (zf_search, "generate_rows", counted_lps(zf_search.generate_rows, "search"))]
+               (zf_search, "generate_rows", counted_lps(zf_search.generate_rows, "search")),
+               (duality_lp, "_column_certificate", counted_column_certificate),
+               (zf_search, "_search", counted_search)]
     originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in patched]
     for owner, attr, wrapper in patched:
         setattr(owner, attr, wrapper)
@@ -159,6 +192,10 @@ def main(argv) -> int:
                       f"starts, {counts[layer + ' fallback']} of which fell back to cold")
             print(f"analyze --lp-beta {lp_beta}: {counts['extrema']} whole-circle root solves of "
                   f"summed order {counts['order']} (largest {counts['largest order']})")
+            print(f"analyze --lp-beta {lp_beta}: {counts['closed']} of {counts['upper']} upper "
+                  f"bisections took their k_hi certificate in closed form, and "
+                  f"{counts['witness held']} of {counts['witness']} k_hi searches given the "
+                  f"scan witness held its row")
 
     name, beta, slopes = CERTIFY_DEEP
     for k in slopes:
