@@ -16,6 +16,9 @@ circle, a ratio of trigonometric polynomials maximised, then proven, by
 the same root solve.  Each search after the first weights its margin by
 the last taps' Re{M}, so the taps it finds reach further past its slope,
 and starts its seed LP from the basis the last search's seed LP ended on.
+The lower end starts at the reach of M = 1, the circle criterion, and since
+the closed-form upper bounds are nearly always tight, the first search
+below the cap probes tol_k under it.
 """
 
 from __future__ import annotations
@@ -95,7 +98,9 @@ def _extrema(p: np.ndarray, q: Optional[np.ndarray] = None):
     else:
         b = q[lo : q.size - lo]
         r = (np.convolve(j * a, b) - np.convolve(a, j * b))[1:-1]
-    u = np.trim_zeros(r[r.size // 2 + 1 :], "b")
+    u = r[r.size // 2 + 1 :]
+    nonzero = np.flatnonzero(u)
+    u = u[: nonzero[-1] + 1 if nonzero.size else 0]
     n = u.size - 1
     x = np.zeros(0)
     if n > 0:
@@ -136,7 +141,9 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     reach(k, k_hi) is 1/s*, s* = max -P/Q (`_extrema`) for the last taps' P and
     Q (`_laurent` of num and of den), backed off by REACH_BACKOFF and capped
     below k_hi.  It is k unless it is above k and min(P + Q/r) >= 0 proves the
-    taps at r (`_laurent` is linear in num, so P + Q/r is p at slope r)."""
+    taps at r (`_laurent` is linear in num, so P + Q/r is p at slope r).
+    Before the first accepted step the taps are zero, so it is the reach of
+    M = 1: s* = max -Re G, the circle criterion, proven on the whole circle."""
     _check_class(class_tag)
     if not is_stable(G):
         raise NotStable("multiplier search requires a stable plant")
@@ -235,28 +242,39 @@ def bisect_lower_bound(
 ) -> float:
     """Largest slope (within tol_k) at which a multiplier is found or proven.
 
-    The caller establishes the bracket: the search must succeed at k_lo and
-    fail at k_hi.  G is sampled once at the seed frequencies, then at those
-    each exchange round adds; slope k searches at g + 1/k.  Taps
-    accepted at one slope are valid at every smaller one: with s = 1/k and
-    s' > s, Re{M (G + s')} = Re{M (G + s)} + (s' - s) Re{M}, and Re{M} >=
-    1 - |h|_1 >= DELTA_NORM > 0, so Re{M (G + s)} rises on the whole circle.
-    So each accepted search, first at k_lo, moves k_lo to its taps' reach
-    (`_search`), proven by `_extrema`, and a failed one moves k_hi to its
-    slope.  Each search after the first normalises its margin by the last
-    taps, so the reach jumps toward the bound, and starts its seed LP from
-    the last search's seed basis (`_search`).  Given a witness angle at which
-    no multiplier of the class exists at k_hi (the scan witness when k_hi is
-    the scan bound), the search at k_hi holds that row from its first
-    exchange round, so it fails after one round and leaves the same seed
-    basis, and the result does not change.  The result is the reach of the
-    last accepted taps, and a search fails within tol_k above it.
+    The caller establishes the bracket: the search must fail at k_hi, and
+    succeed at k_lo unless M = 1 reaches past it.  G is sampled once at the seed
+    frequencies, then at those each exchange round adds; slope k searches at
+    g + 1/k.  Taps accepted at one slope are valid at every smaller one:
+    with s = 1/k and s' > s, Re{M (G + s')} = Re{M (G + s)} + (s' - s)
+    Re{M}, and Re{M} >= 1 - |h|_1 >= DELTA_NORM > 0, so Re{M (G + s)} rises
+    on the whole circle.  So each accepted search moves k_lo to its taps'
+    reach (`_search`), proven by `_extrema`, and a failed one moves k_hi to
+    its slope.  Before any search the reach is M = 1's, the circle-criterion
+    slope 1/max(-Re G): when it is above k_lo it becomes k_lo with no search
+    there, and otherwise the search runs at k_lo and must succeed.  Then the
+    search at k_hi must fail.  Given a witness angle at which no multiplier
+    of the class exists at k_hi (the scan witness when k_hi is the scan
+    bound), that search holds its row from its first exchange round, so it
+    fails after one round and leaves the same seed basis, and the result does
+    not change.  As the closed-form caps are nearly always tight, the next
+    search probes k_hi - tol_k (when that is above k_lo): if it fails, k_hi
+    moves there and the bisection halves below it; if it accepts, its reach
+    closes the bracket, and one more search at that reach, its margin
+    weighted by the probe's taps (`_search`), moves k_lo to its own reach if
+    it accepts.  Each search after the first starts its seed LP from the
+    last search's seed basis.  The result is the reach of the last accepted
+    taps (or of M = 1), and a search fails within tol_k above it.
     """
     _check_bracket(k_lo, k_hi, tol_k)
     step, reach = _search(G, config, class_tag)
-    if step(1.0 / k_lo) is None:
+    circle = reach(k_lo, k_hi)  # M = 1's reach: no taps are held yet
+    if circle > k_lo:
+        k_lo = circle
+    elif step(1.0 / k_lo) is None:
         raise BracketInvalid(f"search fails already at k_lo={k_lo}")
-    k_lo = reach(k_lo, k_hi)
+    else:
+        k_lo = reach(k_lo, k_hi)
     if step(1.0 / k_hi, witness) is not None:
         raise BracketInvalid(f"search still succeeds at k_hi={k_hi}")
 
@@ -265,4 +283,11 @@ def bisect_lower_bound(
             return True, k
         return False, reach(k, k_hi)
 
+    probe = k_hi - tol_k
+    if probe > k_lo:
+        failed, end = test(probe)
+        if failed:
+            k_hi = end
+        else:  # the reach closes the bracket; one search weighted by its taps reaches further
+            k_lo = end if step(1.0 / end) is None else reach(end, k_hi)
     return _bisect(test, k_lo, k_hi, tol_k)[0]

@@ -399,10 +399,10 @@ class TestAnalyze:
             "plant            ex1",
             "class            monotone",
             "k_nyquist        36.100000",
-            "k_lower          13.028284  (n_z=8)",
+            "k_lower          13.028322  (n_z=8)",
             "k_upper_single   13.028374  at (2/7)*pi",
             "k_upper_lp       inf  (beta=60)",
-            "dual_gap         0.0007%",
+            "dual_gap         0.0004%",
             "note             upper-bound bracket failed: "
             "no certificate at k_hi=13.028373692567094",
         ]

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import KNOWN_SINGLE_FREQ
+from conftest import KNOWN_LOWER, KNOWN_SINGLE_FREQ
 from zflim import simplex, zf_search
 from zflim.cli import main
 from zflim.errors import BracketInvalid, LpNumericalFailure
@@ -654,7 +654,8 @@ class TestWitnessReach:
 
     def test_search_count_guard(self, plants, monkeypatch):
         # 206 searches when every midpoint ran its own search, 136 with the
-        # grid-margin reach, 91 with midpoints settled by the exact reach
+        # grid-margin reach, 91 with midpoints settled by the exact reach, 49
+        # with M = 1's reach as the lower end and the probe at k_hi - tol_k
         searches = []
         search = zf_search._search
 
@@ -671,7 +672,7 @@ class TestWitnessReach:
         config = SearchConfig(n_z=8)
         for (name, cls) in sorted(KNOWN_SINGLE_FREQ):
             bisect_lower_bound(plants[name], config, cls, *analyze_bracket(plants[name], cls), 1e-4)
-        assert len(searches) <= 90
+        assert len(searches) <= 55
 
     @pytest.mark.parametrize("name, cls", [("ex1", ODD), ("ex5", ODD), ("ex6", MONOTONE)])
     def test_bound_is_proven_and_tight(self, plants, monkeypatch, name, cls):
@@ -714,18 +715,82 @@ class TestScanWitnessRow:
         # starts the later searches, so k_lower is bit-identical; the search
         # at k_hi that holds it ends after the round that adds it
         rounds, config = self.rounds(monkeypatch), SearchConfig(n_z=8)
+        steps = []
+        recording_search(monkeypatch, steps)
         without = []
         for name, cls in sorted(KNOWN_SINGLE_FREQ):
             tf = plants[name]
             scan = scan_upper_bound(tf, cls)
             assert scan.k_upper < nyquist_value(tf)  # the scan bound is the cap
-            del rounds[:]
-            want = bisect_lower_bound(tf, config, cls, *analyze_bracket(tf, cls), 1e-4)
-            without.append(rounds[1])  # the searches at k_lo, then at k_hi
-            del rounds[:]
-            got = bisect_lower_bound(tf, config, cls, *analyze_bracket(tf, cls), 1e-4,
-                                     scan.witness_freq.omega)
+            k_lo, k_hi = analyze_bracket(tf, cls)
+            del rounds[:], steps[:]
+            want = bisect_lower_bound(tf, config, cls, k_lo, k_hi, 1e-4)
+            # each search is one LP; the search at k_hi is the first unless one runs at k_lo
+            at_k_hi = [s for s, _ in steps].index(1.0 / k_hi)
+            without.append(rounds[at_k_hi])
+            del rounds[:], steps[:]
+            got = bisect_lower_bound(tf, config, cls, k_lo, k_hi, 1e-4, scan.witness_freq.omega)
             assert got == want, (name, cls, got, want)
+            at_k_hi = [s for s, _ in steps].index(1.0 / k_hi)
             # a search whose first solve already has a negative margin adds no row
-            assert rounds[1] == min(without[-1], 1), (name, cls, rounds[1], without[-1])
+            assert rounds[at_k_hi] == min(without[-1], 1), (name, cls, rounds[at_k_hi], without[-1])
         assert max(without) == 7  # ex2/monotone, which adds rows a few minima at a time
+
+
+class TestCapProbe:
+    """M = 1 proves the lower end, and the first search below k_hi probes k_hi - tol_k."""
+
+    def test_circle_reach_is_the_circle_criterion(self, plants, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import random_plant
+
+        tfs = [plants[name] for name in sorted(plants)]
+        tfs += [random_plant(np.random.default_rng(seed), str(seed)).tf() for seed in range(1, 11)]
+        w = np.linspace(0.0, math.pi, 2**16)
+        for tf in tfs:
+            _, reach = zf_search._search(tf, SearchConfig(n_z=8), MONOTONE)
+            top = int(np.argmax(-frequency_response(tf, w).real))
+            # the grid's maximum, refined between its neighbours
+            near = np.linspace(w[max(top - 1, 0)], w[min(top + 1, w.size - 1)], 2**12)
+            circle = 1.0 / float(np.max(-frequency_response(tf, near).real))
+            # no step has run, so reach holds zero taps: M = 1, backed off below 1/max(-Re G)
+            got = reach(1e-3 * circle, 2.0 * circle)
+            assert got < circle
+            assert got * (1.0 + zf_search.REACH_BACKOFF) == pytest.approx(circle, rel=1e-9)
+
+    def test_k_lo_above_the_circle_reach_is_searched(self, plants, monkeypatch):
+        steps = []
+        recording_search(monkeypatch, steps)
+        tf, k_hi = plants["ex2"], KNOWN_SINGLE_FREQ[("ex2", MONOTONE)][0]
+        _, reach = zf_search._search(tf, SearchConfig(n_z=5), MONOTONE)
+        assert reach(1e-3, k_hi) < 1.9
+        bisect_lower_bound(tf, SearchConfig(n_z=5), MONOTONE, 1.9, k_hi, 5e-3)
+        assert steps[0][0] == 1.0 / 1.9 and steps[0][1] is not None
+        del steps[:]
+        with pytest.raises(BracketInvalid, match="fails already at k_lo"):
+            bisect_lower_bound(tf, SearchConfig(n_z=5), MONOTONE, 3.9, 4.0, 5e-3)
+        assert steps == [(1.0 / 3.9, None)]
+
+    def test_probe_settles_all_but_ex1_odd(self, plants, monkeypatch):
+        # the k_hi search, the probe, then one search at the probe's reach
+        steps, config, tol_k = [], SearchConfig(n_z=8), 1e-4
+        recording_search(monkeypatch, steps)
+        for name, cls in sorted(KNOWN_SINGLE_FREQ):
+            del steps[:]
+            k_lo, k_hi = analyze_bracket(plants[name], cls)
+            bisect_lower_bound(plants[name], config, cls, k_lo, k_hi, tol_k)
+            assert steps[0] == (1.0 / k_hi, None), (name, cls)
+            assert steps[1][0] == 1.0 / (k_hi - tol_k), (name, cls)
+            if (name, cls) == ("ex1", ODD):
+                assert steps[1][1] is None and len(steps) > 3
+            else:
+                assert steps[1][1] is not None and len(steps) == 3, (name, cls, len(steps))
+
+    @pytest.mark.parametrize("name, cls", [
+        ("ex1", MONOTONE), ("ex2", MONOTONE), ("ex2", ODD),
+        ("ex3", MONOTONE), ("ex3", ODD), ("ex4", ODD),
+    ])
+    def test_reaches_the_published_lower_bound(self, plants, name, cls):
+        k_lo, k_hi = analyze_bracket(plants[name], cls)
+        got = bisect_lower_bound(plants[name], SearchConfig(n_z=8), cls, k_lo, k_hi, 1e-4)
+        assert got >= KNOWN_LOWER[(name, cls)][0], (name, cls, got)

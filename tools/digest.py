@@ -32,7 +32,10 @@ at once, and their whole-circle root solves
 (`zf_search._extrema` calls) with the summed and the largest order of the
 eigenproblems those solved; the upper bisections whose certificate at k_hi
 was the closed-form grid column (`duality_lp._column_certificate`), and the
-searches at k_hi that were given the scan witness and held its row; per `certify-deep` LP, the rows and columns it held
+searches at k_hi that were given the scan witness and held its row; the lower
+bisections whose lower end M = 1's reach proved (no search at k_lo), whose
+probe at k_hi - tol_k accepted, and whose search at that probe's reach
+moved it; per `certify-deep` LP, the rows and columns it held
 at the end, its pivots, and its cold solves and warm ones; and, per legacy
 setting, the pairs whose screen ratio the 12 `legacy_upper_bound` runs
 computed, their `interval_slope_bound` evaluations and the series terms those
@@ -127,6 +130,7 @@ def main(argv) -> int:
         return counted
 
     column_certificate, search = duality_lp._column_certificate, zf_search._search
+    bisect_lower, events = cli.bisect_lower_bound, []  # the steps and reaches of one bisection
 
     def counted_column_certificate(*args):
         column = column_certificate(*args)
@@ -138,7 +142,7 @@ def main(argv) -> int:
         step, reach = search(*args)
         response = zf_search.frequency_response
 
-        def counted_step(s, witness=None):
+        def witnessed_step(s, witness):
             if witness is None:
                 return step(s)
             counts["witness"] += 1
@@ -153,7 +157,32 @@ def main(argv) -> int:
             finally:
                 zf_search.frequency_response = response
 
-        return counted_step, reach
+        def counted_step(s, witness=None):
+            mult = witnessed_step(s, witness)
+            events.append(("step", s, mult is not None))
+            return mult
+
+        def counted_reach(k, k_hi):
+            end = reach(k, k_hi)
+            events.append(("reach", k, end))
+            return end
+
+        return counted_step, counted_reach
+
+    def counted_bisect_lower(G, config, class_tag, k_lo, k_hi, tol_k, witness=None):
+        del events[:]
+        try:
+            return bisect_lower(G, config, class_tag, k_lo, k_hi, tol_k, witness)
+        finally:
+            counts["lower"] += 1
+            # a reach before any step holds no taps: M = 1 proved the lower end
+            counts["circle"] += bool(events) and events[0][0] == "reach" and events[0][2] > k_lo
+            probe = [i for i, event in enumerate(events) if event[:2] == ("step", 1.0 / (k_hi - tol_k))]
+            counts["probes"] += bool(probe)
+            if probe and events[probe[0]][2]:  # accepted: its reach, a search there, that reach
+                counts["probe accepted"] += 1
+                after = events[probe[0] + 2 : probe[0] + 4]
+                counts["reach moved"] += len(after) == 2 and after[0][2] and after[1][2] > after[1][1]
 
     # the modules import is_stable by name, so each binding is patched
     patched = [(simplex.Tableau, "_pivot", counted_pivot), (simplex.Tableau, "solve", counted_solve),
@@ -163,7 +192,7 @@ def main(argv) -> int:
                (duality_lp, "generate_rows", counted_lps(duality_lp.generate_rows, "certificate")),
                (zf_search, "generate_rows", counted_lps(zf_search.generate_rows, "search")),
                (duality_lp, "_column_certificate", counted_column_certificate),
-               (zf_search, "_search", counted_search)]
+               (zf_search, "_search", counted_search), (cli, "bisect_lower_bound", counted_bisect_lower)]
     originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in patched]
     for owner, attr, wrapper in patched:
         setattr(owner, attr, wrapper)
@@ -196,6 +225,10 @@ def main(argv) -> int:
                   f"bisections took their k_hi certificate in closed form, and "
                   f"{counts['witness held']} of {counts['witness']} k_hi searches given the "
                   f"scan witness held its row")
+            print(f"analyze --lp-beta {lp_beta}: M = 1 proved {counts['circle']} of "
+                  f"{counts['lower']} lower ends, {counts['probe accepted']} of {counts['probes']} "
+                  f"probes at k_hi - tol_k accepted, and the search at the reach moved "
+                  f"{counts['reach moved']} of those")
 
     name, beta, slopes = CERTIFY_DEEP
     for k in slopes:
