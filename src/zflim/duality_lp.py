@@ -10,6 +10,8 @@ before being accepted.  Weights that certify one slope certify every
 slope above the exact threshold k(lambda) they prove, and the upper bound
 steps down through those thresholds (Dinkelbach, Mgmt. Sci. 13(7), 1967),
 each LP starting from the rows, frequencies and basis of the one before.
+No probe goes down to the lower end of its bracket: a multiplier proven
+there rules out a certificate, so that end is trusted, not re-solved.
 """
 
 from __future__ import annotations
@@ -212,8 +214,10 @@ def bisect_upper_bound(
     least single-frequency cone slope, which pass the same residual gate as
     an LP's (`_column_certificate`); only when they fail does an LP run at
     k_hi.  Each certificate moves the bound to min(probe, k(lambda)), and the
-    next LP probes tol_k below it (at most down to k_lo, where a certificate
-    fails the bracket) until a probe finds none.  The first LP starts cold
+    next LP probes tol_k below it until a probe finds none.  A probe never
+    goes down to k_lo: the caller's lower end is trusted, not re-solved, so
+    the search stops once the bound is within tol_k of k_lo, and weights
+    that prove k_lo itself fail the bracket.  The first LP starts cold
     (`lp_certificate`); each later one holds the rows and frequencies the one
     before ended with, and starts from its final basis, reinverted at the
     new slope (`_certifier`).
@@ -232,10 +236,12 @@ def bisect_upper_bound(
     while True:
         a, d = (_products(h, lambdas, class_tag) for h in (g, np.ones(g.size)))
         hi = min(probe, _certified_slope(a, d))
-        probe = max(hi - tol_k, k_lo)
+        if hi <= k_lo:
+            raise BracketInvalid(f"certificate already exists at k_lo={k_lo}")
+        if hi - tol_k <= k_lo:
+            return hi
+        probe = hi - tol_k
         cert = certify(probe)
         if cert is None:
             return hi
-        if probe == k_lo:
-            raise BracketInvalid(f"certificate already exists at k_lo={k_lo}")
         lambdas = cert.lambdas

@@ -37,6 +37,10 @@ def constant(value):
     return TransferFunction([value], [1.0])
 
 
+def lp_ran(*args, **kwargs):
+    raise AssertionError("a certificate LP ran")
+
+
 def nonconvexity_plant(plants):
     return affine_combine(
         [
@@ -243,10 +247,7 @@ class TestBisectUpperBound:
     def test_unclosable_bracket_rejected_before_any_lp(
         self, plants, monkeypatch, k_hi, tol_k, error
     ):
-        def evaluated(*args):
-            raise AssertionError("a slope was evaluated")
-
-        monkeypatch.setattr(duality_lp, "generate_rows", evaluated)
+        monkeypatch.setattr(duality_lp, "generate_rows", lp_ran)
         with pytest.raises(error):
             bisect_upper_bound(plants["ex2"], 40, MONOTONE, 3.80, k_hi, tol_k)
 
@@ -272,14 +273,17 @@ class TestBisectUpperBound:
     def test_warm_probes_match_cold_probes(self, plants, monkeypatch, beta):
         # each probe after the first starts from the rows, frequencies and
         # final basis of the one before; a fresh `_certifier` per probe starts
-        # every LP from the seed and the slack basis.  On `zflim analyze`'s
-        # bracket of the 12 pairs both give the same bound to 1e-10, or both
-        # find no certificate at the cap (ex1/monotone at beta 60)
-        certifier, probes = duality_lp._certifier, []
+        # every LP from the seed and the slack basis.  On the 12 pairs, from
+        # the known lower bound less 1e-4 (relative) up to `zflim analyze`'s
+        # cap, both give the same bound to 1e-10, or both find no
+        # certificate at the cap (ex1/monotone at beta 60)
+        certifier, probes = duality_lp._certifier, []  # the slopes each bisection probed
 
         def cold(g, cls):
+            probes.append([])
+
             def certify(k):
-                probes.append(k)
+                probes[-1].append(k)
                 return certifier(g, cls)(k)
 
             return certify
@@ -301,11 +305,52 @@ class TestBisectUpperBound:
         for got, want in zip(bounds(), warm):
             assert (got is None) == (want is None)
             assert want is None or abs(got - want) <= 1e-10 * want, (got, want)
-        assert len(probes) > len(warm) + 1  # some bisections probed warm
+        # a bisection that probed more than once started a warm LP (ex1/odd, 5 probes)
+        assert len(probes) == len(warm) and max(map(len, probes)) > 1, probes
         assert (warm[0] is None) == (beta == 60)
 
-    def test_always_certified_plant_rejects_bracket(self):
-        with pytest.raises(BracketInvalid):
+    @pytest.mark.parametrize("beta", [60, 210])
+    def test_bound_within_tol_of_k_lo_runs_no_lp(self, plants, monkeypatch, tmp_path, capsys,
+                                                 beta):
+        # on the brackets `zflim analyze` hands the upper bisection (k_lo =
+        # k_lower*(1 - 1e-9), the cap, 1e-4), the cap's column certificate
+        # alone proves a bound within tol_k of k_lo on all exit-0 pairs but
+        # ex1/odd: the bisection returns that bound without an LP; the
+        # certificate LP at k_lo, which it no longer runs, finds nothing, so
+        # running it would have returned the same bound
+        brackets, bisect = {}, duality_lp.bisect_upper_bound
+
+        def recording(tf, lp_beta, cls, k_lo, k_hi, tol_k):  # of the pair `name, cls` below
+            brackets[name, cls] = (k_lo, k_hi, tol_k, bisect(tf, lp_beta, cls, k_lo, k_hi, tol_k))
+            return brackets[name, cls][-1]
+
+        monkeypatch.setattr(cli, "bisect_upper_bound", recording)
+        for name, cls in sorted(KNOWN_SINGLE_FREQ):
+            code = cli.main(["analyze", "--example", name, "--class", cls, "--lp-beta", str(beta),
+                             "--out", str(tmp_path / "report.json")])
+            if code != cli.EXIT_OK:
+                brackets.pop((name, cls), None)
+        capsys.readouterr()
+        assert len(brackets) == {60: 11, 210: 12}[beta]
+        stopped = []
+        for (name, cls), (k_lo, k_hi, tol_k, bound) in brackets.items():
+            tf = plants[name]
+            g = duality_lp._grid_samples(tf, beta)
+            column = duality_lp._column_certificate(g, cls, k_hi)
+            hi = min(k_hi, duality_lp._certified_slope(*fft_products(g, column, cls)))
+            if hi - k_lo > tol_k:
+                continue
+            stopped.append((name, cls))
+            with monkeypatch.context() as patched:
+                patched.setattr(duality_lp, "generate_rows", lp_ran)
+                assert bisect_upper_bound(tf, beta, cls, k_lo, k_hi, tol_k) == hi == bound
+            assert lp_certificate(shift_by_inverse_gain(tf, k_lo), beta, cls) is None, (name, cls)
+        assert len(stopped) == len(brackets) - 1 and ("ex1", ODD) not in stopped
+
+    def test_always_certified_plant_rejects_bracket(self, monkeypatch):
+        # the column's weights prove k_lo itself, so no LP runs
+        monkeypatch.setattr(duality_lp, "generate_rows", lp_ran)
+        with pytest.raises(BracketInvalid, match="already exists at k_lo"):
             bisect_upper_bound(
                 constant(-2.0), beta=6, class_tag=MONOTONE, k_lo=0.5, k_hi=2.0, tol_k=1e-3
             )

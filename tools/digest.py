@@ -31,11 +31,12 @@ basis of an earlier LP), with how many of those fell back to a cold solve
 at once, and their whole-circle root solves
 (`zf_search._extrema` calls) with the summed and the largest order of the
 eigenproblems those solved; the upper bisections whose certificate at k_hi
-was the closed-form grid column (`duality_lp._column_certificate`), and the
-searches at k_hi that were given the scan witness and held its row; the lower
-bisections whose lower end M = 1's reach proved (no search at k_lo), whose
-probe at k_hi - tol_k accepted, and whose search at that probe's reach
-moved it; per `certify-deep` LP, the rows and columns it held
+was the closed-form grid column (`duality_lp._column_certificate`), those
+that returned their bound with no certificate LP below the cap (k_hi), and
+the searches at k_hi that were given the scan witness and held its row; the
+lower bisections whose lower end M = 1's reach proved (no search at k_lo),
+whose probe at k_hi - tol_k accepted, and whose search at that probe's
+reach moved it; per `certify-deep` LP, the rows and columns it held
 at the end, its pivots, and its cold solves and warm ones; and, per legacy
 setting, the pairs whose screen ratio the 12 `legacy_upper_bound` runs
 computed, their `interval_slope_bound` evaluations and the series terms those
@@ -130,6 +131,7 @@ def main(argv) -> int:
         return counted
 
     column_certificate, search = duality_lp._column_certificate, zf_search._search
+    certifier, bisect_upper, probes = duality_lp._certifier, cli.bisect_upper_bound, []
     bisect_lower, events = cli.bisect_lower_bound, []  # the steps and reaches of one bisection
 
     def counted_column_certificate(*args):
@@ -137,6 +139,21 @@ def main(argv) -> int:
         counts["upper"] += 1
         counts["closed"] += column is not None
         return column
+
+    def counted_certifier(*args):
+        certify = certifier(*args)
+
+        def counted(k):
+            probes.append(k)
+            return certify(k)
+
+        return counted
+
+    def counted_bisect_upper(G, beta, class_tag, k_lo, k_hi, tol_k):
+        del probes[:]  # the slopes of this bisection's certificate LPs
+        bound = bisect_upper(G, beta, class_tag, k_lo, k_hi, tol_k)
+        counts["stopped"] += all(k >= k_hi for k in probes)
+        return bound
 
     def counted_search(*args):
         step, reach = search(*args)
@@ -192,6 +209,8 @@ def main(argv) -> int:
                (duality_lp, "generate_rows", counted_lps(duality_lp.generate_rows, "certificate")),
                (zf_search, "generate_rows", counted_lps(zf_search.generate_rows, "search")),
                (duality_lp, "_column_certificate", counted_column_certificate),
+               (duality_lp, "_certifier", counted_certifier),
+               (cli, "bisect_upper_bound", counted_bisect_upper),
                (zf_search, "_search", counted_search), (cli, "bisect_lower_bound", counted_bisect_lower)]
     originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in patched]
     for owner, attr, wrapper in patched:
@@ -222,7 +241,8 @@ def main(argv) -> int:
             print(f"analyze --lp-beta {lp_beta}: {counts['extrema']} whole-circle root solves of "
                   f"summed order {counts['order']} (largest {counts['largest order']})")
             print(f"analyze --lp-beta {lp_beta}: {counts['closed']} of {counts['upper']} upper "
-                  f"bisections took their k_hi certificate in closed form, and "
+                  f"bisections took their k_hi certificate in closed form, {counts['stopped']} "
+                  f"returned with no certificate LP below the cap, and "
                   f"{counts['witness held']} of {counts['witness']} k_hi searches given the "
                   f"scan witness held its row")
             print(f"analyze --lp-beta {lp_beta}: M = 1 proved {counts['circle']} of "
