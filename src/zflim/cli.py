@@ -234,10 +234,6 @@ def cmd_ct_check(args) -> int:
     freqs = [float(f) for f in data["freqs"]]
     values = [complex(v[0], v[1]) if isinstance(v, list) else complex(v) for v in data["values"]]
     lambdas = [float(x) for x in data["lambdas"]]
-    times = [float(data[k]) for k in ("t_horizon", "t_step") if data.get(k) is not None]
-    numbers = (freqs[:-1] if freqs[-1:] == [math.inf] else freqs) + lambdas + times
-    if not all(map(math.isfinite, numbers + [p for v in values for p in (v.real, v.imag)])):
-        raise ValueError("ct-check numbers must be finite, except a last frequency of inf")
     inp = CtCertificateInput(
         freqs=freqs,
         values=values,

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from zflim.continuous_duality import CtCertificateInput, ct_check_nonodd, ct_check_odd
+from zflim.continuous_duality import (
+    _CHUNK,
+    CtCertificateInput,
+    _grid,
+    _sampled_extrema,
+    ct_check_nonodd,
+    ct_check_odd,
+)
 
 
 def make_input(freqs, values, lambdas, **kw):
@@ -28,6 +35,32 @@ class TestInputValidation:
     def test_needs_positive_weight(self):
         with pytest.raises(ValueError):
             make_input([1.0], [1.0], [0.0])
+
+    @pytest.mark.parametrize("kw", [
+        dict(freqs=[math.nan]),
+        dict(freqs=[1.0, math.nan], values=[-1.0, -1.0], lambdas=[1.0, 1.0]),
+        dict(freqs=[-math.inf]),
+        dict(freqs=[math.inf, 2.0], values=[-1.0, -1.0], lambdas=[1.0, 1.0]),
+        dict(values=[complex(math.nan, 0.0)]),
+        dict(values=[complex(-math.inf, 0.0)]),
+        dict(values=[complex(-1.0, math.inf)]),
+        dict(lambdas=[math.nan]),
+        dict(lambdas=[math.inf]),
+        dict(t_horizon=math.inf),
+        dict(t_horizon=math.nan),
+        dict(t_step=math.nan),
+        dict(t_step=math.inf),
+        dict(t_horizon=1e300, t_step=1e-300),  # the sample count overflows
+        dict(freqs=[5e-324]),  # the default horizon overflows
+        dict(freqs=[1.0, 2.0], values=[-1.0, -1.0], lambdas=[1e308, 1e308]),  # the sum overflows
+    ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_refuses_non_finite_numbers(self, kw):
+        with pytest.raises(ValueError, match="finite"):
+            make_input(**{**dict(freqs=[1.0], values=[-1.0], lambdas=[1.0]), **kw})
+
+    def test_last_infinite_frequency_accepted(self):
+        inp = make_input([1.0, math.inf], [1.0, -2.0], [0.5, 0.5])
+        assert inp.freqs[-1] == math.inf
 
     def test_weights_normalised(self):
         inp = make_input([1.0, 2.0], [1.0, 1.0], [2.0, 2.0])
@@ -170,3 +203,74 @@ class TestProperties:
             expect_nonodd = lhs <= float(np.min(s))
             assert ct_check_odd(inp, time_lattice=True) == expect_odd
             assert ct_check_nonodd(inp, time_lattice=True) == expect_nonodd
+
+
+BLOCK = math.isqrt(_CHUNK)
+
+
+class TestKernel:
+    """The blocked angle-addition sum against direct evaluation at every sample."""
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, _CHUNK, _CHUNK + 1, 150_001])
+    @pytest.mark.parametrize("time_lattice", [False, True])
+    @pytest.mark.parametrize("with_inf", [False, True])
+    @pytest.mark.parametrize("ramp", [False, True])
+    def test_matches_direct_evaluation(self, n, time_lattice, with_inf, ramp):
+        rng = np.random.default_rng(n)
+        step = 1.0 if time_lattice else 1e-3
+        horizon, t_max = (n - 0.75) * step, (n - 1) * step  # n samples in either mode
+        if ramp:
+            # -cos(w t) rises over the grid to its peak at the first time past it,
+            # so a sample beyond the n-th would raise the max
+            freqs, values, lambdas = [math.pi / (n * step)], [-1.0], [1.0]
+        else:
+            scale = min(1.0, 300.0 / t_max) if t_max else 1.0  # keeps w*t, and its rounding, small
+            freqs = sorted(scale * rng.uniform(0.5, 3.0, size=4))
+            values = list(rng.normal(size=4) + 1j * rng.normal(size=4))
+            lambdas = list(rng.dirichlet(np.ones(4)))
+        if with_inf:
+            freqs, values, lambdas = freqs + [math.inf], values + [-2.0], lambdas + [1.0]
+        inp = make_input(freqs, values, lambdas, t_horizon=horizon, t_step=step)
+        assert _grid(inp, time_lattice)[1] == n
+        lo, hi, pad = _sampled_extrema(inp, time_lattice)
+        w, a, b, lam = inp.finite_parts()
+        if time_lattice:
+            t = np.arange(0.0, math.floor(horizon) + 0.5, 1.0)
+        else:
+            t = np.arange(0.0, horizon + step / 2.0, step)
+        s = np.cos(np.outer(t, w)) @ (lam * a) + np.sin(np.outer(t, w)) @ (lam * b)
+        tol = 1e-12 * float(np.sum(lam * np.hypot(a, b)))
+        assert t.size == n
+        assert abs(lo - s.min()) <= tol and abs(hi - s.max()) <= tol
+        assert (pad == 0.0) == time_lattice
+
+    def test_sample_count_matches_arange(self):
+        rng = np.random.default_rng(2718)
+        for _ in range(400):
+            step = float(10.0 ** rng.uniform(-4, 0))
+            m = int(rng.integers(0, 5000))
+            # H/step on, just off and half-way between integers, where the count turns
+            for ratio in (m, m + 0.5, m + rng.uniform()):
+                horizon = ratio * step
+                for h in (horizon, np.nextafter(horizon, 0.0), np.nextafter(horizon, math.inf)):
+                    if h <= 0.0:
+                        continue
+                    inp = make_input([1.0], [1.0], [1.0], t_horizon=float(h), t_step=step)
+                    assert _grid(inp, False) == (step, np.arange(0, h + step / 2, step).size)
+                    assert _grid(inp, True) == (1.0, np.arange(0.0, math.floor(h) + 0.5, 1.0).size)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="needs a long double wider than double for the reference")
+    def test_pad_covers_the_rounding(self):
+        # far from t = 0, where w*t reaches 6e5, the kernel's rounding shows
+        rng = np.random.default_rng(5)
+        inp = make_input(sorted(rng.uniform(0.5, 3.0, size=4)),
+                         list(rng.normal(size=4) + 1j * rng.normal(size=4)),
+                         list(rng.dirichlet(np.ones(4))), t_horizon=2e5, t_step=1.0)
+        lo, hi, pad = _sampled_extrema(inp, False)
+        w, a, b, lam = inp.finite_parts()
+        arg = np.outer(np.arange(_grid(inp, False)[1], dtype=np.longdouble), w.astype(np.longdouble))
+        s = np.cos(arg) @ (lam * a).astype(np.longdouble) + np.sin(arg) @ (lam * b).astype(np.longdouble)
+        error = max(abs(lo - s.min()), abs(hi - s.max()))
+        rounding = pad - 0.5 * float(np.sum(lam * np.hypot(a, b) * w))
+        assert 0.0 < error <= rounding

@@ -5,7 +5,7 @@
 Imports zflim from SRC (default: the src/ of this checkout), runs `zflim
 analyze` on the 12 bundled plant x class pairs at --lp-beta 60 and 210,
 then the two certificate LPs of the `certify-deep` benchmark workload (ex1,
-odd class, beta 160, k 13.46 and 13.56), and prints four sha256 digests:
+odd class, beta 160, k 13.46 and 13.56), and prints five sha256 digests:
 
   pivots   every (row, column) pivot of every `simplex.Tableau`, in order;
   reports  each analyze exit code and report without its wall_times, and
@@ -18,6 +18,11 @@ odd class, beta 160, k 13.46 and 13.56), and prints four sha256 digests:
            tol_k 1e-3), and the scans at beta_max 2, 3, 50 and 97; then
            `period` and the tight one-tap taps over `coprime_pairs(60)` x
            class x sign, and the `limits --beta-max 50` CSV.
+
+  ct       the verdicts of `ct_check_odd` and `ct_check_nonodd`, sampled and
+           on the time lattice, for 2,000 seeded inputs drawn as the `screen`
+           workload draws its continuous-time inputs (four frequencies
+           r*pi/12, t_horizon 300, t_step 0.002).
 
 Before `layers` it prints three digests of its parts, so that a change to one
 method shows on its own line: `legacy` (both settings), `scans`, and `tight`
@@ -40,7 +45,8 @@ reach moved it; per `certify-deep` LP, the rows and columns it held
 at the end, its pivots, and its cold solves and warm ones; and, per legacy
 setting, the pairs whose screen ratio the 12 `legacy_upper_bound` runs
 computed, their `interval_slope_bound` evaluations and the series terms those
-evaluations computed. Two commits that print the same digests pivoted
+evaluations computed; and, before `ct`, on how many of its 2,000 inputs each
+check holds in each mode. Two commits that print the same digests pivoted
 identically and reported the same numbers.
 """
 
@@ -265,7 +271,35 @@ def main(argv) -> int:
     print(f"reports {reports.hexdigest()}")
     print(f"stdout  {printed.hexdigest()}")
     print(f"layers  {layers_digest(BUILTIN, (MONOTONE, ODD))}")
+    print(f"ct      {ct_digest()}")
     return 0
+
+
+def ct_digest(count=2000, seed=33) -> str:
+    """The `ct` digest of the module docstring; prints how many of each verdict hold."""
+    import math
+
+    import numpy as np
+    from zflim.continuous_duality import CtCertificateInput, ct_check_nonodd, ct_check_odd
+
+    rng = np.random.default_rng(seed)
+    digest, holds = hashlib.sha256(), Counter()
+    for _ in range(count):
+        r = np.sort(rng.choice(np.arange(1, 12), size=4, replace=False))
+        inp = CtCertificateInput(
+            freqs=[float(x) * math.pi / 12 for x in r],
+            values=[complex(rng.normal(), rng.normal()) for _ in r],
+            lambdas=[float(x) for x in rng.dirichlet(np.ones(4))],
+            t_horizon=300.0,
+            t_step=0.002,
+        )
+        verdicts = tuple(check(inp, lattice) for lattice in (False, True)
+                         for check in (ct_check_odd, ct_check_nonodd))
+        holds.update(i for i, held in enumerate(verdicts) if held)
+        digest.update(repr(verdicts).encode())
+    print(f"ct checks on {count} inputs hold: odd {holds[0]} sampled, {holds[2]} on the lattice; "
+          f"nonodd {holds[1]} sampled, {holds[3]} on the lattice")
+    return digest.hexdigest()
 
 
 def layers_digest(plants, classes) -> str:
