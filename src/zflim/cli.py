@@ -291,9 +291,7 @@ def cmd_analyze(args) -> int:
         with _stage(wall_times, "lower_bound"):
             try:
                 k_lower["value"] = bisect_lower_bound(
-                    tf, SearchConfig(n_z=args.nz), args.class_tag, cap / 1000.0, cap, args.tol_k,
-                    witness.omega if scan.k_upper == cap else None,
-                )
+                    tf, SearchConfig(n_z=args.nz), args.class_tag, cap / 1000.0, cap, args.tol_k)
             except BracketInvalid as exc:
                 report["note"] = f"lower-bound bracket failed: {exc}"
                 exit_code = EXIT_BRACKET

@@ -16,9 +16,10 @@ circle, a ratio of trigonometric polynomials maximised, then proven, by
 the same root solve.  Each search after the first weights its margin by
 the last taps' Re{M}, so the taps it finds reach further past its slope,
 and starts its seed LP from the basis the last search's seed LP ended on.
-The lower end starts at the reach of M = 1, the circle criterion, and since
-the closed-form upper bounds are nearly always tight, the first search
-below the cap probes tol_k under it.
+The lower end starts at the reach of M = 1, the circle criterion.  The
+upper end is the caller's cap, a closed-form bound that no multiplier of the
+class passes, trusted with no search there; since those bounds are nearly
+always tight, the first search below the cap probes tol_k under it.
 """
 
 from __future__ import annotations
@@ -131,19 +132,16 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     LP's taps break it.  The seed LP has the same shape at every s, so each
     step after the first starts it from the basis the last step's first
     optimal solve (on the seed) ended on, reinverted at s; the rows held and
-    the exchange rounds are those of a cold start.  step(s, witness) adds the
-    row at the angle witness to the first round's minima, after that solve,
-    so the seed basis it leaves is unchanged: at a frequency where G + s
-    leaves the cone every multiplier of the class can reach (the scan
-    witness at its own slope), Re{M g} <= 0 there for every taps, so that
-    row alone makes the margin negative.
+    the exchange rounds are those of a cold start.
 
     reach(k, k_hi) is 1/s*, s* = max -P/Q (`_extrema`) for the last taps' P and
-    Q (`_laurent` of num and of den), backed off by REACH_BACKOFF and capped
-    below k_hi.  It is k unless it is above k and min(P + Q/r) >= 0 proves the
-    taps at r (`_laurent` is linear in num, so P + Q/r is p at slope r).
-    Before the first accepted step the taps are zero, so it is the reach of
-    M = 1: s* = max -Re G, the circle criterion, proven on the whole circle."""
+    Q (`_laurent` of num and of den), backed off by REACH_BACKOFF.  It is k
+    unless it is above k and min(P + Q/r) >= 0 proves the taps at r
+    (`_laurent` is linear in num, so P + Q/r is p at slope r).  A reach that
+    comes up to k_hi, a slope no taps of the class may reach, raises
+    BracketInvalid.  Before the first accepted step the taps are zero, so it
+    is the reach of M = 1: s* = max -Re G, the circle criterion, proven on
+    the whole circle."""
     _check_class(class_tag)
     if not is_stable(G):
         raise NotStable("multiplier search requires a stable plant")
@@ -169,10 +167,9 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
     def taps(x):
         return x[: idx.size] if class_tag == MONOTONE else x[: idx.size] - x[idx.size : n_taps]
 
-    def step(s: float, witness: Optional[float] = None) -> Optional[FirMultiplier]:
+    def step(s: float) -> Optional[FirMultiplier]:
         nonlocal last, start
         shifted = (G.num + G.den.scale(s)).coeffs
-        held = [] if witness is None else [witness]  # joins the first round's minima
         A, b = rows(seed_basis, g_seed + s)
         # the LP's variable is t + shift >= 0, so the slack basis is feasible on the seed
         shift = 1.0 + max(0.0, float(np.max(-b / A[:, -1])))
@@ -187,8 +184,6 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
             w = w[(p < 0.0) & (p <= np.append(p[1:], np.inf)) & (p <= np.append(np.inf, p[:-1]))]
             if not w.size:
                 return A[:0], b[:0]
-            w = np.append(w, held)
-            held.clear()
             A_new, b_new = rows(np.exp(-1j * np.outer(w, idx)), frequency_response(G, w) + s)
             return A_new, b_new + shift * A_new[:, -1]
 
@@ -208,7 +203,9 @@ def _search(G: TransferFunction, config: SearchConfig, class_tag: str):
         P, Q = _laurent(last, num, den), _laurent(last, den, den)
         s = float(np.max(_extrema(P, Q)[1]))
         s += REACH_BACKOFF * abs(s)
-        r = 1.0 / s if s > 1.0 / k_hi else float(np.nextafter(k_hi, 0.0))
+        if s <= 1.0 / k_hi:
+            raise BracketInvalid(f"taps of the class reach k_hi={k_hi}")
+        r = 1.0 / s
         if r <= k or np.min(_extrema(P + Q / r)[1]) < 0.0:
             return k
         return r
@@ -238,33 +235,31 @@ def bisect_lower_bound(
     k_lo: float,
     k_hi: float,
     tol_k: float,
-    witness: Optional[float] = None,
 ) -> float:
     """Largest slope (within tol_k) at which a multiplier is found or proven.
 
-    The caller establishes the bracket: the search must fail at k_hi, and
-    succeed at k_lo unless M = 1 reaches past it.  G is sampled once at the seed
-    frequencies, then at those each exchange round adds; slope k searches at
-    g + 1/k.  Taps accepted at one slope are valid at every smaller one:
-    with s = 1/k and s' > s, Re{M (G + s')} = Re{M (G + s)} + (s' - s)
-    Re{M}, and Re{M} >= 1 - |h|_1 >= DELTA_NORM > 0, so Re{M (G + s)} rises
-    on the whole circle.  So each accepted search moves k_lo to its taps'
-    reach (`_search`), proven by `_extrema`, and a failed one moves k_hi to
-    its slope.  Before any search the reach is M = 1's, the circle-criterion
-    slope 1/max(-Re G): when it is above k_lo it becomes k_lo with no search
-    there, and otherwise the search runs at k_lo and must succeed.  Then the
-    search at k_hi must fail.  Given a witness angle at which no multiplier
-    of the class exists at k_hi (the scan witness when k_hi is the scan
-    bound), that search holds its row from its first exchange round, so it
-    fails after one round and leaves the same seed basis, and the result does
-    not change.  As the closed-form caps are nearly always tight, the next
-    search probes k_hi - tol_k (when that is above k_lo): if it fails, k_hi
-    moves there and the bisection halves below it; if it accepts, its reach
-    closes the bracket, and one more search at that reach, its margin
-    weighted by the probe's taps (`_search`), moves k_lo to its own reach if
-    it accepts.  Each search after the first starts its seed LP from the
-    last search's seed basis.  The result is the reach of the last accepted
-    taps (or of M = 1), and a search fails within tol_k above it.
+    The caller establishes the bracket: no multiplier of the class exists at
+    k_hi (a closed-form cap), and the search succeeds at k_lo unless M = 1
+    reaches past it.  G is sampled once at the seed frequencies, then at
+    those each exchange round adds; slope k searches at g + 1/k.  Taps
+    accepted at one slope are valid at every smaller one: with s = 1/k and
+    s' > s, Re{M (G + s')} = Re{M (G + s)} + (s' - s) Re{M}, and Re{M} >=
+    1 - |h|_1 >= DELTA_NORM > 0, so Re{M (G + s)} rises on the whole circle.
+    So each accepted search moves k_lo to its taps' reach (`_search`),
+    proven by `_extrema`, and a failed one moves the upper end to its slope.
+    Before any search the reach is M = 1's, the circle-criterion slope
+    1/max(-Re G): when it is above k_lo it becomes k_lo with no search there,
+    and otherwise the search runs at k_lo and must succeed.  k_hi is trusted,
+    not searched: a reach, M = 1's or any accepted taps', that comes up to it
+    raises BracketInvalid, so a wrong k_hi can make the result loose but
+    never wrong.  As the closed-form caps are nearly always tight, the first
+    search below k_hi probes k_hi - tol_k (when that is above k_lo): if it
+    fails, the bisection halves below it; if it accepts, its reach closes
+    the bracket, and one more search at that reach, its margin weighted by
+    the probe's taps (`_search`), moves k_lo to its own reach if it accepts.
+    Each search after the first starts its seed LP from the last search's
+    seed basis.  The result is the reach of the last accepted taps (or of
+    M = 1), and a search fails within tol_k above it, or k_hi is.
     """
     _check_bracket(k_lo, k_hi, tol_k)
     step, reach = _search(G, config, class_tag)
@@ -275,19 +270,17 @@ def bisect_lower_bound(
         raise BracketInvalid(f"search fails already at k_lo={k_lo}")
     else:
         k_lo = reach(k_lo, k_hi)
-    if step(1.0 / k_hi, witness) is not None:
-        raise BracketInvalid(f"search still succeeds at k_hi={k_hi}")
 
     def test(k):
         if step(1.0 / k) is None:
             return True, k
         return False, reach(k, k_hi)
 
-    probe = k_hi - tol_k
+    hi, probe = k_hi, k_hi - tol_k
     if probe > k_lo:
         failed, end = test(probe)
         if failed:
-            k_hi = end
+            hi = end
         else:  # the reach closes the bracket; one search weighted by its taps reaches further
             k_lo = end if step(1.0 / end) is None else reach(end, k_hi)
-    return _bisect(test, k_lo, k_hi, tol_k)[0]
+    return _bisect(test, k_lo, hi, tol_k)[0]

@@ -646,7 +646,7 @@ class TestResidualCheck:
 
     def test_bound_never_fires_on_analyze_runs(self, monkeypatch, tmp_path):
         # the 12 bundled pairs at lp-beta 60 (TestAnalyze runs them at the
-        # default 210) and 16 random plants of both classes; every returned x
+        # default 210) and 25 random plants of both classes; every returned x
         # keeps its active rows within half the bound
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         from workloads import random_plant
@@ -663,7 +663,7 @@ class TestResidualCheck:
         monkeypatch.setattr(zf_search, "generate_rows", checked)
         monkeypatch.setattr(duality_lp, "generate_rows", checked)
         plants = [["--example", name] for name in sorted(BUILTIN)]
-        for seed in range(1, 17):
+        for seed in range(1, 26):
             path = tmp_path / f"rand{seed}.json"
             path.write_text(dump_plant(random_plant(np.random.default_rng(seed), str(seed))))
             plants.append(["--plant", str(path)])

@@ -569,8 +569,8 @@ def recording_search(monkeypatch, steps):
     def recording(*args):
         step, reach = search(*args)
 
-        def recorded(s, *witness):
-            steps.append((s, step(s, *witness)))
+        def recorded(s):
+            steps.append((s, step(s)))
             return steps[-1][1]
 
         return recorded, reach
@@ -648,36 +648,29 @@ class TestWitnessReach:
             assert (weighted(s) is None) == (plain(s) is None), factor
 
     def test_reach_stays_below_k_hi(self, plants):
+        # taps that reach the caller's k_hi break the bracket: k_hi is no cap
         step, reach = zf_search._search(plants["ex2"], SearchConfig(n_z=5), MONOTONE)
         assert step(1.0 / 1.9) is not None
-        assert reach(1.9, 2.0) == np.nextafter(2.0, 0.0)
+        assert 1.9 < reach(1.9, 3.9) < 3.9
+        with pytest.raises(BracketInvalid, match="reach k_hi=2.0"):
+            reach(1.9, 2.0)
 
     def test_search_count_guard(self, plants, monkeypatch):
         # 206 searches when every midpoint ran its own search, 136 with the
         # grid-margin reach, 91 with midpoints settled by the exact reach, 49
-        # with M = 1's reach as the lower end and the probe at k_hi - tol_k
+        # with M = 1's reach as the lower end and the probe at k_hi - tol_k,
+        # 37 with no search at the trusted k_hi
         searches = []
-        search = zf_search._search
-
-        def counting(*args):
-            step, reach = search(*args)
-
-            def counted(s, *witness):
-                searches.append(s)
-                return step(s, *witness)
-
-            return counted, reach
-
-        monkeypatch.setattr(zf_search, "_search", counting)
+        recording_search(monkeypatch, searches)
         config = SearchConfig(n_z=8)
         for (name, cls) in sorted(KNOWN_SINGLE_FREQ):
             bisect_lower_bound(plants[name], config, cls, *analyze_bracket(plants[name], cls), 1e-4)
-        assert len(searches) <= 55
+        assert len(searches) <= 40
 
     @pytest.mark.parametrize("name, cls", [("ex1", ODD), ("ex5", ODD), ("ex6", MONOTONE)])
     def test_bound_is_proven_and_tight(self, plants, monkeypatch, name, cls):
         # the last accepted taps prove k_lower on the whole circle, and the
-        # search failed at a probe within tol_k above it (or at k_hi)
+        # search failed at a probe within tol_k above it, or the trusted k_hi is
         steps = []
         recording_search(monkeypatch, steps)
         k_lo, k_hi = analyze_bracket(plants[name], cls)
@@ -685,60 +678,41 @@ class TestWitnessReach:
         last = [mult for _, mult in steps if mult is not None][-1]
         assert proven_at(plants[name], last, 8, got)
         failed = [s for s, mult in steps if mult is None]
-        assert any(s >= 1.0 / (got + 1e-4) or s == 1.0 / k_hi for s in failed)
-
-
-class TestScanWitnessRow:
-    """The search at k_hi holds the scan witness's row from its first exchange round."""
-
-    @staticmethod
-    def rounds(monkeypatch):
-        """Wrap `zf_search.generate_rows` so each LP appends the count of its
-        exchange rounds that added rows to the returned list."""
-        generate_rows, rounds = zf_search.generate_rows, []
-
-        def counting(c, A, b, more, **kwargs):
-            rounds.append(0)
-
-            def counted(x):
-                A_new, b_new = more(x)
-                rounds[-1] += b_new.size > 0
-                return A_new, b_new
-
-            return generate_rows(c, A, b, counted, **kwargs)
-
-        monkeypatch.setattr(zf_search, "generate_rows", counting)
-        return rounds
-
-    def test_witness_moves_no_lower_bound(self, plants, monkeypatch):
-        # the row joins after the seed LP's first optimal solve, whose basis
-        # starts the later searches, so k_lower is bit-identical; the search
-        # at k_hi that holds it ends after the round that adds it
-        rounds, config = self.rounds(monkeypatch), SearchConfig(n_z=8)
-        steps = []
-        recording_search(monkeypatch, steps)
-        without = []
-        for name, cls in sorted(KNOWN_SINGLE_FREQ):
-            tf = plants[name]
-            scan = scan_upper_bound(tf, cls)
-            assert scan.k_upper < nyquist_value(tf)  # the scan bound is the cap
-            k_lo, k_hi = analyze_bracket(tf, cls)
-            del rounds[:], steps[:]
-            want = bisect_lower_bound(tf, config, cls, k_lo, k_hi, 1e-4)
-            # each search is one LP; the search at k_hi is the first unless one runs at k_lo
-            at_k_hi = [s for s, _ in steps].index(1.0 / k_hi)
-            without.append(rounds[at_k_hi])
-            del rounds[:], steps[:]
-            got = bisect_lower_bound(tf, config, cls, k_lo, k_hi, 1e-4, scan.witness_freq.omega)
-            assert got == want, (name, cls, got, want)
-            at_k_hi = [s for s, _ in steps].index(1.0 / k_hi)
-            # a search whose first solve already has a negative margin adds no row
-            assert rounds[at_k_hi] == min(without[-1], 1), (name, cls, rounds[at_k_hi], without[-1])
-        assert max(without) == 7  # ex2/monotone, which adds rows a few minima at a time
+        assert k_hi - got <= 1e-4 or any(s >= 1.0 / (got + 1e-4) for s in failed)
 
 
 class TestCapProbe:
-    """M = 1 proves the lower end, and the first search below k_hi probes k_hi - tol_k."""
+    """M = 1 proves the lower end, k_hi is trusted with no search there, and the
+    first search below k_hi probes k_hi - tol_k."""
+
+    def test_no_search_at_the_trusted_cap(self, plants, monkeypatch):
+        # no step runs at k_hi, and the bound agrees with a bisection that
+        # searches at both ends and every midpoint
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import random_plant
+
+        cases = [(name, plants[name], cls) for name, cls in sorted(KNOWN_SINGLE_FREQ)]
+        cases += [(seed, random_plant(np.random.default_rng(seed), str(seed)).tf(), cls)
+                  for seed in range(1, 11) for cls in (MONOTONE, ODD)]
+        steps, searched, config = [], 0, SearchConfig(n_z=8)
+        recording_search(monkeypatch, steps)
+        for label, tf, cls in cases:
+            k_lo, k_hi = analyze_bracket(tf, cls)
+            tol_k = 1e-4 * k_hi
+            del steps[:]
+            got = bisect_lower_bound(tf, config, cls, k_lo=k_lo, k_hi=k_hi, tol_k=tol_k)
+            assert all(s != 1.0 / k_hi for s, _ in steps), (label, cls)
+            searched += len(steps)
+            ref_lo, _ = reference_lower_bound(tf, config, cls, k_lo, k_hi, tol_k)
+            assert abs(got - ref_lo) <= tol_k, (label, cls, got, ref_lo)
+        assert searched > len(cases)
+
+    @pytest.mark.parametrize("k_hi", [2.5, 3.0, 3.5, 3.8])
+    def test_unproven_cap_rejects_bracket(self, plants, k_hi):
+        # below ex2/monotone's cap 3.824 taps of the class reach k_hi
+        with pytest.raises(BracketInvalid, match="reach k_hi"):
+            bisect_lower_bound(plants["ex2"], SearchConfig(n_z=5), MONOTONE,
+                               k_lo=1.9, k_hi=k_hi, tol_k=5e-3)
 
     def test_circle_reach_is_the_circle_criterion(self, plants, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -772,19 +746,18 @@ class TestCapProbe:
         assert steps == [(1.0 / 3.9, None)]
 
     def test_probe_settles_all_but_ex1_odd(self, plants, monkeypatch):
-        # the k_hi search, the probe, then one search at the probe's reach
+        # the probe, then one search at the probe's reach
         steps, config, tol_k = [], SearchConfig(n_z=8), 1e-4
         recording_search(monkeypatch, steps)
         for name, cls in sorted(KNOWN_SINGLE_FREQ):
             del steps[:]
             k_lo, k_hi = analyze_bracket(plants[name], cls)
             bisect_lower_bound(plants[name], config, cls, k_lo, k_hi, tol_k)
-            assert steps[0] == (1.0 / k_hi, None), (name, cls)
-            assert steps[1][0] == 1.0 / (k_hi - tol_k), (name, cls)
+            assert steps[0][0] == 1.0 / (k_hi - tol_k), (name, cls)
             if (name, cls) == ("ex1", ODD):
-                assert steps[1][1] is None and len(steps) > 3
+                assert steps[0][1] is None and len(steps) > 2
             else:
-                assert steps[1][1] is not None and len(steps) == 3, (name, cls, len(steps))
+                assert steps[0][1] is not None and len(steps) == 2, (name, cls, len(steps))
 
     @pytest.mark.parametrize("name, cls", [
         ("ex1", MONOTONE), ("ex2", MONOTONE), ("ex2", ODD),

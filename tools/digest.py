@@ -36,13 +36,13 @@ basis of an earlier LP), with how many of those fell back to a cold solve
 at once, and their whole-circle root solves
 (`zf_search._extrema` calls) with the summed and the largest order of the
 eigenproblems those solved; the upper bisections whose certificate at k_hi
-was the closed-form grid column (`duality_lp._column_certificate`), those
-that returned their bound with no certificate LP below the cap (k_hi), and
-the searches at k_hi that were given the scan witness and held its row; the
-lower bisections whose lower end M = 1's reach proved (no search at k_lo),
-whose probe at k_hi - tol_k accepted, and whose search at that probe's
-reach moved it; per `certify-deep` LP, the rows and columns it held
-at the end, its pivots, and its cold solves and warm ones; and, per legacy
+was the closed-form grid column (`duality_lp._column_certificate`), and
+those that returned their bound with no certificate LP below the cap (k_hi);
+the lower bisections whose lower end M = 1's reach proved (no search at
+k_lo), whose probe at k_hi - tol_k accepted, and whose search at that
+probe's reach moved it, and the searches at k_hi (none: the cap is
+trusted); per `certify-deep` LP, the rows and columns it held at the end,
+its pivots, and its cold solves and warm ones; and, per legacy
 setting, the pairs whose screen ratio the 12 `legacy_upper_bound` runs
 computed, their `interval_slope_bound` evaluations and the series terms those
 evaluations computed; and, before `ct`, on how many of its 2,000 inputs each
@@ -163,25 +163,9 @@ def main(argv) -> int:
 
     def counted_search(*args):
         step, reach = search(*args)
-        response = zf_search.frequency_response
 
-        def witnessed_step(s, witness):
-            if witness is None:
-                return step(s)
-            counts["witness"] += 1
-
-            def held(G, w):  # the exchange samples G at the angles whose rows it adds
-                counts["witness held"] += bool(witness in w)
-                return response(G, w)
-
-            zf_search.frequency_response = held
-            try:
-                return step(s, witness)
-            finally:
-                zf_search.frequency_response = response
-
-        def counted_step(s, witness=None):
-            mult = witnessed_step(s, witness)
+        def counted_step(s):
+            mult = step(s)
             events.append(("step", s, mult is not None))
             return mult
 
@@ -192,14 +176,15 @@ def main(argv) -> int:
 
         return counted_step, counted_reach
 
-    def counted_bisect_lower(G, config, class_tag, k_lo, k_hi, tol_k, witness=None):
+    def counted_bisect_lower(G, config, class_tag, k_lo, k_hi, tol_k):
         del events[:]
         try:
-            return bisect_lower(G, config, class_tag, k_lo, k_hi, tol_k, witness)
+            return bisect_lower(G, config, class_tag, k_lo, k_hi, tol_k)
         finally:
             counts["lower"] += 1
             # a reach before any step holds no taps: M = 1 proved the lower end
             counts["circle"] += bool(events) and events[0][0] == "reach" and events[0][2] > k_lo
+            counts["at k_hi"] += sum(event[:2] == ("step", 1.0 / k_hi) for event in events)
             probe = [i for i, event in enumerate(events) if event[:2] == ("step", 1.0 / (k_hi - tol_k))]
             counts["probes"] += bool(probe)
             if probe and events[probe[0]][2]:  # accepted: its reach, a search there, that reach
@@ -247,14 +232,12 @@ def main(argv) -> int:
             print(f"analyze --lp-beta {lp_beta}: {counts['extrema']} whole-circle root solves of "
                   f"summed order {counts['order']} (largest {counts['largest order']})")
             print(f"analyze --lp-beta {lp_beta}: {counts['closed']} of {counts['upper']} upper "
-                  f"bisections took their k_hi certificate in closed form, {counts['stopped']} "
-                  f"returned with no certificate LP below the cap, and "
-                  f"{counts['witness held']} of {counts['witness']} k_hi searches given the "
-                  f"scan witness held its row")
+                  f"bisections took their k_hi certificate in closed form, and {counts['stopped']} "
+                  f"returned with no certificate LP below the cap")
             print(f"analyze --lp-beta {lp_beta}: M = 1 proved {counts['circle']} of "
                   f"{counts['lower']} lower ends, {counts['probe accepted']} of {counts['probes']} "
-                  f"probes at k_hi - tol_k accepted, and the search at the reach moved "
-                  f"{counts['reach moved']} of those")
+                  f"probes at k_hi - tol_k accepted, the search at the reach moved "
+                  f"{counts['reach moved']} of those, and {counts['at k_hi']} searches ran at k_hi")
 
     name, beta, slopes = CERTIFY_DEEP
     for k in slopes:
