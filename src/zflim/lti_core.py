@@ -3,7 +3,11 @@
 Coefficients are stored ascending in z (coeffs[k] multiplies z**k).  Plant
 files and the bundled examples use the printed descending convention; the
 parser in `plants` flips them before construction.  Stability is decided
-on the coefficients (`is_stable`), without computing a pole.
+on the coefficients (`is_stable`), without computing a pole.  The one root
+solver is `_chebyshev_roots`, in x = cos w: an odd trigonometric sum
+sum_{m>=1} u_m sin(mw) is sin w sum_{m>=1} u_m U_{m-1}(cos w), so the
+real-axis crossings of G (`nyquist_value`) and the search's critical angles
+(`zf_search._extrema`) are real roots in [-1, 1] of a U-series.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from .errors import BracketInvalid, InvalidGain, NotStable, PoleOnUnitCircle
 
 STABILITY_MARGIN = 1e-9
 UNIT_CIRCLE_TOL = 1e-12
-# a root of the crossing polynomial counts as on the unit circle when its
-# modulus is within this of 1; double roots (tangential crossings) split by
-# about sqrt(machine epsilon) ~ 1e-8 under the eigenvalue solve
-CROSSING_MODULUS_TOL = 1e-6
+# a root x = cos w of the crossing U-series counts as real (a crossing at w)
+# when its imaginary part is within this of 0; double roots (tangential
+# crossings) split by about sqrt(machine epsilon) ~ 1e-8 under the eigenvalue solve
+CROSSING_IMAG_TOL = 1e-6
 
 
 class Polynomial:
@@ -115,16 +119,18 @@ def evaluate(tf: TransferFunction, omega: float) -> complex:
     return complex(frequency_response(tf, omega))
 
 
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of the polynomial with ascending, trimmed coefficients as the
-    eigenvalues of its companion matrix (none for a constant)."""
-    n = coeffs.size - 1
+def _chebyshev_roots(u: np.ndarray) -> np.ndarray:
+    """Roots x of sum_k u_k U_k(x), U_k the Chebyshev polynomials of the second
+    kind, as the eigenvalues of its comrade matrix (Good, Q. J. Math. 12, 1961;
+    Boyd, SIAM Rev. 55(2), 2013): x U_k = (U_{k-1} + U_{k+1})/2, with U_n taken
+    from sum u_k U_k = 0 after trailing zeros are cut (none for a constant)."""
+    nonzero = np.flatnonzero(u)
+    n = nonzero[-1] if nonzero.size else 0
     if n == 0:
-        return np.zeros(0, dtype=complex)
-    comp = np.zeros((n, n))
-    comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -coeffs[:-1] / coeffs[-1]
-    return np.linalg.eigvals(comp).astype(complex)
+        return np.zeros(0)
+    comrade = 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    comrade[-1] -= 0.5 * u[:n] / u[n]
+    return np.linalg.eigvals(comrade)
 
 
 def is_stable(tf: TransferFunction) -> bool:
@@ -211,25 +217,26 @@ def nyquist_value(tf: TransferFunction) -> float:
 
     The minimum of -1/Re{G} over the real-axis crossings of G(e^{j*omega})
     with negative real part (math.inf if none).  For real coefficients,
-    conj(den(z)) = den(1/z) on |z| = 1, so Im{G} vanishes exactly at the
-    unit-circle roots of z^n * (num(z) den(1/z) - num(1/z) den(z)) with
-    n = deg den, a polynomial of degree 2n.  Its roots are the eigenvalues of
-    its companion matrix; a root counts as on the circle within
-    CROSSING_MODULUS_TOL, which also keeps tangential crossings (double
-    roots).  The endpoints 0 and pi, where G is always real, are always
-    candidates; a crossing polynomial that vanishes identically has no
-    roots and means G is real, hence constant, on the whole circle.
+    conj(den(z)) = den(1/z) on |z| = 1, so Im{G} has the sign of Im{q} for
+    the Laurent polynomial q(z) = num(z) den(1/z) = sum_{|m|<=n} q_m z^m,
+    n = deg den, and Im{q} = sum_{m>=1} (q_m - q_{-m}) sin(m omega) =
+    sin(omega) sum_{m>=1} (q_m - q_{-m}) U_{m-1}(cos omega).  The crossings
+    are the arccos of the roots x of that U-series (`_chebyshev_roots`, of
+    order n) that are real within CROSSING_IMAG_TOL, which also keeps
+    tangential crossings (double roots), clipped to [-1, 1].  The endpoints
+    0 and pi, where G is always real, are always candidates; a U-series that
+    vanishes identically has no roots and means G is real, hence constant,
+    on the whole circle.
     """
     if not is_stable(tf):
         raise NotStable("nyquist_value requires a stable plant")
     n = tf.den.degree
     num = np.zeros(n + 1)
     num[: tf.num.coeffs.size] = tf.num.coeffs
-    den = tf.den.coeffs
-    cross = Polynomial(np.convolve(num, den[::-1]) - np.convolve(den, num[::-1]))
-    roots = _companion_roots(cross.coeffs)
-    on_circle = roots[np.abs(np.abs(roots) - 1.0) < CROSSING_MODULUS_TOL]
-    w = np.concatenate([[0.0, math.pi], np.abs(np.angle(on_circle))])
+    q = np.convolve(num, tf.den.coeffs[::-1])  # q_{-n}..q_n
+    x = _chebyshev_roots(q[n + 1 :] - q[:n][::-1])
+    real = x.real[np.abs(x.imag) < CROSSING_IMAG_TOL]
+    w = np.concatenate([[0.0, math.pi], np.arccos(np.clip(real, -1.0, 1.0))])
     re = frequency_response(tf, w).real
     neg = re[re < 0.0]
     return float(np.min(-1.0 / neg)) if neg.size else math.inf

@@ -31,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import BracketInvalid, NotStable
-from .lti_core import TransferFunction, _bisect, _check_bracket, frequency_response, is_stable
+from .lti_core import (TransferFunction, _bisect, _chebyshev_roots, _check_bracket,
+                       frequency_response, is_stable)
 from .rational_core import MONOTONE, FirMultiplier, _check_class
 from .simplex import generate_rows, simplex_max_leq  # noqa: F401 (perfbench/selftest.py checks it)
 
@@ -80,16 +81,14 @@ def _extrema(p: np.ndarray, q: Optional[np.ndarray] = None):
     """Critical angles w in [0, pi] of the cosine sum P of `_laurent` coefficients
     p, and P there; given q, of -P/Q and -P/Q there.  The numerator of the
     derivative, r_m = m p_m for P' or sum_{j+k=m} (j - k) p_j q_k for P'Q - PQ',
-    is antisymmetric, so it is sin w sum_{m>=1} r_m U_{m-1}(cos w) (Good, Q. J.
-    Math. 12, 1961; Boyd, SIAM Rev. 55(2), 2013): the angles are 0, pi and the
-    arccos of the real parts, clipped to [-1, 1], of the eigenvalues of the
-    comrade matrix of u = r_1.. (x U_k = (U_{k-1} + U_{k+1})/2, with U_n taken
-    from sum u_k U_k = 0), of half the order of a companion matrix in z.  p and
-    q are first cut to their common nonzero support: the (j - k) = 0 term at
-    m = 2N, zero in exact arithmetic, would otherwise leave a rounding residue
-    as the leading coefficient when the outer taps are zero.  Each value is a
-    true sample, so min P (max -P/Q) on the whole circle is the least
-    (largest), to rounding."""
+    is antisymmetric, so it is sin w sum_{m>=1} r_m U_{m-1}(cos w): the angles
+    are 0, pi and the arccos of the real parts, clipped to [-1, 1], of the roots
+    of that U-series (`_chebyshev_roots`, of half the order of a companion
+    matrix in z).  p and q are first cut to their common nonzero support: the
+    (j - k) = 0 term at m = 2N, zero in exact arithmetic, would otherwise leave
+    a rounding residue as the leading coefficient when the outer taps are zero.
+    Each value is a true sample, so min P (max -P/Q) on the whole circle is the
+    least (largest), to rounding."""
     keep = np.flatnonzero(p if q is None else (p != 0.0) | (q != 0.0))
     lo = keep[0] if keep.size else p.size // 2
     a = p[lo : p.size - lo]
@@ -99,15 +98,7 @@ def _extrema(p: np.ndarray, q: Optional[np.ndarray] = None):
     else:
         b = q[lo : q.size - lo]
         r = (np.convolve(j * a, b) - np.convolve(a, j * b))[1:-1]
-    u = r[r.size // 2 + 1 :]
-    nonzero = np.flatnonzero(u)
-    u = u[: nonzero[-1] + 1 if nonzero.size else 0]
-    n = u.size - 1
-    x = np.zeros(0)
-    if n > 0:
-        comrade = 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
-        comrade[-1] -= 0.5 * u[:n] / u[n]
-        x = np.linalg.eigvals(comrade).real
+    x = _chebyshev_roots(r[r.size // 2 + 1 :]).real
     w = np.unique(np.concatenate([[0.0, math.pi], np.arccos(np.clip(x, -1.0, 1.0))]))
     v = _cos_sum(p, w)
     return w, (v if q is None else -v / _cos_sum(q, w))

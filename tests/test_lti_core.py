@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,23 @@ from zflim.lti_core import (
     nyquist_value,
     shift_by_inverse_gain,
 )
-from conftest import KNOWN_NYQUIST
+from conftest import KNOWN_NYQUIST, companion_roots
+
+
+def companion_nyquist(tf):
+    """`nyquist_value` by the companion matrix of the crossing polynomial
+    z^n (num(z) den(1/z) - num(1/z) den(z)) in z, roots within 1e-6 of |z| = 1."""
+    n = tf.den.degree
+    num = np.zeros(n + 1)
+    num[: tf.num.coeffs.size] = tf.num.coeffs
+    den = tf.den.coeffs
+    cross = Polynomial(np.convolve(num, den[::-1]) - np.convolve(den, num[::-1]))
+    roots = companion_roots(cross.coeffs)
+    on_circle = roots[np.abs(np.abs(roots) - 1.0) < 1e-6]
+    w = np.concatenate([[0.0, math.pi], np.abs(np.angle(on_circle))])
+    re = frequency_response(tf, w).real
+    neg = re[re < 0.0]
+    return float(np.min(-1.0 / neg)) if neg.size else math.inf
 
 
 def unit(value=1.0):
@@ -360,7 +377,19 @@ class TestNyquistValue:
         # give only -0.987 and -0.662, so the value is exactly 1
         tf = TransferFunction([0.0125, -0.0625, 0.1125, -0.1, -0.95], [0.0, 0.0, 0.0, 0.0, 1.0])
         assert abs(evaluate(tf, math.pi / 3) + 1.0) < 1e-15
-        assert abs(nyquist_value(tf) - 1.0) < 1e-7
+        assert abs(nyquist_value(tf) - 1.0) < 1e-12
+
+    def test_agrees_with_the_companion_solve(self, plants, monkeypatch):
+        # the crossings in x = cos w against the unit-circle roots of the
+        # crossing polynomial of degree 2n in z
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import random_plant
+
+        rng = np.random.default_rng(35)
+        cases = list(plants.values()) + [random_plant(rng, str(i)).tf() for i in range(100)]
+        for i, tf in enumerate(cases):
+            got, oracle = nyquist_value(tf), companion_nyquist(tf)
+            assert abs(got - oracle) <= 1e-12 * oracle, (i, got, oracle)
 
 
 class TestInvariants:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import KNOWN_LOWER, KNOWN_SINGLE_FREQ
+from conftest import KNOWN_LOWER, KNOWN_SINGLE_FREQ, companion_roots
 from zflim import simplex, zf_search
 from zflim.cli import main
 from zflim.errors import BracketInvalid, LpNumericalFailure
@@ -14,7 +14,6 @@ from zflim.lti_core import (
     Polynomial,
     TransferFunction,
     _bisect,
-    _companion_roots,
     frequency_response,
     is_stable,
     nyquist_value,
@@ -435,7 +434,7 @@ def companion_extrema(p, q=None):
     twice the order of the comrade solve; the oracle for it."""
     j = np.arange(p.size) - p.size // 2
     r = j * p if q is None else (np.convolve(j * p, q) - np.convolve(p, j * q))[1:-1]
-    roots = _companion_roots(Polynomial(r).coeffs)
+    roots = companion_roots(Polynomial(r).coeffs)
     w = np.unique(np.abs(np.concatenate([[0.0, math.pi], np.angle(roots)])))
     v = zf_search._cos_sum(p, w)
     return w, (v if q is None else -v / zf_search._cos_sum(q, w))
@@ -578,30 +577,38 @@ def recording_search(monkeypatch, steps):
     monkeypatch.setattr(zf_search, "_search", recording)
 
 
+def match_plain_bisection(monkeypatch, cases, tol):
+    """On each (label, tf, class) of cases, at tol_k = tol(k_hi): no search step
+    runs at the trusted k_hi, and the bound agrees with a bisection that
+    searches at both ends and every midpoint (`reference_lower_bound`)."""
+    steps, searched, config = [], 0, SearchConfig(n_z=8)
+    recording_search(monkeypatch, steps)
+    for label, tf, cls in cases:
+        k_lo, k_hi = analyze_bracket(tf, cls)
+        tol_k = tol(k_hi)
+        del steps[:]
+        got = bisect_lower_bound(tf, config, cls, k_lo=k_lo, k_hi=k_hi, tol_k=tol_k)
+        assert all(s != 1.0 / k_hi for s, _ in steps), (label, cls)
+        searched += len(steps)
+        ref_lo, _ = reference_lower_bound(tf, config, cls, k_lo, k_hi, tol_k)
+        assert abs(got - ref_lo) <= tol_k, (label, cls, got, ref_lo)
+    assert searched > len(cases)
+
+
 class TestWitnessReach:
     """Accepted taps move the bracket's lower end to their reach."""
 
-    def test_bundled_pairs_match_plain_bisection(self, plants):
-        config = SearchConfig(n_z=8)
-        for (name, cls) in sorted(KNOWN_SINGLE_FREQ):
-            k_lo, k_hi = analyze_bracket(plants[name], cls)
-            got = bisect_lower_bound(plants[name], config, cls, k_lo, k_hi, 1e-4)
-            ref_lo, _ = reference_lower_bound(plants[name], config, cls, k_lo, k_hi, 1e-4)
-            assert abs(got - ref_lo) <= 1e-4, (name, cls, got, ref_lo)
+    def test_bundled_pairs_match_plain_bisection(self, plants, monkeypatch):
+        cases = [(name, plants[name], cls) for name, cls in sorted(KNOWN_SINGLE_FREQ)]
+        match_plain_bisection(monkeypatch, cases, lambda k_hi: 1e-4)
 
     def test_random_plants_match_plain_bisection(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         from workloads import random_plant
 
-        config = SearchConfig(n_z=8)
-        for seed in range(1, 11):
-            tf = random_plant(np.random.default_rng(seed), str(seed)).tf()
-            for cls in (MONOTONE, ODD):
-                k_lo, k_hi = analyze_bracket(tf, cls)
-                tol_k = 1e-4 * k_hi
-                got = bisect_lower_bound(tf, config, cls, k_lo, k_hi, tol_k)
-                ref_lo, _ = reference_lower_bound(tf, config, cls, k_lo, k_hi, tol_k)
-                assert abs(got - ref_lo) <= tol_k, (seed, cls, got, ref_lo)
+        cases = [(seed, random_plant(np.random.default_rng(seed), str(seed)).tf(), cls)
+                 for seed in range(1, 11) for cls in (MONOTONE, ODD)]
+        match_plain_bisection(monkeypatch, cases, lambda k_hi: 1e-4 * k_hi)
 
     @pytest.mark.parametrize("name, cls", [
         ("ex1", ODD), ("ex2", MONOTONE), ("ex3", MONOTONE), ("ex5", ODD), ("ex6", ODD),
@@ -682,30 +689,9 @@ class TestWitnessReach:
 
 
 class TestCapProbe:
-    """M = 1 proves the lower end, k_hi is trusted with no search there, and the
-    first search below k_hi probes k_hi - tol_k."""
-
-    def test_no_search_at_the_trusted_cap(self, plants, monkeypatch):
-        # no step runs at k_hi, and the bound agrees with a bisection that
-        # searches at both ends and every midpoint
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        from workloads import random_plant
-
-        cases = [(name, plants[name], cls) for name, cls in sorted(KNOWN_SINGLE_FREQ)]
-        cases += [(seed, random_plant(np.random.default_rng(seed), str(seed)).tf(), cls)
-                  for seed in range(1, 11) for cls in (MONOTONE, ODD)]
-        steps, searched, config = [], 0, SearchConfig(n_z=8)
-        recording_search(monkeypatch, steps)
-        for label, tf, cls in cases:
-            k_lo, k_hi = analyze_bracket(tf, cls)
-            tol_k = 1e-4 * k_hi
-            del steps[:]
-            got = bisect_lower_bound(tf, config, cls, k_lo=k_lo, k_hi=k_hi, tol_k=tol_k)
-            assert all(s != 1.0 / k_hi for s, _ in steps), (label, cls)
-            searched += len(steps)
-            ref_lo, _ = reference_lower_bound(tf, config, cls, k_lo, k_hi, tol_k)
-            assert abs(got - ref_lo) <= tol_k, (label, cls, got, ref_lo)
-        assert searched > len(cases)
+    """M = 1 proves the lower end, k_hi is trusted with no search there (checked
+    with the reference bisections of `match_plain_bisection`), and the first
+    search below k_hi probes k_hi - tol_k."""
 
     @pytest.mark.parametrize("k_hi", [2.5, 3.0, 3.5, 3.8])
     def test_unproven_cap_rejects_bracket(self, plants, k_hi):

@@ -33,11 +33,12 @@ stability checks (`is_stable` calls) of the 12 analyze runs, their certificate
 and search LPs (`generate_rows` calls) with the cold solves those took (the
 first of each bisection, and any restart) and their warm starts (from the
 basis of an earlier LP), with how many of those fell back to a cold solve
-at once, and their whole-circle root solves
-(`zf_search._extrema` calls) with the summed and the largest order of the
-eigenproblems those solved; the upper bisections whose certificate at k_hi
-was the closed-form grid column (`duality_lp._column_certificate`), and
-those that returned their bound with no certificate LP below the cap (k_hi);
+at once, and their comrade solves (`lti_core._chebyshev_roots` calls), the
+search's whole-circle root solves and the Nyquist crossings, with the summed
+and the largest order of the eigenproblems those solved; the upper
+bisections whose certificate at k_hi was the closed-form grid column
+(`duality_lp._column_certificate`), and those that returned their bound
+with no certificate LP below the cap (k_hi);
 the lower bisections whose lower end M = 1's reach proved (no search at
 k_lo), whose probe at k_hi - tol_k accepted, and whose search at that
 probe's reach moved it, and the searches at k_hi (none: the cap is
@@ -73,7 +74,6 @@ CERTIFY_DEEP = ("ex1", 160, (13.46, 13.56))
 def main(argv) -> int:
     src = argv[0] if argv else os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     sys.path.insert(0, os.path.abspath(src))
-    import numpy as np
     from zflim import cli, duality_lp, interval_limits, lti_core, phase_limits, simplex, zf_search
     from zflim.plants import BUILTIN
     from zflim.rational_core import MONOTONE, ODD
@@ -81,7 +81,7 @@ def main(argv) -> int:
     pivots, reports, printed = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     counts = Counter()
     pivot, solve, is_stable = simplex.Tableau._pivot, simplex.Tableau.solve, lti_core.is_stable
-    extrema, eigvals = zf_search._extrema, np.linalg.eigvals
+    chebyshev_roots = lti_core._chebyshev_roots
 
     def counted_pivot(self, r, j):
         pivots.update(f"{r},{j};".encode())
@@ -96,18 +96,15 @@ def main(argv) -> int:
         counts["stable"] += 1
         return is_stable(tf)
 
-    def counted_eigvals(a):
-        counts["order"] += a.shape[0]
-        counts["largest order"] = max(counts["largest order"], a.shape[0])
-        return eigvals(a)
+    def counted_roots(caller):
+        def counted(u):
+            x = chebyshev_roots(u)
+            counts[caller] += 1
+            counts["order"] += x.size
+            counts["largest order"] = max(counts["largest order"], x.size)
+            return x
 
-    def counted_extrema(*args):
-        counts["extrema"] += 1
-        np.linalg.eigvals = counted_eigvals
-        try:
-            return extrema(*args)
-        finally:
-            np.linalg.eigvals = eigvals
+        return counted
 
     start = simplex.simplex_max_leq
 
@@ -196,7 +193,9 @@ def main(argv) -> int:
     patched = [(simplex.Tableau, "_pivot", counted_pivot), (simplex.Tableau, "solve", counted_solve),
                *((module, "is_stable", counted_is_stable)
                  for module in (lti_core, phase_limits, duality_lp, zf_search, interval_limits)),
-               (simplex, "simplex_max_leq", counted_start), (zf_search, "_extrema", counted_extrema),
+               (simplex, "simplex_max_leq", counted_start),
+               (zf_search, "_chebyshev_roots", counted_roots("search roots")),
+               (lti_core, "_chebyshev_roots", counted_roots("nyquist roots")),
                (duality_lp, "generate_rows", counted_lps(duality_lp.generate_rows, "certificate")),
                (zf_search, "generate_rows", counted_lps(zf_search.generate_rows, "search")),
                (duality_lp, "_column_certificate", counted_column_certificate),
@@ -229,8 +228,10 @@ def main(argv) -> int:
                 print(f"analyze --lp-beta {lp_beta}: {counts[layer]} {layer} LPs with "
                       f"{counts[layer + ' cold']} cold solves and {counts[layer + ' warm']} warm "
                       f"starts, {counts[layer + ' fallback']} of which fell back to cold")
-            print(f"analyze --lp-beta {lp_beta}: {counts['extrema']} whole-circle root solves of "
-                  f"summed order {counts['order']} (largest {counts['largest order']})")
+            print(f"analyze --lp-beta {lp_beta}: {counts['search roots'] + counts['nyquist roots']} "
+                  f"comrade solves ({counts['search roots']} whole-circle root solves of the search, "
+                  f"{counts['nyquist roots']} of the Nyquist crossings) of summed order "
+                  f"{counts['order']} (largest {counts['largest order']})")
             print(f"analyze --lp-beta {lp_beta}: {counts['closed']} of {counts['upper']} upper "
                   f"bisections took their k_hi certificate in closed form, and {counts['stopped']} "
                   f"returned with no certificate LP below the cap")
